@@ -7,10 +7,12 @@
 
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/algorithm_common.hpp"
+#include "core/bssa.hpp"
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
 #include "util/rng.hpp"
@@ -395,6 +397,81 @@ TEST(EvalWorkspaceCache, PendingSetOverflowEvictsABoundedBatch) {
 
   util::telemetry::set_metrics_enabled(false);
   util::telemetry::reset_metrics_for_test();
+  reset_eval_cache();
+}
+
+TEST(EvalWorkspaceCache, EntriesLiveExactlyAsLongAsTheirCostArrays) {
+  const unsigned n = 8;
+  std::vector<OutputWord> values(std::size_t{1} << n);
+  for (std::size_t x = 0; x < values.size(); ++x) {
+    values[x] = static_cast<OutputWord>((x * 37 + 11) & 0xffu);
+  }
+  const MultiOutputFunction g(n, n, values);
+  const std::vector<OutputWord> approx(values.size(), 0);
+  const auto dist = InputDistribution::uniform(n);
+  util::Rng rng(15);
+  auto& workspace = EvalWorkspace::local();
+  const auto p = Partition::random(n, 4, rng);
+  auto q = Partition::random(n, 4, rng);
+  while (q == p) q = Partition::random(n, 4, rng);
+
+  reset_eval_cache();
+  auto costs = std::make_unique<BitCostArrays>(
+      build_bit_costs(g, approx, n - 1, LsbModel::kCurrentApprox, dist));
+  (void)workspace.full_matrix(p, *costs);
+  (void)workspace.full_matrix(p, *costs);  // second sighting: published
+  (void)workspace.full_matrix(q, *costs);  // first sighting: pending
+  const auto published = eval_cache_stats();
+  EXPECT_EQ(published.entries, 1u);
+  EXPECT_EQ(published.pending, 1u);
+  EXPECT_GT(published.bytes, 0u);
+
+  {
+    // A surviving copy shares the lease: the entry still serves hits.
+    const BitCostArrays copy = *costs;
+    costs.reset();
+    const auto kept = eval_cache_stats();
+    EXPECT_EQ(kept.entries, 1u);
+    EXPECT_EQ(kept.pending, 1u);
+    EXPECT_EQ(kept.bytes, published.bytes);
+    const auto hit = workspace.full_matrix(p, copy);
+    EXPECT_EQ(eval_cache_stats().hits, published.hits + 1);
+    expect_same_matrix(hit, CostMatrix::build(p, copy.c0, copy.c1));
+  }
+
+  // The last copy is gone: its epoch can never be looked up again.
+  const auto released = eval_cache_stats();
+  EXPECT_EQ(released.entries, 0u);
+  EXPECT_EQ(released.pending, 0u);
+  EXPECT_EQ(released.bytes, 0u);
+  reset_eval_cache();
+}
+
+TEST(EvalWorkspaceCache, SearchLeavesNoEntriesBehind) {
+  const unsigned n = 10;
+  std::vector<OutputWord> values(std::size_t{1} << n);
+  for (std::size_t x = 0; x < values.size(); ++x) {
+    values[x] = static_cast<OutputWord>((x * x) >> 10);
+  }
+  const MultiOutputFunction g(n, n, values);
+  BssaParams params;
+  params.bound_size = 5;
+  params.rounds = 2;
+  params.beam_width = 2;
+  params.modes = ModePolicy::bto_normal_nd();
+  params.sa.partition_limit = 12;
+  params.sa.init_patterns = 4;
+  params.seed = 7;
+
+  reset_eval_cache();
+  (void)run_bssa(g, InputDistribution::uniform(n), params);
+  // Every cost array the search built died with it, and so did the memo
+  // entries and pending keys keyed by their epochs.
+  const auto stats = eval_cache_stats();
+  EXPECT_GT(stats.hits, 0u);  // entries were published along the way
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
   reset_eval_cache();
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -79,6 +80,59 @@ core::ApproxLut all_modes_lut() {
   return core::ApproxLut::realize(n, {normal, bto, nd});
 }
 
+/// Input mask of the positions i < n with i % period == phase.
+std::uint32_t strided_mask(unsigned n, unsigned period, unsigned phase) {
+  std::uint32_t mask = 0;
+  for (unsigned i = phase; i < n; i += period) mask |= std::uint32_t{1} << i;
+  return mask;
+}
+
+std::vector<std::uint8_t> random_bits(std::size_t count, util::Rng& rng) {
+  std::vector<std::uint8_t> bits(count);
+  for (auto& b : bits) b = static_cast<std::uint8_t>(rng.next_below(2));
+  return bits;
+}
+
+std::vector<core::RowType> random_types(std::size_t count, util::Rng& rng) {
+  std::vector<core::RowType> types(count);
+  for (auto& t : types) {
+    t = static_cast<core::RowType>(1 + rng.next_below(4));
+  }
+  return types;
+}
+
+/// A hand-built 3-output n-input system, one unit per operating mode, with
+/// random contents. Every bound and free set takes inputs from each input
+/// byte, and the ND shared bit is input n - 1, in the top byte.
+core::ApproxLut wide_all_modes_lut(unsigned n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  core::Setting normal;
+  normal.error = 0.0;
+  normal.partition = core::Partition(n, strided_mask(n, 3, 0));
+  normal.mode = core::DecompMode::kNormal;
+  normal.pattern = random_bits(normal.partition.num_cols(), rng);
+  normal.types = random_types(normal.partition.num_rows(), rng);
+
+  core::Setting bto;
+  bto.error = 0.0;
+  bto.partition = core::Partition(n, strided_mask(n, 3, 1));
+  bto.mode = core::DecompMode::kBto;
+  bto.pattern = random_bits(bto.partition.num_cols(), rng);
+
+  core::Setting nd;
+  nd.error = 0.0;
+  nd.partition = core::Partition(
+      n, strided_mask(n, 2, 1) | std::uint32_t{1} << (n - 1));
+  nd.mode = core::DecompMode::kNonDisjoint;
+  nd.shared_bit = n - 1;
+  nd.pattern0 = random_bits(nd.partition.num_cols() / 2, rng);
+  nd.pattern1 = random_bits(nd.partition.num_cols() / 2, rng);
+  nd.types0 = random_types(nd.partition.num_rows(), rng);
+  nd.types1 = random_types(nd.partition.num_rows(), rng);
+
+  return core::ApproxLut::realize(n, {normal, bto, nd});
+}
+
 // ---- Bit identity: batched kernels vs the scalar simulate() loop --------
 
 TEST(StreamEngine, MonolithicBitIdenticalToSimulate) {
@@ -146,6 +200,71 @@ TEST(StreamEngine, AllThreeModesBitIdenticalOverFullDomain) {
   EXPECT_EQ(scalar.mismatches, 0u);  // hardware == functional model
   auto target = StreamTarget::compile(system);
   EXPECT_EQ(stream_simulate(target, domain, &reference, kTech, 5), scalar);
+}
+
+TEST(StreamEngine, AllThreeModesBitIdenticalAcrossSliceCounts) {
+  // Widths on both sides of each input-byte boundary: 2, 3 and 4 index
+  // slices. Partition caps the input width at 26, so 25 and 26 stand in for
+  // the 32-input edge of the top slice.
+  for (const unsigned n : {9u, 16u, 17u, 24u, 25u, 26u}) {
+    const auto lut = wide_all_modes_lut(n, 40 + n);
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd, lut, kTech);
+    auto target = StreamTarget::compile(system);
+
+    std::vector<core::InputWord> sequence;
+    if (n <= 17) {
+      sequence.resize(std::size_t{1} << n);
+      for (std::size_t x = 0; x < sequence.size(); ++x) {
+        sequence[x] = static_cast<core::InputWord>(x);
+      }
+    } else {
+      sequence = random_sequence(1 << 16, n, 50 + n);
+    }
+    // The full-domain reference table is too large past 17 inputs; there
+    // the per-read check below carries the functional comparison.
+    std::optional<core::MultiOutputFunction> reference;
+    if (n <= 17) reference = lut.to_function();
+    const core::MultiOutputFunction* ref = reference ? &*reference : nullptr;
+    const auto scalar = simulate(make_target(system), sequence, ref, kTech);
+    EXPECT_EQ(scalar.mismatches, 0u) << "n " << n;
+    EXPECT_EQ(stream_simulate(target, sequence, ref, kTech, 1000), scalar)
+        << "n " << n;
+
+    std::vector<core::OutputWord> y(sequence.size());
+    std::uint64_t epoch = 0;
+    target.eval_batch(target.acquire(epoch), sequence.data(), y.data(),
+                      sequence.size());
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      ASSERT_EQ(y[i], system.read(sequence[i]))
+          << "n " << n << " x " << sequence[i];
+    }
+  }
+}
+
+TEST(StreamEngine, BtoOutputsSurviveReconfiguration) {
+  // Same structure, different contents: every swap lands on the other
+  // image, whose BTO units read phi through the constant {0, 1} table the
+  // contents swap never rewrites.
+  const unsigned n = 12;
+  const auto lut_a = wide_all_modes_lut(n, 1);
+  const auto lut_b = wide_all_modes_lut(n, 2);
+  const ApproxLutSystem sys_a(ArchKind::kBtoNormalNd, lut_a, kTech);
+  const ApproxLutSystem sys_b(ArchKind::kBtoNormalNd, lut_b, kTech);
+  auto target = StreamTarget::compile(sys_a);
+  target.mark_applied(target.published_epoch());
+
+  const auto sequence = random_sequence(4096, n, 6);
+  std::vector<core::OutputWord> y(sequence.size());
+  for (int swap = 0; swap < 4; ++swap) {
+    const ApproxLutSystem& next = swap % 2 == 0 ? sys_b : sys_a;
+    target.mark_applied(target.reconfigure(next));
+    std::uint64_t epoch = 0;
+    target.eval_batch(target.acquire(epoch), sequence.data(), y.data(),
+                      sequence.size());
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      ASSERT_EQ(y[i], next.read(sequence[i])) << "swap " << swap;
+    }
+  }
 }
 
 TEST(StreamEngine, TogglesUseCorrectedMaskedAccounting) {
