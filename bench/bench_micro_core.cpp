@@ -125,9 +125,11 @@ void BM_OptForPart(benchmark::State& state) {
 BENCHMARK(BM_OptForPart)->Arg(10)->Arg(12)->Arg(14);
 
 void BM_OptForPartWorkspace(benchmark::State& state) {
-  // The restart-blocked EvalWorkspace kernel on the same problem as
-  // BM_OptForPart (bit-identical results, ~Z x less matrix traffic).
+  // The register-blocked EvalWorkspace kernel on the same problem as
+  // BM_OptForPart (bit-identical results) at Z restarts: 12 is the
+  // dalut_opt and ledger default, 30 the BM_OptForPart setting.
   const auto width = static_cast<unsigned>(state.range(0));
+  const auto restarts = static_cast<unsigned>(state.range(1));
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);
   const auto costs = core::build_bit_costs(
@@ -137,11 +139,13 @@ void BM_OptForPartWorkspace(benchmark::State& state) {
   auto& workspace = core::EvalWorkspace::local();
   const core::MatrixRef matrix = workspace.full_matrix(p, costs);
   for (auto _ : state) {
-    auto result = workspace.opt_for_part(matrix, {30, 64}, rng);
+    auto result = workspace.opt_for_part(matrix, {restarts, 64}, rng);
     benchmark::DoNotOptimize(result.error);
   }
 }
-BENCHMARK(BM_OptForPartWorkspace)->Arg(10)->Arg(12)->Arg(14);
+BENCHMARK(BM_OptForPartWorkspace)
+    ->ArgNames({"width", "Z"})
+    ->ArgsProduct({{10, 12, 14}, {12, 30}});
 
 void BM_OptForPartBto(benchmark::State& state) {
   const auto width = static_cast<unsigned>(state.range(0));

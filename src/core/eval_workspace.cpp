@@ -1,6 +1,7 @@
 #include "core/eval_workspace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
@@ -145,49 +146,299 @@ void gather_blocked(double* cells, std::uint32_t bound,
 }
 
 // ---- Sweep kernels ------------------------------------------------------
+//
+// The OptForPart sweeps keep their running sums in registers: the types
+// sweep holds a tile of restart vectors x rows of `match` accumulators
+// across the column loop, and the column-pair sums hold a tile of
+// {if-zero, if-one} column pairs across the row loop. Every accumulator is
+// one (row, restart) or (column, restart) sum, advanced in the reference
+// order (columns ascending, rows ascending), so the tiling changes only
+// which sums are in flight together, never what any sum adds.
+//
+// The kernels are written once against a small op set and instantiated for
+// simd lane vectors and for plain doubles; the latter is the forced-scalar
+// path (simd::set_force_scalar). Both add, compare and select the same
+// doubles, so their results are bit-identical.
 
-/// match[z] += blend of {b0, b1} under pat[z] for z in [0, block): the
-/// vector body is elementwise over independent accumulators, so it adds
-/// bit-identical values in the same per-z order as the scalar tail.
-inline void blend_add_row(double* match, const std::uint64_t* pat,
-                          std::uint32_t block, std::uint64_t b0,
-                          std::uint64_t b1, bool vec) noexcept {
-  std::uint32_t z = 0;
-  if (vec) {
-    const simd::VecU vb0 = simd::ubroadcast(b0);
-    const simd::VecU vb1 = simd::ubroadcast(b1);
-    for (; z + simd::kLanes <= block; z += simd::kLanes) {
-      const simd::VecU p = simd::uloadu(pat + z);
-      const simd::VecD pick = simd::as_double(
-          simd::uor(simd::uand(p, vb1), simd::uandnot(p, vb0)));
-      simd::dstoreu(match + z, simd::dadd(simd::dloadu(match + z), pick));
+constexpr double type_code(RowType type) noexcept {
+  return static_cast<double>(static_cast<std::uint8_t>(type));
+}
+
+struct VectorOps {
+  using D = simd::VecD;
+  using U = simd::VecU;
+  static constexpr unsigned kWidth = simd::kLanes;
+  static D zero() noexcept { return simd::dzero(); }
+  static D splat(double v) noexcept { return simd::dbroadcast(v); }
+  static D add(D a, D b) noexcept { return simd::dadd(a, b); }
+  static D sub(D a, D b) noexcept { return simd::dsub(a, b); }
+  static D less(D a, D b) noexcept { return simd::dcmplt(a, b); }
+  static D select(D m, D a, D b) noexcept { return simd::dselect(m, a, b); }
+  static void store(double* p, D v) noexcept { simd::dstoreu(p, v); }
+  static U bits(std::uint64_t v) noexcept { return simd::ubroadcast(v); }
+  static U load_bits(const std::uint64_t* p) noexcept {
+    return simd::uloadu(p);
+  }
+  static U bit_xor(U a, U b) noexcept { return simd::uxor(a, b); }
+  /// mask ? cost1 : cost0, given the bits of cost0 and cost0 ^ cost1.
+  static D pick(U mask, U cost0, U diff) noexcept {
+    return simd::as_double(simd::uxor(cost0, simd::uand(mask, diff)));
+  }
+
+  /// One {cost0, cost1} cell.
+  using Cell = simd::D2;
+  static Cell load_cell(const double* p) noexcept { return simd::loadu2(p); }
+  static void store_cell(double* p, Cell v) noexcept { simd::storeu2(p, v); }
+  static Cell add_cells(Cell a, Cell b) noexcept { return simd::add2(a, b); }
+
+  /// Two adjacent cells.
+  using Pairs = simd::D4;
+  static constexpr unsigned kCells = 2;
+  /// Pair accumulators per column tile: about eight vector registers.
+  static constexpr unsigned kPairTile = 2 * simd::kLanes;
+  static Pairs load_pairs(const double* p) noexcept { return simd::loadu4(p); }
+  static void store_pairs(double* p, Pairs v) noexcept { simd::storeu4(p, v); }
+  static Pairs add_pairs(Pairs a, Pairs b) noexcept { return simd::add4(a, b); }
+};
+
+struct ScalarOps {
+  using D = double;
+  using U = std::uint64_t;
+  static constexpr unsigned kWidth = 1;
+  static D zero() noexcept { return 0.0; }
+  static D splat(double v) noexcept { return v; }
+  static D add(D a, D b) noexcept { return a + b; }
+  static D sub(D a, D b) noexcept { return a - b; }
+  static D less(D a, D b) noexcept {
+    return std::bit_cast<double>(a < b ? ~std::uint64_t{0} : 0);
+  }
+  static D select(D m, D a, D b) noexcept {
+    return std::bit_cast<std::uint64_t>(m) != 0 ? a : b;
+  }
+  static void store(double* p, D v) noexcept { *p = v; }
+  static U bits(std::uint64_t v) noexcept { return v; }
+  static U load_bits(const std::uint64_t* p) noexcept { return *p; }
+  static U bit_xor(U a, U b) noexcept { return a ^ b; }
+  static D pick(U mask, U cost0, U diff) noexcept {
+    return std::bit_cast<double>(cost0 ^ (mask & diff));
+  }
+
+  struct Cell {
+    double zero, one;
+  };
+  static Cell load_cell(const double* p) noexcept { return {p[0], p[1]}; }
+  static void store_cell(double* p, Cell v) noexcept {
+    p[0] = v.zero;
+    p[1] = v.one;
+  }
+  static Cell add_cells(Cell a, Cell b) noexcept {
+    return {a.zero + b.zero, a.one + b.one};
+  }
+
+  using Pairs = Cell;
+  static constexpr unsigned kCells = 1;
+  static constexpr unsigned kPairTile = 4;
+  static Pairs load_pairs(const double* p) noexcept { return load_cell(p); }
+  static void store_pairs(double* p, Pairs v) noexcept { store_cell(p, v); }
+  static Pairs add_pairs(Pairs a, Pairs b) noexcept { return add_cells(a, b); }
+};
+
+/// Rows whose AllZero/AllOne sums are accumulated together.
+constexpr std::size_t kSumRows = 8;
+
+/// {AllZero, AllOne} cost sums of rows [r, r + N): each row's pair of sums
+/// runs over columns ascending (the reference order), and the N rows keep N
+/// independent add chains in flight.
+template <class Ops, std::size_t N>
+void sum_rows(const InterleavedCostMatrix& matrix, std::size_t r,
+              double* sums0, double* sums1) noexcept {
+  static constexpr double kZeros[2] = {};
+  const std::size_t cols = matrix.cols;
+  const double* row = matrix.cells.data() + 2 * r * cols;
+  typename Ops::Cell acc[N];
+  for (std::size_t i = 0; i < N; ++i) acc[i] = Ops::load_cell(kZeros);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t i = 0; i < N; ++i) {
+      acc[i] = Ops::add_cells(acc[i],
+                              Ops::load_cell(row + 2 * (i * cols + c)));
     }
   }
-  for (; z < block; ++z) {
-    match[z] += std::bit_cast<double>((b0 & ~pat[z]) | (b1 & pat[z]));
+  for (std::size_t i = 0; i < N; ++i) {
+    double sums[2];
+    Ops::store_cell(sums, acc[i]);
+    sums0[r + i] = sums[0];
+    sums1[r + i] = sums[1];
   }
 }
 
-/// even[c] += row[2c], odd[c] += row[2c+1] for c in [0, cols): the pair
-/// deinterleave feeds the same independent per-column accumulators as the
-/// scalar tail, in the same per-column order across calls.
-inline void pair_accumulate(double* even, double* odd, const double* row,
-                            std::size_t cols, bool vec) noexcept {
-  std::size_t c = 0;
-  if (vec) {
-    for (; c + 4 <= cols; c += 4) {
-      simd::D4 evens, odds;
-      simd::deinterleave4(simd::loadu4(row + 2 * c),
-                          simd::loadu4(row + 2 * c + 4), evens, odds);
-      simd::storeu4(even + c,
-                    simd::add4(simd::loadu4(even + c), evens));
-      simd::storeu4(odd + c, simd::add4(simd::loadu4(odd + c), odds));
+template <class Ops>
+void sum_all_rows(const InterleavedCostMatrix& matrix, double* sums0,
+                  double* sums1) noexcept {
+  std::size_t r = 0;
+  for (; r + kSumRows <= matrix.rows; r += kSumRows) {
+    sum_rows<Ops, kSumRows>(matrix, r, sums0, sums1);
+  }
+  for (; r < matrix.rows; ++r) sum_rows<Ops, 1>(matrix, r, sums0, sums1);
+}
+
+/// Largest number of restart vectors a types tile holds in registers.
+constexpr unsigned kMaxTileVectors = 4;
+
+/// Types step for rows [r, r + R) of one restart tile: V vectors of restarts
+/// starting at `groups[j]`, each kWidth wide. The R x V match accumulators
+/// stay in registers across the column loop; each is one (row, restart)
+/// sum over columns ascending, as in the reference. The row's best type and
+/// cost then follow the reference's comparison chain lane by lane, and the
+/// cost is added to the restart's running total.
+template <class Ops, unsigned V, unsigned R>
+inline void types_rows(const InterleavedCostMatrix& matrix, std::size_t r,
+                       const std::uint64_t* patterns, std::size_t stride,
+                       const std::uint32_t* groups, const double* sums0,
+                       const double* sums1, std::uint8_t* types,
+                       typename Ops::D (&total)[V]) noexcept {
+  using D = typename Ops::D;
+  constexpr unsigned W = Ops::kWidth;
+  const std::size_t cols = matrix.cols;
+  const double* row = matrix.cells.data() + 2 * r * cols;
+  D acc[R][V];
+  for (unsigned i = 0; i < R; ++i) {
+    for (unsigned j = 0; j < V; ++j) acc[i][j] = Ops::zero();
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    // Full-width select masks: cost0 ^ (mask & (cost0 ^ cost1)) is
+    // bit-for-bit the double the reference's `pattern[c] ? cost1 : cost0`
+    // picks.
+    typename Ops::U cost0[R], diff[R];
+    for (unsigned i = 0; i < R; ++i) {
+      const double* cell = row + 2 * (i * cols + c);
+      cost0[i] = Ops::bits(std::bit_cast<std::uint64_t>(cell[0]));
+      diff[i] = Ops::bit_xor(
+          cost0[i], Ops::bits(std::bit_cast<std::uint64_t>(cell[1])));
+    }
+    const std::uint64_t* pat = patterns + c * stride;
+    for (unsigned j = 0; j < V; ++j) {
+      const auto mask = Ops::load_bits(pat + groups[j]);
+      for (unsigned i = 0; i < R; ++i) {
+        acc[i][j] = Ops::add(acc[i][j], Ops::pick(mask, cost0[i], diff[i]));
+      }
     }
   }
-  for (; c < cols; ++c) {
-    even[c] += row[2 * c];
-    odd[c] += row[2 * c + 1];
+
+  for (unsigned i = 0; i < R; ++i) {
+    const double s0 = sums0[r + i];
+    const double s1 = sums1[r + i];
+    // The AllZero/AllOne comparison is the same for every restart.
+    const bool one = s1 < s0;
+    const D fixed_cost = Ops::splat(one ? s1 : s0);
+    const D fixed_type =
+        Ops::splat(type_code(one ? RowType::kAllOne : RowType::kAllZero));
+    const D both = Ops::splat(s0 + s1);
+    alignas(64) double codes[V * W];
+    for (unsigned j = 0; j < V; ++j) {
+      const D match = acc[i][j];
+      const D complement = Ops::sub(both, match);
+      D m = Ops::less(match, fixed_cost);
+      D best = Ops::select(m, match, fixed_cost);
+      D type = Ops::select(m, Ops::splat(type_code(RowType::kPattern)),
+                           fixed_type);
+      m = Ops::less(complement, best);
+      best = Ops::select(m, complement, best);
+      type = Ops::select(m, Ops::splat(type_code(RowType::kComplement)), type);
+      total[j] = Ops::add(total[j], best);
+      Ops::store(codes + j * W, type);
+    }
+    std::uint8_t* row_types = types + (r + i) * stride;
+    for (unsigned j = 0; j < V; ++j) {
+      for (unsigned l = 0; l < W; ++l) {
+        row_types[groups[j] + l] = static_cast<std::uint8_t>(codes[j * W + l]);
+      }
+    }
   }
+}
+
+/// Types step of one restart tile over the whole matrix: rows two at a
+/// time (each pattern load serves both), totals in registers throughout.
+template <class Ops, unsigned V>
+void types_tile(const InterleavedCostMatrix& matrix,
+                const std::uint64_t* patterns, std::size_t stride,
+                const std::uint32_t* groups, const double* sums0,
+                const double* sums1, std::uint8_t* types, double* totals) {
+  typename Ops::D total[V];
+  for (unsigned j = 0; j < V; ++j) total[j] = Ops::zero();
+  std::size_t r = 0;
+  for (; r + 2 <= matrix.rows; r += 2) {
+    types_rows<Ops, V, 2>(matrix, r, patterns, stride, groups, sums0, sums1,
+                          types, total);
+  }
+  if (r < matrix.rows) {
+    types_rows<Ops, V, 1>(matrix, r, patterns, stride, groups, sums0, sums1,
+                          types, total);
+  }
+  for (unsigned j = 0; j < V; ++j) Ops::store(totals + groups[j], total[j]);
+}
+
+template <class Ops>
+void types_tiles(const InterleavedCostMatrix& matrix,
+                 const std::uint64_t* patterns, std::size_t stride,
+                 std::span<const std::uint32_t> groups, const double* sums0,
+                 const double* sums1, std::uint8_t* types, double* totals) {
+  static_assert(kMaxTileVectors == 4);
+  constexpr std::array kTiles = {&types_tile<Ops, 1>, &types_tile<Ops, 2>,
+                                 &types_tile<Ops, 3>, &types_tile<Ops, 4>};
+  for (std::size_t g = 0; g < groups.size(); g += kMaxTileVectors) {
+    const std::size_t vectors =
+        std::min<std::size_t>(kMaxTileVectors, groups.size() - g);
+    kTiles[vectors - 1](matrix, patterns, stride, groups.data() + g, sums0,
+                        sums1, types, totals);
+  }
+}
+
+/// {if-zero, if-one} sums of columns [c, c + K * kCells) over the listed
+/// rows, held in registers across the row loop; each listed row is a
+/// pointer to its first cell. emit(column, if_zero, if_one) is called per
+/// column, columns ascending.
+template <class Ops, unsigned K, class Emit>
+inline void pair_tile(std::size_t c, std::span<const double* const> rows,
+                      Emit& emit) {
+  using Pairs = typename Ops::Pairs;
+  constexpr unsigned kStep = 2 * Ops::kCells;
+  static constexpr double kZeros[kStep] = {};
+  Pairs acc[K];
+  for (unsigned t = 0; t < K; ++t) acc[t] = Ops::load_pairs(kZeros);
+  for (const double* row : rows) {
+    const double* p = row + 2 * c;
+    for (unsigned t = 0; t < K; ++t) {
+      acc[t] = Ops::add_pairs(acc[t], Ops::load_pairs(p + kStep * t));
+    }
+  }
+  alignas(64) double sums[kStep * K];
+  for (unsigned t = 0; t < K; ++t) Ops::store_pairs(sums + kStep * t, acc[t]);
+  for (std::size_t k = 0; k < Ops::kCells * K; ++k) {
+    emit(c + k, sums[2 * k], sums[2 * k + 1]);
+  }
+}
+
+/// Runs K-pair tiles from column `c` while they fit, then halves K for the
+/// remainder of narrow matrices. Returns the first column not covered.
+template <class Ops, unsigned K, class Emit>
+std::size_t pair_tiles(std::size_t cols, std::size_t c,
+                       std::span<const double* const> rows, Emit& emit) {
+  for (; c + Ops::kCells * K <= cols; c += Ops::kCells * K) {
+    pair_tile<Ops, K>(c, rows, emit);
+  }
+  if constexpr (K > 1) {
+    return pair_tiles<Ops, K / 2>(cols, c, rows, emit);
+  } else {
+    return c;
+  }
+}
+
+/// Column-pair sums of the listed rows for all `cols` columns.
+template <class Ops, class Emit>
+void column_pair_sums(std::size_t cols, std::span<const double* const> rows,
+                      Emit&& emit) {
+  std::size_t c = pair_tiles<Ops, Ops::kPairTile>(cols, 0, rows, emit);
+  for (; c < cols; ++c) pair_tile<ScalarOps, 1>(c, rows, emit);
 }
 
 // ---- Process-wide gather memo -------------------------------------------
@@ -686,149 +937,87 @@ unsigned EvalWorkspace::restart_block(std::size_t rows, std::size_t cols,
   if (opt_block_override_ != 0) {
     return std::min(opt_block_override_, restarts);
   }
-  // Keep the per-block column accumulators and pattern/type arrays within
-  // ~1 MiB so they stay cache-resident next to the matrix itself.
-  const std::size_t per_restart = 2 * sizeof(double) * cols +
-                                  sizeof(std::uint64_t) * cols + rows + 64;
+  // Keep the per-block pattern masks, types and totals within ~1 MiB so
+  // they stay cache-resident next to the matrix itself.
+  const std::size_t per_restart =
+      sizeof(std::uint64_t) * cols + rows + 2 * sizeof(double);
   const std::size_t budget = std::size_t{1} << 20;
   const auto block = static_cast<unsigned>(
       std::clamp<std::size_t>(budget / per_restart, 1, restarts));
   return block;
 }
 
+void EvalWorkspace::row_sums(const InterleavedCostMatrix& matrix) {
+  sums0_.resize(matrix.rows);
+  sums1_.resize(matrix.rows);
+  if (simd::enabled()) {
+    sum_all_rows<VectorOps>(matrix, sums0_.data(), sums1_.data());
+  } else {
+    sum_all_rows<ScalarOps>(matrix, sums0_.data(), sums1_.data());
+  }
+}
+
 void EvalWorkspace::types_sweep(const InterleavedCostMatrix& matrix,
-                                unsigned block, bool compute_sums,
+                                std::size_t stride,
                                 util::aligned_vector<double>& totals) {
-  const std::size_t rows = matrix.rows;
-  const std::size_t cols = matrix.cols;
-  const std::size_t active_count = active_.size();
-  // The direct loop touches every restart in the block but vectorizes; the
-  // active-indexed loop is scalar but proportional to the survivors. Cross
-  // over when the active set has thinned to ~1/4 of the block, so straggler
-  // restarts do not pay full-block sweeps. Either path adds bit-identical
-  // values for the active restarts; inactive slots are never read.
-  const bool direct = 4 * active_count >= block;
-  const bool vec = simd::enabled();
-  util::assert_aligned64(match_.data());
+  // Tiles cover the lane groups that hold an active restart. The other
+  // lanes of such a group are recomputed along with it: a converged
+  // restart's pattern is frozen, so its types and total come out exactly as
+  // stored, and padding lanes (stride > count) are never read.
+  const unsigned width = simd::enabled() ? VectorOps::kWidth : 1;
+  groups_.clear();
+  for (const std::uint32_t z : active_) {
+    const std::uint32_t group = z - z % width;
+    if (groups_.empty() || groups_.back() != group) groups_.push_back(group);
+  }
   util::assert_aligned64(patterns_.data());
-  for (const std::uint32_t z : active_) totals[z] = 0.0;
-
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = matrix.cells.data() + 2 * r * cols;
-    if (direct) {
-      std::fill_n(match_.data(), block, 0.0);
-    } else {
-      for (const std::uint32_t z : active_) match_[z] = 0.0;
-    }
-
-    // The pattern entries are full-width masks, so selecting a cost is a
-    // bitwise blend: the added double is bit-for-bit the one the reference
-    // ternary would pick, but the loop has no data-dependent branch and
-    // vectorizes (explicitly via blend_add_row when SIMD is on; the blend
-    // is elementwise per restart, so lane count cannot affect results).
-    double s0 = 0.0;
-    double s1 = 0.0;
-    if (compute_sums) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double c0 = row[2 * c];
-        const double c1 = row[2 * c + 1];
-        s0 += c0;
-        s1 += c1;
-        blend_add_row(match_.data(), patterns_.data() + c * block, block,
-                      std::bit_cast<std::uint64_t>(c0),
-                      std::bit_cast<std::uint64_t>(c1), vec);
-      }
-      sums0_[r] = s0;
-      sums1_[r] = s1;
-    } else if (direct) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        blend_add_row(match_.data(), patterns_.data() + c * block, block,
-                      std::bit_cast<std::uint64_t>(row[2 * c]),
-                      std::bit_cast<std::uint64_t>(row[2 * c + 1]), vec);
-      }
-      s0 = sums0_[r];
-      s1 = sums1_[r];
-    } else {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::uint64_t b0 = std::bit_cast<std::uint64_t>(row[2 * c]);
-        const std::uint64_t b1 = std::bit_cast<std::uint64_t>(row[2 * c + 1]);
-        const std::uint64_t* pat = patterns_.data() + c * block;
-        for (const std::uint32_t z : active_) {
-          match_[z] += std::bit_cast<double>((b0 & ~pat[z]) | (b1 & pat[z]));
-        }
-      }
-      s0 = sums0_[r];
-      s1 = sums1_[r];
-    }
-
-    std::uint8_t* row_types = types_.data() + r * block;
-    for (const std::uint32_t z : active_) {
-      const double match = match_[z];
-      const double complement = s0 + s1 - match;
-      auto best = RowType::kAllZero;
-      double best_cost = s0;
-      if (s1 < best_cost) {
-        best = RowType::kAllOne;
-        best_cost = s1;
-      }
-      if (match < best_cost) {
-        best = RowType::kPattern;
-        best_cost = match;
-      }
-      if (complement < best_cost) {
-        best = RowType::kComplement;
-        best_cost = complement;
-      }
-      row_types[z] = static_cast<std::uint8_t>(best);
-      totals[z] += best_cost;
-    }
+  if (simd::enabled()) {
+    types_tiles<VectorOps>(matrix, patterns_.data(), stride, groups_,
+                           sums0_.data(), sums1_.data(), types_.data(),
+                           totals.data());
+  } else {
+    types_tiles<ScalarOps>(matrix, patterns_.data(), stride, groups_,
+                           sums0_.data(), sums1_.data(), types_.data(),
+                           totals.data());
   }
 }
 
 void EvalWorkspace::pattern_sweep(const InterleavedCostMatrix& matrix,
-                                  unsigned block) {
-  const std::size_t rows = matrix.rows;
-  const std::size_t cols = matrix.cols;
-  if_zero_.resize(cols * block);
-  if_one_.resize(cols * block);
-
-  // Unlike the types sweep, the pattern accumulation is restart-major: a row
-  // only contributes to the restarts whose current type for it is kPattern or
-  // kComplement, and with realistic cost arrays that is sparse (most rows
-  // settle on kAllZero/kAllOne for most restarts). Looping restarts outside
-  // keeps the work strictly proportional to the participating (row, restart)
-  // pairs, and gives each participating row a contiguous column loop that
-  // vectorizes. The per-(c, z) accumulation order is rows ascending — the
-  // reference order — and the {cost0, cost1} pairs still arrive one cache
-  // line per cell. Accumulator rows of inactive restarts are left stale;
-  // they are never read (the pattern update below is active-only).
-  const double* cells = matrix.cells.data();
+                                  std::size_t stride) {
+  // Restart-major: a row only contributes to the restarts whose current
+  // type for it is kPattern or kComplement, and with realistic cost arrays
+  // that is sparse (most rows settle on kAllZero/kAllOne for most
+  // restarts), so listing each restart's participating rows keeps the work
+  // proportional to the participating (row, restart) pairs. A kComplement
+  // row charges the costs with the roles reversed, so it is listed from the
+  // pair-swapped copy. Converged restarts keep their patterns.
+  static_assert(static_cast<int>(RowType::kAllZero) == 1 &&
+                static_cast<int>(RowType::kAllOne) == 2 &&
+                static_cast<int>(RowType::kPattern) == 3 &&
+                static_cast<int>(RowType::kComplement) == 4);
+  const std::size_t row_words = 2 * matrix.cols;
+  // Row source by type code; only kPattern/kComplement rows are kept. The
+  // list is built branch-free, as the types are data-dependent.
+  const double* const source[] = {
+      matrix.cells.data(), matrix.cells.data(), matrix.cells.data(),
+      matrix.cells.data(), swapped_.data()};
   const bool vec = simd::enabled();
   for (const std::uint32_t z : active_) {
-    double* zero = if_zero_.data() + std::size_t{z} * cols;
-    double* one = if_one_.data() + std::size_t{z} * cols;
-    std::fill_n(zero, cols, 0.0);
-    std::fill_n(one, cols, 0.0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto type = static_cast<RowType>(types_[r * block + z]);
-      if (type != RowType::kPattern && type != RowType::kComplement) continue;
-      const double* row = cells + 2 * r * cols;
-      // kComplement charges the costs with the roles reversed, which is the
-      // same accumulation with the two destination arrays swapped.
-      if (type == RowType::kPattern) {
-        pair_accumulate(zero, one, row, cols, vec);
-      } else {
-        pair_accumulate(one, zero, row, cols, vec);
-      }
+    std::size_t count = 0;
+    for (std::size_t r = 0; r < matrix.rows; ++r) {
+      const std::uint8_t type = types_[r * stride + z];
+      pair_rows_[count] = source[type] + r * row_words;
+      count += type >= static_cast<std::uint8_t>(RowType::kPattern);
     }
-  }
-
-  for (const std::uint32_t z : active_) {
-    const double* zero = if_zero_.data() + std::size_t{z} * cols;
-    const double* one = if_one_.data() + std::size_t{z} * cols;
-    std::uint64_t* pat = patterns_.data();
-    for (std::size_t c = 0; c < cols; ++c) {
-      pat[c * block + z] = one[c] < zero[c] ? ~std::uint64_t{0} : 0;
+    const std::span<const double* const> rows(pair_rows_.data(), count);
+    std::uint64_t* pat = patterns_.data() + z;
+    const auto set_bit = [&](std::size_t c, double if_zero, double if_one) {
+      pat[c * stride] = if_one < if_zero ? ~std::uint64_t{0} : 0;
+    };
+    if (vec) {
+      column_pair_sums<VectorOps>(matrix.cols, rows, set_bit);
+    } else {
+      column_pair_sums<ScalarOps>(matrix.cols, rows, set_bit);
     }
   }
 }
@@ -841,42 +1030,51 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
   const std::size_t cols = matrix.cols;
   const unsigned restarts = std::max(1u, params.init_patterns);
   const unsigned block = restart_block(rows, cols, restarts);
-
-  sums0_.resize(rows);
-  sums1_.resize(rows);
-  match_.resize(block);
-  error_.resize(block);
-  after_.resize(block);
+  row_sums(matrix);
+  // {cost1, cost0} copy of the matrix for the pattern sweep's kComplement
+  // rows.
+  swapped_.resize(matrix.cells.size());
+  for (std::size_t i = 0; i < swapped_.size(); i += 2) {
+    swapped_[i] = matrix.cells[i + 1];
+    swapped_[i + 1] = matrix.cells[i];
+  }
+  pair_rows_.resize(rows);
 
   VtResult best;
   best.error = std::numeric_limits<double>::infinity();
-  bool sums_ready = false;
 
   for (unsigned base = 0; base < restarts; base += block) {
     const unsigned count = std::min(block, restarts - base);
-    patterns_.resize(cols * count);
-    types_.resize(rows * count);
+    // Per-restart arrays are restart-minor ([item * stride + restart]) with
+    // the stride padded to whole vectors, so every restart tile loads full
+    // vectors. patterns_ holds one full-width select mask (0 or ~0) per
+    // entry; padding lanes stay 0.
+    const std::size_t stride =
+        (count + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+    patterns_.assign(cols * stride, 0);
+    types_.resize(rows * stride);
+    error_.resize(stride);
+    after_.resize(stride);
 
     // Initial pattern vectors, drawn restart-major so the RNG stream is
     // identical to the reference implementation's per-restart draws.
     for (unsigned z = 0; z < count; ++z) {
       for (std::size_t c = 0; c < cols; ++c) {
-        patterns_[c * count + z] = rng.next_bool() ? ~std::uint64_t{0} : 0;
+        patterns_[c * stride + z] = rng.next_bool() ? ~std::uint64_t{0} : 0;
       }
     }
 
     active_.resize(count);
     for (unsigned z = 0; z < count; ++z) active_[z] = z;
-    types_sweep(matrix, count, !sums_ready, error_);
-    sums_ready = true;
+    types_sweep(matrix, stride, error_);
 
     // Both steps are exact coordinate minimizations, so each restart's
     // error is non-increasing; a restart leaves the active set at its first
     // sweep without improvement (same epsilon rule as the reference).
     for (unsigned iter = 0;
          iter < params.max_iterations && !active_.empty(); ++iter) {
-      pattern_sweep(matrix, count);
-      types_sweep(matrix, count, false, after_);
+      pattern_sweep(matrix, stride);
+      types_sweep(matrix, stride, after_);
       next_active_.clear();
       for (const std::uint32_t z : active_) {
         if (after_[z] >= error_[z] - 1e-15) {
@@ -894,11 +1092,11 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
         best.error = error_[z];
         best.pattern.resize(cols);
         for (std::size_t c = 0; c < cols; ++c) {
-          best.pattern[c] = patterns_[c * count + z] ? 1 : 0;
+          best.pattern[c] = patterns_[c * stride + z] ? 1 : 0;
         }
         best.types.resize(rows);
         for (std::size_t r = 0; r < rows; ++r) {
-          best.types[r] = static_cast<RowType>(types_[r * count + z]);
+          best.types[r] = static_cast<RowType>(types_[r * stride + z]);
         }
       }
     }
@@ -909,27 +1107,27 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
 VtResult EvalWorkspace::opt_for_part_bto(const InterleavedCostMatrix& matrix) {
   const std::size_t rows = matrix.rows;
   const std::size_t cols = matrix.cols;
-  if_zero_.assign(cols, 0.0);
-  if_one_.assign(cols, 0.0);
-
-  const double* cells = matrix.cells.data();
-  const bool vec = simd::enabled();
+  pair_rows_.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    pair_accumulate(if_zero_.data(), if_one_.data(), cells + 2 * r * cols,
-                    cols, vec);
+    pair_rows_[r] = matrix.cells.data() + 2 * r * cols;
   }
 
   VtResult result;
   result.types.assign(rows, RowType::kPattern);
   result.pattern.assign(cols, 0);
   result.error = 0.0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (if_one_[c] < if_zero_[c]) {
+  const auto choose = [&](std::size_t c, double if_zero, double if_one) {
+    if (if_one < if_zero) {
       result.pattern[c] = 1;
-      result.error += if_one_[c];
+      result.error += if_one;
     } else {
-      result.error += if_zero_[c];
+      result.error += if_zero;
     }
+  };
+  if (simd::enabled()) {
+    column_pair_sums<VectorOps>(cols, pair_rows_, choose);
+  } else {
+    column_pair_sums<ScalarOps>(cols, pair_rows_, choose);
   }
   return result;
 }

@@ -15,16 +15,18 @@
 //    into an interleaved source copy once per thread, halving the random
 //    cache-line traffic of the 2^n scattered gather.
 //
-//  * Thread-local scratch. Matrices, deposit tables, row sums, column
-//    accumulators, and restart state all live in per-thread buffers that are
-//    reused across candidates, so steady-state evaluation performs no heap
-//    allocations (only the small output pattern/type vectors of a result are
-//    freshly allocated).
+//  * Thread-local scratch. Matrices, deposit tables, row sums, the
+//    pair-swapped matrix copy, and restart state all live in per-thread
+//    buffers that are reused across candidates, so steady-state evaluation
+//    performs no heap allocations (only the small output pattern/type
+//    vectors of a result are freshly allocated).
 //
-//  * Restart-blocked OptForPart. All Z random restarts advance in lock-step
-//    sweeps over the matrix: each cell is loaded once per sweep and updates
-//    every still-active restart, cutting matrix traffic by ~Z while keeping
-//    each restart's arithmetic (and therefore its result) bit-identical to
+//  * Register-blocked OptForPart. All Z random restarts advance in
+//    lock-step sweeps over the matrix. The types step keeps a tile of
+//    restart vectors x two rows of running sums in registers across the
+//    column loop; the pattern step keeps a tile of {if-zero, if-one} column
+//    pairs in registers across each restart's participating rows. Each
+//    restart's arithmetic (and therefore its result) stays bit-identical to
 //    the reference implementation in opt_for_part.cpp.
 //
 //  * Gather memo. Full matrices built from epoch-stamped cost arrays (see
@@ -197,13 +199,15 @@ class EvalWorkspace {
 
   unsigned restart_block(std::size_t rows, std::size_t cols,
                          unsigned restarts) const;
-  /// One types step for the active restarts of the current block; also fills
-  /// sums0_/sums1_ when `compute_sums`. Writes each restart's total into
-  /// `totals`.
-  void types_sweep(const InterleavedCostMatrix& matrix, unsigned block,
-                   bool compute_sums, util::aligned_vector<double>& totals);
+  /// Fills sums0_/sums1_ (the AllZero/AllOne row costs).
+  void row_sums(const InterleavedCostMatrix& matrix);
+  /// One types step for the active restarts of the current block, whose
+  /// per-restart arrays have row stride `stride`. Writes each restart's
+  /// total into `totals`.
+  void types_sweep(const InterleavedCostMatrix& matrix, std::size_t stride,
+                   util::aligned_vector<double>& totals);
   /// One pattern step for the active restarts of the current block.
-  void pattern_sweep(const InterleavedCostMatrix& matrix, unsigned block);
+  void pattern_sweep(const InterleavedCostMatrix& matrix, std::size_t stride);
 
   // Deposit-table cache (node-based map: references stay valid on insert).
   std::unordered_map<std::uint32_t, std::vector<InputWord>> deposits_;
@@ -224,18 +228,19 @@ class EvalWorkspace {
   std::vector<std::uint32_t> cond_cols_;  ///< reduced col -> full col
 
   // Restart-blocked OptForPart scratch. Per-restart arrays are laid out
-  // restart-minor ([item * block + restart]) so the inner restart loops read
-  // contiguously.
+  // restart-minor ([item * stride + restart], the stride padded to whole
+  // SIMD vectors) so the types sweep loads full vectors of restarts.
   // patterns_ holds one full-width select mask per entry (0 or ~0), so the
   // types sweep can blend {cost0, cost1} bitwise instead of branching per
   // cell. The pattern sweep is restart-major instead (see pattern_sweep).
-  util::aligned_vector<double> sums0_, sums1_;     // rows
-  util::aligned_vector<std::uint64_t> patterns_;   // cols * block
-  std::vector<std::uint8_t> types_;                // rows * block
-  util::aligned_vector<double> match_;             // block
-  util::aligned_vector<double> if_zero_, if_one_;  // block * cols
-  util::aligned_vector<double> error_, after_;     // block
+  util::aligned_vector<double> sums0_, sums1_;    // rows
+  util::aligned_vector<std::uint64_t> patterns_;  // cols * stride
+  std::vector<std::uint8_t> types_;               // rows * stride
+  util::aligned_vector<double> error_, after_;    // stride
   std::vector<std::uint32_t> active_, next_active_;
+  std::vector<std::uint32_t> groups_;  // first restart of each active vector
+  std::vector<const double*> pair_rows_;  // rows of one column-pair sum
+  util::aligned_vector<double> swapped_;  // matrix cells as {cost1, cost0}
   unsigned opt_block_override_ = 0;
 };
 

@@ -64,19 +64,21 @@ void apply_field(SuiteJob& job, const std::string& key,
     }
     job.arch = value;
   } else if (key == "bound") {
-    job.bound = parse_field_unsigned(value, line, "bound", 25);
+    job.bound = parse_field_unsigned(value, line, "bound", kMaxBound);
   } else if (key == "rounds") {
-    job.rounds = parse_field_unsigned(value, line, "rounds", 1u << 20);
+    job.rounds = parse_field_unsigned(value, line, "rounds", kMaxRounds);
   } else if (key == "partitions") {
-    job.partitions = parse_field_unsigned(value, line, "partitions", 1u << 20);
+    job.partitions =
+        parse_field_unsigned(value, line, "partitions", kMaxPartitions);
   } else if (key == "patterns") {
-    job.patterns = parse_field_unsigned(value, line, "patterns", 1u << 20);
+    job.patterns = parse_field_unsigned(value, line, "patterns", kMaxPatterns);
   } else if (key == "beams") {
-    job.beams = parse_field_unsigned(value, line, "beams", 4096);
+    job.beams = parse_field_unsigned(value, line, "beams", kMaxBeams);
   } else if (key == "chains") {
-    job.chains = parse_field_unsigned(value, line, "chains", 4096);
+    job.chains = parse_field_unsigned(value, line, "chains", kMaxChains);
   } else if (key == "nd-candidates") {
-    job.nd_candidates = parse_field_unsigned(value, line, "nd-candidates", 4096);
+    job.nd_candidates =
+        parse_field_unsigned(value, line, "nd-candidates", kMaxNdCandidates);
   } else if (key == "metric") {
     if (value != "med" && value != "mse" && value != "er") {
       fail_at(line, "unknown metric '" + token_excerpt(value) + "'");

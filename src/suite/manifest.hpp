@@ -24,6 +24,17 @@
 
 namespace dalut::suite {
 
+/// Largest accepted value of each search knob. Manifest job fields and
+/// dalut_opt's flags both enforce these, so a job line and a command line
+/// accept the same values.
+inline constexpr unsigned kMaxBound = 25;
+inline constexpr unsigned kMaxRounds = 1u << 20;
+inline constexpr unsigned kMaxPartitions = 1u << 20;
+inline constexpr unsigned kMaxPatterns = 1u << 20;
+inline constexpr unsigned kMaxBeams = 4096;
+inline constexpr unsigned kMaxChains = 4096;
+inline constexpr unsigned kMaxNdCandidates = 4096;
+
 /// One optimization (or baseline) job of a suite manifest. Field defaults
 /// mirror dalut_opt's CLI defaults, so a one-key job line behaves like a
 /// bare dalut_opt call.

@@ -122,6 +122,27 @@ std::int64_t CliParser::integer(const std::string& name) const {
   return std::stoll(str(name));
 }
 
+std::int64_t CliParser::integer_in(const std::string& name, std::int64_t lo,
+                                   std::int64_t hi) const {
+  const std::string text = str(name);
+  std::int64_t value = 0;
+  try {
+    std::size_t used = 0;
+    value = std::stoll(text, &used);
+    if (used != text.size()) throw std::invalid_argument(text);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("--" + name + " must be an integer, got '" +
+                                text + "'");
+  }
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + name + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 double CliParser::real(const std::string& name) const {
   return std::stod(str(name));
 }

@@ -135,6 +135,14 @@ inline VecD dand(VecD a, VecD b) noexcept { return _mm256_and_pd(a, b); }
 inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return _mm256_cmp_pd(a, b, _CMP_NEQ_OQ);
 }
+/// Lane mask of a < b, ordered (false when either is NaN, like C++ `<`).
+inline VecD dcmplt(VecD a, VecD b) noexcept {
+  return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
+}
+/// mask ? a : b, per lane; every mask lane is all-ones or all-zeros.
+inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
+  return _mm256_blendv_pd(b, a, mask);
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -144,6 +152,7 @@ inline VecU ubroadcast(std::uint64_t v) noexcept {
 }
 inline VecU uand(VecU a, VecU b) noexcept { return _mm256_and_si256(a, b); }
 inline VecU uor(VecU a, VecU b) noexcept { return _mm256_or_si256(a, b); }
+inline VecU uxor(VecU a, VecU b) noexcept { return _mm256_xor_si256(a, b); }
 /// ~a & b (intrinsic operand order).
 inline VecU uandnot(VecU a, VecU b) noexcept {
   return _mm256_andnot_si256(a, b);
@@ -187,6 +196,10 @@ inline VecD dsub(VecD a, VecD b) noexcept { return _mm_sub_pd(a, b); }
 inline VecD dmul(VecD a, VecD b) noexcept { return _mm_mul_pd(a, b); }
 inline VecD dand(VecD a, VecD b) noexcept { return _mm_and_pd(a, b); }
 inline VecD dcmpneq(VecD a, VecD b) noexcept { return _mm_cmpneq_pd(a, b); }
+inline VecD dcmplt(VecD a, VecD b) noexcept { return _mm_cmplt_pd(a, b); }
+inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
+  return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
@@ -196,6 +209,7 @@ inline VecU ubroadcast(std::uint64_t v) noexcept {
 }
 inline VecU uand(VecU a, VecU b) noexcept { return _mm_and_si128(a, b); }
 inline VecU uor(VecU a, VecU b) noexcept { return _mm_or_si128(a, b); }
+inline VecU uxor(VecU a, VecU b) noexcept { return _mm_xor_si128(a, b); }
 inline VecU uandnot(VecU a, VecU b) noexcept {
   return _mm_andnot_si128(a, b);
 }
@@ -241,11 +255,18 @@ inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return vreinterpretq_f64_u64(
       veorq_u64(vceqq_f64(a, b), vdupq_n_u64(~std::uint64_t{0})));
 }
+inline VecD dcmplt(VecD a, VecD b) noexcept {
+  return vreinterpretq_f64_u64(vcltq_f64(a, b));
+}
+inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
+  return vbslq_f64(vreinterpretq_u64_f64(mask), a, b);
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept { return vld1q_u64(p); }
 inline VecU ubroadcast(std::uint64_t v) noexcept { return vdupq_n_u64(v); }
 inline VecU uand(VecU a, VecU b) noexcept { return vandq_u64(a, b); }
 inline VecU uor(VecU a, VecU b) noexcept { return vorrq_u64(a, b); }
+inline VecU uxor(VecU a, VecU b) noexcept { return veorq_u64(a, b); }
 inline VecU uandnot(VecU a, VecU b) noexcept {
   return vbicq_u64(b, a);  // b & ~a
 }
@@ -299,11 +320,19 @@ inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return {std::bit_cast<double>(a.v != b.v ? ~std::uint64_t{0}
                                            : std::uint64_t{0})};
 }
+inline VecD dcmplt(VecD a, VecD b) noexcept {
+  return {std::bit_cast<double>(a.v < b.v ? ~std::uint64_t{0}
+                                          : std::uint64_t{0})};
+}
+inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
+  return std::bit_cast<std::uint64_t>(mask.v) != 0 ? a : b;
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept { return {*p}; }
 inline VecU ubroadcast(std::uint64_t v) noexcept { return {v}; }
 inline VecU uand(VecU a, VecU b) noexcept { return {a.v & b.v}; }
 inline VecU uor(VecU a, VecU b) noexcept { return {a.v | b.v}; }
+inline VecU uxor(VecU a, VecU b) noexcept { return {a.v ^ b.v}; }
 inline VecU uandnot(VecU a, VecU b) noexcept { return {~a.v & b.v}; }
 inline VecD as_double(VecU v) noexcept {
   return {std::bit_cast<double>(v.v)};
@@ -330,8 +359,9 @@ inline VecD i_to_d(VecI v) noexcept { return {static_cast<double>(v.v)}; }
 
 // ---- Fixed granules for the interleaved gather --------------------------
 // D2 is one {cost0, cost1} cell (16 bytes), D4 two adjacent cells. Both are
-// defined for every backend so the blocked gather is backend-generic; on
-// the scalar backend they compile to plain double moves.
+// defined for every backend so the blocked gather and the OptForPart row
+// and column sums are backend-generic; on the scalar backend they compile
+// to plain double moves.
 
 #if defined(DALUT_SIMD_AVX2)
 
@@ -345,6 +375,7 @@ inline void storeu4(double* p, D4 v) noexcept { _mm256_storeu_pd(p, v); }
 inline D2 low2(D4 v) noexcept { return _mm256_castpd256_pd128(v); }
 inline D2 high2(D4 v) noexcept { return _mm256_extractf128_pd(v, 1); }
 inline D4 join2(D2 lo, D2 hi) noexcept { return _mm256_set_m128d(hi, lo); }
+inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
 inline D4 add4(D4 a, D4 b) noexcept { return _mm256_add_pd(a, b); }
 
 /// a = [a0 a1 a2 a3], b = [b0 b1 b2 b3] ->
@@ -371,14 +402,14 @@ inline void deinterleave4(D4 a, D4 b, D4& evens, D4& odds) noexcept {
 using D2 = __m128d;
 inline D2 loadu2(const double* p) noexcept { return _mm_loadu_pd(p); }
 inline void storeu2(double* p, D2 v) noexcept { _mm_storeu_pd(p, v); }
-inline D2 add2_(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
+inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return _mm_unpacklo_pd(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return _mm_unpackhi_pd(a, b); }
 #elif defined(DALUT_SIMD_NEON)
 using D2 = float64x2_t;
 inline D2 loadu2(const double* p) noexcept { return vld1q_f64(p); }
 inline void storeu2(double* p, D2 v) noexcept { vst1q_f64(p, v); }
-inline D2 add2_(D2 a, D2 b) noexcept { return vaddq_f64(a, b); }
+inline D2 add2(D2 a, D2 b) noexcept { return vaddq_f64(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return vzip1q_f64(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return vzip2q_f64(a, b); }
 #else
@@ -390,7 +421,7 @@ inline void storeu2(double* p, D2 v) noexcept {
   p[0] = v.v[0];
   p[1] = v.v[1];
 }
-inline D2 add2_(D2 a, D2 b) noexcept {
+inline D2 add2(D2 a, D2 b) noexcept {
   return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
 }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return {{a.v[0], b.v[0]}}; }
@@ -412,7 +443,7 @@ inline D2 low2(D4 v) noexcept { return v.lo; }
 inline D2 high2(D4 v) noexcept { return v.hi; }
 inline D4 join2(D2 lo, D2 hi) noexcept { return {lo, hi}; }
 inline D4 add4(D4 a, D4 b) noexcept {
-  return {add2_(a.lo, b.lo), add2_(a.hi, b.hi)};
+  return {add2(a.lo, b.lo), add2(a.hi, b.hi)};
 }
 
 inline void interleave4(D4 a, D4 b, D4& lo, D4& hi) noexcept {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
 namespace dalut::core {
@@ -161,27 +163,128 @@ TEST(EvalWorkspace, OptForPartBitIdenticalToReference) {
   }
 }
 
-TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
-  const CostFixture fx(8, 14);
-  util::Rng part_rng(4);
+/// The same random cost matrix in the reference and the interleaved
+/// layouts. Costs are uniform in [lo0, hi0) and [lo1, hi1).
+struct MatrixPair {
+  CostMatrix reference;
+  InterleavedCostMatrix interleaved;
+
+  MatrixPair(std::size_t rows, std::size_t cols, std::uint64_t seed,
+             double lo0 = 0.0, double hi0 = 1.0, double lo1 = 0.0,
+             double hi1 = 1.0) {
+    util::Rng rng(seed);
+    reference.rows = interleaved.rows = rows;
+    reference.cols = interleaved.cols = cols;
+    for (std::size_t i = 0; i < rows * cols; ++i) {
+      reference.cost0.push_back(lo0 + (hi0 - lo0) * rng.next_double());
+      reference.cost1.push_back(lo1 + (hi1 - lo1) * rng.next_double());
+      interleaved.cells.push_back(reference.cost0.back());
+      interleaved.cells.push_back(reference.cost1.back());
+    }
+  }
+};
+
+/// Forces the scalar kernels for one scope.
+struct ScopedForceScalar {
+  explicit ScopedForceScalar(bool on) { util::simd::set_force_scalar(on); }
+  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
+};
+
+/// Runs the workspace OptForPart under every forced restart-block size (0 =
+/// automatic) with SIMD on and forced-scalar, and requires the reference
+/// result and RNG end state each time.
+void expect_blocked_identical(const MatrixPair& m, unsigned restarts,
+                              std::uint64_t seed) {
+  const OptForPartParams params{restarts, 64};
+  util::Rng ref_rng(seed);
+  const auto expected = opt_for_part(m.reference, params, ref_rng);
+  const double ref_next = ref_rng.next_double();
+
   auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, part_rng);
-  const OptForPartParams params{10, 64};
-
-  util::Rng ref_rng(5);
-  const auto expected =
-      opt_for_part(CostMatrix::build(p, fx.c0, fx.c1), params, ref_rng);
-
-  // Forcing 1-, 3-, and 4-restart blocks must not change anything: each
-  // restart's arithmetic is independent of how restarts are grouped.
-  for (const unsigned block : {1u, 3u, 4u, 10u}) {
-    workspace.set_opt_restart_block_for_test(block);
-    util::Rng ws_rng(5);
-    const auto actual = workspace.opt_for_part(
-        workspace.full_matrix(p, fx.view()), params, ws_rng);
-    expect_same_result(actual, expected);
+  for (const bool scalar : {false, true}) {
+    const ScopedForceScalar scoped(scalar);
+    for (const unsigned block : {0u, 1u, 3u, 5u}) {
+      SCOPED_TRACE(testing::Message()
+                   << m.reference.rows << "x" << m.reference.cols
+                   << " Z=" << restarts << " block=" << block
+                   << " scalar=" << scalar);
+      workspace.set_opt_restart_block_for_test(block);
+      util::Rng ws_rng(seed);
+      expect_same_result(workspace.opt_for_part(m.interleaved, params, ws_rng),
+                         expected);
+      EXPECT_EQ(ws_rng.next_double(), ref_next);
+    }
   }
   workspace.set_opt_restart_block_for_test(0);
+}
+
+/// Improving alternation rounds of each restart of the reference
+/// opt_for_part(matrix, {restarts, 64}, Rng(seed)), found by replaying each
+/// restart alone under growing iteration caps. A restart is still active
+/// before round i exactly when it improved in rounds 1..i.
+std::vector<unsigned> improving_rounds(const CostMatrix& matrix,
+                                       unsigned restarts, std::uint64_t seed) {
+  std::vector<unsigned> rounds(restarts, 0);
+  for (unsigned z = 0; z < restarts; ++z) {
+    double previous = 0.0;
+    for (unsigned cap = 0; cap < 64; ++cap) {
+      util::Rng rng(seed);
+      for (std::size_t i = 0; i < z * matrix.cols; ++i) rng.next_bool();
+      const double error = opt_for_part(matrix, {1, cap}, rng).error;
+      if (cap > 0 && !(error < previous - 1e-15)) break;
+      if (cap > 0) ++rounds[z];
+      previous = error;
+    }
+  }
+  return rounds;
+}
+
+TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
+  // Each restart's arithmetic is independent of how restarts are grouped
+  // into blocks, padded to whole vectors, and tiled: every Z from one
+  // partial vector to several tiles, on matrices from one row and two
+  // columns up. Odd column counts cover the column-pair tail.
+  std::vector<unsigned> restart_counts;
+  for (unsigned z = 1; z <= 17; ++z) restart_counts.push_back(z);
+  restart_counts.push_back(30);
+  restart_counts.push_back(33);
+  std::uint64_t seed = 100;
+  for (const std::size_t rows : {1u, 2u, 32u}) {
+    for (const std::size_t cols : {1u, 2u, 3u, 4u, 8u, 128u}) {
+      const MatrixPair m(rows, cols, seed++);
+      for (const unsigned z : restart_counts) {
+        expect_blocked_identical(m, z, seed++);
+      }
+    }
+  }
+
+  // Cost1 dominates every cell, so every row types AllZero from the first
+  // sweep on and the pattern sweep has no participating rows.
+  const MatrixPair constant(32, 128, 7, 0.0, 0.1, 1.0, 2.0);
+  for (const unsigned z : {1u, 12u, 33u}) {
+    const auto result = [&] {
+      util::Rng rng(8);
+      return opt_for_part(constant.reference, {z, 64}, rng);
+    }();
+    for (const RowType type : result.types) {
+      ASSERT_EQ(type, RowType::kAllZero);
+    }
+    expect_blocked_identical(constant, z, 8);
+  }
+
+  // Stragglers: the active set thins below a quarter of the block (Z = 33
+  // restarts, one automatic block) before the last restart converges.
+  const MatrixPair wide(32, 128, 9);
+  const unsigned restarts = 33;
+  const auto rounds = improving_rounds(wide.reference, restarts, 10);
+  bool thinned = false;
+  for (unsigned i = 1; i <= 64; ++i) {
+    const auto active = std::count_if(rounds.begin(), rounds.end(),
+                                      [&](unsigned r) { return r >= i; });
+    thinned = thinned || (active > 0 && 4 * active < restarts);
+  }
+  ASSERT_TRUE(thinned);
+  expect_blocked_identical(wide, restarts, 10);
 }
 
 TEST(EvalWorkspace, BtoBitIdenticalToReference) {

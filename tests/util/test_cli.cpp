@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dalut::util {
@@ -66,6 +68,29 @@ TEST(Cli, HelpReturnsFalse) {
   std::vector<std::string> args{"prog", "--help"};
   auto argv = make_argv(args);
   EXPECT_FALSE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(Cli, BoundedIntegerNamesTheFlagWhenRejected) {
+  CliParser cli("test");
+  cli.add_option("patterns", "12", "restarts");
+  cli.add_option("beams", "3", "beam width");
+  cli.add_option("chains", "3", "chains");
+  std::vector<std::string> args{"prog", "--patterns", "-1", "--beams", "2x"};
+  auto argv = make_argv(args);
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(cli.integer_in("chains", 0, 4096), 3);
+  EXPECT_EQ(cli.integer_in("chains", 3, 3), 3);
+  for (const char* name : {"patterns", "beams"}) {
+    try {
+      (void)cli.integer_in(name, 0, 4096);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + name),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW((void)cli.integer_in("chains", 4, 10), std::invalid_argument);
 }
 
 TEST(Cli, UnregisteredOptionThrowsOnAccess) {

@@ -61,6 +61,7 @@
 #include "obs/event_log.hpp"
 #include "obs/exporter.hpp"
 #include "obs/run_registry.hpp"
+#include "suite/manifest.hpp"
 #include "util/cli.hpp"
 #include "util/failpoint.hpp"
 #include "util/retry.hpp"
@@ -142,6 +143,16 @@ std::optional<core::MultiOutputFunction> load_function(
   std::fprintf(stderr, "error: unknown benchmark '%s'\n", name.c_str());
   return std::nullopt;
 }
+
+/// The search-size flags, range-checked up front.
+struct SearchKnobs {
+  unsigned bound = 0;
+  unsigned rounds = 0;
+  unsigned partitions = 0;
+  unsigned patterns = 0;
+  unsigned beams = 0;
+  unsigned chains = 0;
+};
 
 core::CostMetric parse_metric(const std::string& name) {
   if (name == "mse") return core::CostMetric::kMse;
@@ -244,6 +255,29 @@ int run(int argc, char** argv) {
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: --failpoints/DALUT_FAILPOINTS: %s\n",
                  error.what());
+    return kExitUsage;
+  }
+
+  // --- Search knobs, in the suite manifest's ranges. ---
+  // Checked before any work: a negative count would wrap to a huge unsigned
+  // one, and `--patterns -1` would then run 2^32 - 1 restarts inside one
+  // OptForPart call, which never polls for a stop.
+  SearchKnobs knobs;
+  try {
+    knobs.bound = static_cast<unsigned>(
+        cli.integer_in("bound", 0, suite::kMaxBound));
+    knobs.rounds = static_cast<unsigned>(
+        cli.integer_in("rounds", 0, suite::kMaxRounds));
+    knobs.partitions = static_cast<unsigned>(
+        cli.integer_in("partitions", 0, suite::kMaxPartitions));
+    knobs.patterns = static_cast<unsigned>(
+        cli.integer_in("patterns", 0, suite::kMaxPatterns));
+    knobs.beams = static_cast<unsigned>(
+        cli.integer_in("beams", 0, suite::kMaxBeams));
+    knobs.chains = static_cast<unsigned>(
+        cli.integer_in("chains", 0, suite::kMaxChains));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
   }
 
@@ -399,7 +433,7 @@ int run(int argc, char** argv) {
   // size, so `--threads 0` cannot construct an empty, deadlocking pool.
   util::ThreadPool pool(util::resolve_worker_count(cli.integer("threads")));
 
-  unsigned bound = static_cast<unsigned>(cli.integer("bound"));
+  unsigned bound = knobs.bound;
   if (bound == 0) {
     bound = std::max(2u, std::min(g.num_inputs() - 1,
                                   (9u * g.num_inputs() + 8) / 16));
@@ -409,10 +443,9 @@ int run(int argc, char** argv) {
     sweep.probe.rounds = 2;
     sweep.probe.beam_width = 2;
     sweep.probe.sa.partition_limit =
-        std::max(8u, static_cast<unsigned>(cli.integer("partitions")) / 3);
-    sweep.probe.sa.init_patterns =
-        static_cast<unsigned>(cli.integer("patterns"));
-    sweep.probe.sa.chains = static_cast<unsigned>(cli.integer("chains"));
+        std::max(8u, knobs.partitions / 3);
+    sweep.probe.sa.init_patterns = knobs.patterns;
+    sweep.probe.sa.chains = knobs.chains;
     sweep.probe.seed = static_cast<std::uint64_t>(cli.integer("seed"));
     sweep.probe.pool = &pool;
     sweep.probe.control = &control;
@@ -452,9 +485,9 @@ int run(int argc, char** argv) {
     }
     core::DaltaParams params;
     params.bound_size = bound;
-    params.rounds = static_cast<unsigned>(cli.integer("rounds"));
-    params.partition_limit = static_cast<unsigned>(cli.integer("partitions"));
-    params.init_patterns = static_cast<unsigned>(cli.integer("patterns"));
+    params.rounds = knobs.rounds;
+    params.partition_limit = knobs.partitions;
+    params.init_patterns = knobs.patterns;
     params.metric = parse_metric(cli.str("metric"));
     params.seed = static_cast<std::uint64_t>(cli.integer("seed"));
     params.pool = &pool;
@@ -466,12 +499,11 @@ int run(int argc, char** argv) {
   } else if (cli.str("algorithm") == "bssa") {
     core::BssaParams params;
     params.bound_size = bound;
-    params.rounds = static_cast<unsigned>(cli.integer("rounds"));
-    params.beam_width = static_cast<unsigned>(cli.integer("beams"));
-    params.sa.partition_limit =
-        static_cast<unsigned>(cli.integer("partitions"));
-    params.sa.init_patterns = static_cast<unsigned>(cli.integer("patterns"));
-    params.sa.chains = static_cast<unsigned>(cli.integer("chains"));
+    params.rounds = knobs.rounds;
+    params.beam_width = knobs.beams;
+    params.sa.partition_limit = knobs.partitions;
+    params.sa.init_patterns = knobs.patterns;
+    params.sa.chains = knobs.chains;
     params.modes = modes;
     params.metric = parse_metric(cli.str("metric"));
     params.seed = static_cast<std::uint64_t>(cli.integer("seed"));

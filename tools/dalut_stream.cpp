@@ -60,32 +60,6 @@ std::vector<core::InputWord> make_sequence(std::size_t count, unsigned width,
   return sequence;
 }
 
-/// Value of the integer option `--name`, which must lie in [lo, hi].
-/// Throws std::invalid_argument naming the flag otherwise: a zero batch
-/// would never advance the producers, and a negative count would wrap to a
-/// huge size.
-std::int64_t bounded_integer(const util::CliParser& cli,
-                             const std::string& name, std::int64_t lo,
-                             std::int64_t hi) {
-  std::int64_t value = 0;
-  try {
-    std::size_t used = 0;
-    const std::string text = cli.str(name);
-    value = std::stoll(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + " must be an integer, got '" +
-                                cli.str(name) + "'");
-  }
-  if (value < lo || value > hi) {
-    throw std::invalid_argument("--" + name + " must be in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(value));
-  }
-  return value;
-}
-
 struct ReconfigStats {
   std::size_t count = 0;
   std::uint64_t observed = 0;  ///< epoch advances the consumer saw
@@ -282,18 +256,18 @@ int main(int argc, char** argv) {
   try {
     // Width 3 is the narrowest the fixed BS-SA set-up can partition; 20
     // bounds the full-domain tables and search the tool builds.
-    width = static_cast<unsigned>(bounded_integer(cli, "width", 3, 20));
+    width = static_cast<unsigned>(cli.integer_in("width", 3, 20));
     producers = static_cast<std::size_t>(
-        bounded_integer(cli, "producers", 1, 64));
+        cli.integer_in("producers", 1, 64));
     reads = static_cast<std::size_t>(
-        bounded_integer(cli, "reads", 1, std::int64_t{1} << 26));
+        cli.integer_in("reads", 1, std::int64_t{1} << 26));
     reconfigs = static_cast<unsigned>(
-        bounded_integer(cli, "reconfigs", 0, 100000));
+        cli.integer_in("reconfigs", 0, 100000));
     seed = static_cast<std::uint64_t>(cli.integer("seed"));
     config.batch_size = static_cast<std::size_t>(
-        bounded_integer(cli, "batch", 1, std::int64_t{1} << 20));
+        cli.integer_in("batch", 1, std::int64_t{1} << 20));
     config.ring_capacity = static_cast<std::size_t>(
-        bounded_integer(cli, "ring", 1, std::int64_t{1} << 24));
+        cli.integer_in("ring", 1, std::int64_t{1} << 24));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
