@@ -125,15 +125,28 @@ void BM_OptForPart(benchmark::State& state) {
 BENCHMARK(BM_OptForPart)->Arg(10)->Arg(12)->Arg(14);
 
 void BM_OptForPartWorkspace(benchmark::State& state) {
-  // The register-blocked EvalWorkspace kernel on the same problem as
-  // BM_OptForPart (bit-identical results) at Z restarts: 12 is the
-  // dalut_opt and ledger default, 30 the BM_OptForPart setting.
+  // The EvalWorkspace kernel at Z restarts (12 is the dalut_opt and ledger
+  // default, 30 the BM_OptForPart setting). refine=0 is BM_OptForPart's
+  // problem: the MSB under first-round (kPredictive) costs, which converges
+  // in one or two alternations. refine=1 is a middle bit under
+  // refinement-round (kCurrentApprox) costs around a coarse approximation
+  // (constant over groups of four inputs); its restarts alternate about
+  // five times, as inside the searches, so it times the incremental
+  // updates of exact matrices.
   const auto width = static_cast<unsigned>(state.range(0));
   const auto restarts = static_cast<unsigned>(state.range(1));
+  const bool refine = state.range(2) != 0;
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);
-  const auto costs = core::build_bit_costs(
-      g, g.values(), width - 1, core::LsbModel::kPredictive, dist);
+  std::vector<core::OutputWord> approx(g.domain_size());
+  for (core::InputWord x = 0; x < approx.size(); ++x) {
+    approx[x] = g.value(x & ~core::InputWord{3});
+  }
+  const auto costs =
+      refine ? core::build_bit_costs(g, approx, width / 2,
+                                     core::LsbModel::kCurrentApprox, dist)
+             : core::build_bit_costs(g, g.values(), width - 1,
+                                     core::LsbModel::kPredictive, dist);
   util::Rng rng(2);
   const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
   auto& workspace = core::EvalWorkspace::local();
@@ -144,8 +157,8 @@ void BM_OptForPartWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptForPartWorkspace)
-    ->ArgNames({"width", "Z"})
-    ->ArgsProduct({{10, 12, 14}, {12, 30}});
+    ->ArgNames({"width", "Z", "refine"})
+    ->ArgsProduct({{10, 12, 14}, {12, 30}, {0, 1}});
 
 void BM_OptForPartBto(benchmark::State& state) {
   const auto width = static_cast<unsigned>(state.range(0));

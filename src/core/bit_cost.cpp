@@ -31,6 +31,19 @@ inline double loss_of_distance(double distance, CostMetric metric) noexcept {
   return distance;
 }
 
+/// Bits of the largest loss: every loss is an integer below 2^loss_bits.
+unsigned loss_bits(CostMetric metric, unsigned num_outputs) noexcept {
+  switch (metric) {
+    case CostMetric::kMed:
+      return num_outputs;
+    case CostMetric::kMse:
+      return 2 * num_outputs;
+    case CostMetric::kErrorRate:
+      return 1;
+  }
+  return 2 * num_outputs;
+}
+
 // ---- Vector kernel -------------------------------------------------------
 // One i32 lane per input. Output words are < 2^m with m <= 30 on this path,
 // so every intermediate difference fits a signed i32, the signed lane
@@ -87,6 +100,12 @@ BitCostArrays build_bit_costs(const MultiOutputFunction& g,
   costs.epoch = next_cost_epoch();
   costs.lease = std::shared_ptr<const void>(
       nullptr, [e = costs.epoch](const void*) { release_eval_cache_epoch(e); });
+  // Uniform p(X) is exactly 2^-n, so each cost is an integer loss times
+  // 2^-n, and every sum over at most 2^n cells (or two such sums added) is
+  // an integer below 2^(n + loss_bits + 1) times 2^-n: exact in a double's
+  // 53-bit significand, with a bit of margin.
+  costs.exact = dist.is_uniform() &&
+                g.num_inputs() + loss_bits(metric, g.num_outputs()) + 2 <= 52;
 
   auto fill = [&](std::size_t i) {
     const auto x = static_cast<InputWord>(i);

@@ -54,6 +54,16 @@ struct BitCostArrays {
   /// the gather memo's entries for it could never hit again: the deleter
   /// drops them through release_eval_cache_epoch().
   std::shared_ptr<const void> lease;
+  /// Exactness certificate, set by build_bit_costs: every cost is an
+  /// integer multiple of 2^-n and every sum OptForPart takes over one
+  /// output bit's costs is exactly representable, so the sums are
+  /// independent of the order they are taken in. Holds for a uniform
+  /// distribution when n + loss_bits + 2 <= 52, where the loss is below
+  /// 2^loss_bits (m bits for kMed, 2m for kMse, 1 for kErrorRate). Like
+  /// `epoch`, it describes the contents: whoever edits the arrays or the
+  /// flag must re-stamp `epoch` (or clear it), since memo entries carry
+  /// the flag of the arrays they were gathered from.
+  bool exact = false;
 };
 
 /// Next free epoch id (atomic, never returns 0). build_bit_costs stamps each
@@ -61,7 +71,8 @@ struct BitCostArrays {
 std::uint64_t next_cost_epoch() noexcept;
 
 /// `approx_values` holds the current approximation Ghat(X) per input; for the
-/// first-round models only its bits above k are read. `k` is 0-based.
+/// first-round models only its bits above k are read. `k` is 0-based. The
+/// result carries a fresh epoch and its exactness certificate.
 /// When `pool` is given and the 2^n domain is large (n >= 14), the per-input
 /// loop splits over the pool; every input writes only its own slot, so the
 /// result is identical at any worker count.

@@ -172,8 +172,11 @@ struct VectorOps {
   static D splat(double v) noexcept { return simd::dbroadcast(v); }
   static D add(D a, D b) noexcept { return simd::dadd(a, b); }
   static D sub(D a, D b) noexcept { return simd::dsub(a, b); }
+  static D load(const double* p) noexcept { return simd::dloadu(p); }
   static D less(D a, D b) noexcept { return simd::dcmplt(a, b); }
   static D select(D m, D a, D b) noexcept { return simd::dselect(m, a, b); }
+  /// Bit l set iff lane l of the mask is set.
+  static unsigned mask_bits(D m) noexcept { return simd::dmovemask(m); }
   static void store(double* p, D v) noexcept { simd::dstoreu(p, v); }
   static U bits(std::uint64_t v) noexcept { return simd::ubroadcast(v); }
   static U load_bits(const std::uint64_t* p) noexcept {
@@ -209,11 +212,15 @@ struct ScalarOps {
   static D splat(double v) noexcept { return v; }
   static D add(D a, D b) noexcept { return a + b; }
   static D sub(D a, D b) noexcept { return a - b; }
+  static D load(const double* p) noexcept { return *p; }
   static D less(D a, D b) noexcept {
     return std::bit_cast<double>(a < b ? ~std::uint64_t{0} : 0);
   }
   static D select(D m, D a, D b) noexcept {
     return std::bit_cast<std::uint64_t>(m) != 0 ? a : b;
+  }
+  static unsigned mask_bits(D m) noexcept {
+    return static_cast<unsigned>(std::bit_cast<std::uint64_t>(m) >> 63);
   }
   static void store(double* p, D v) noexcept { *p = v; }
   static U bits(std::uint64_t v) noexcept { return v; }
@@ -284,6 +291,28 @@ void sum_all_rows(const InterleavedCostMatrix& matrix, double* sums0,
 /// Largest number of restart vectors a types tile holds in registers.
 constexpr unsigned kMaxTileVectors = 4;
 
+/// The reference's comparison chain, lane by lane: the cheapest of AllZero
+/// (s0), AllOne (s1), Pattern (match) and Complement (s0 + s1 - match),
+/// the earlier type winning a tie. Returns the cost; `type` gets the code.
+template <class Ops>
+inline typename Ops::D best_type(typename Ops::D match, typename Ops::D s0,
+                                 typename Ops::D s1,
+                                 typename Ops::D& type) noexcept {
+  using D = typename Ops::D;
+  const D one = Ops::less(s1, s0);
+  D best = Ops::select(one, s1, s0);
+  type = Ops::select(one, Ops::splat(type_code(RowType::kAllOne)),
+                     Ops::splat(type_code(RowType::kAllZero)));
+  D m = Ops::less(match, best);
+  best = Ops::select(m, match, best);
+  type = Ops::select(m, Ops::splat(type_code(RowType::kPattern)), type);
+  const D complement = Ops::sub(Ops::add(s0, s1), match);
+  m = Ops::less(complement, best);
+  best = Ops::select(m, complement, best);
+  type = Ops::select(m, Ops::splat(type_code(RowType::kComplement)), type);
+  return best;
+}
+
 /// Types step for rows [r, r + R) of one restart tile: V vectors of restarts
 /// starting at `groups[j]`, each kWidth wide. The R x V match accumulators
 /// stay in registers across the column loop; each is one (row, restart)
@@ -325,26 +354,12 @@ inline void types_rows(const InterleavedCostMatrix& matrix, std::size_t r,
   }
 
   for (unsigned i = 0; i < R; ++i) {
-    const double s0 = sums0[r + i];
-    const double s1 = sums1[r + i];
-    // The AllZero/AllOne comparison is the same for every restart.
-    const bool one = s1 < s0;
-    const D fixed_cost = Ops::splat(one ? s1 : s0);
-    const D fixed_type =
-        Ops::splat(type_code(one ? RowType::kAllOne : RowType::kAllZero));
-    const D both = Ops::splat(s0 + s1);
+    const D s0 = Ops::splat(sums0[r + i]);
+    const D s1 = Ops::splat(sums1[r + i]);
     alignas(64) double codes[V * W];
     for (unsigned j = 0; j < V; ++j) {
-      const D match = acc[i][j];
-      const D complement = Ops::sub(both, match);
-      D m = Ops::less(match, fixed_cost);
-      D best = Ops::select(m, match, fixed_cost);
-      D type = Ops::select(m, Ops::splat(type_code(RowType::kPattern)),
-                           fixed_type);
-      m = Ops::less(complement, best);
-      best = Ops::select(m, complement, best);
-      type = Ops::select(m, Ops::splat(type_code(RowType::kComplement)), type);
-      total[j] = Ops::add(total[j], best);
+      D type;
+      total[j] = Ops::add(total[j], best_type<Ops>(acc[i][j], s0, s1, type));
       Ops::store(codes + j * W, type);
     }
     std::uint8_t* row_types = types + (r + i) * stride;
@@ -439,6 +454,204 @@ void column_pair_sums(std::size_t cols, std::span<const double* const> rows,
                       Emit&& emit) {
   std::size_t c = pair_tiles<Ops, Ops::kPairTile>(cols, 0, rows, emit);
   for (; c < cols; ++c) pair_tile<ScalarOps, 1>(c, rows, emit);
+}
+
+// ---- Incremental kernels for exact matrices ------------------------------
+//
+// On an exact matrix (InterleavedCostMatrix::exact) every sum is exact, so
+// it does not depend on the order its terms are added in: a sum updated by
+// removing and adding terms equals the reference's fresh sum bit for bit.
+// The same holds for differences of such sums, which lets a column keep one
+// balance, if_zero - if_one, instead of the pair: the reference's
+// `if_one < if_zero` is exactly `balance > 0`. A kPattern row adds
+// cost0 - cost1 to each column's balance, a kComplement row cost1 - cost0.
+// Row state is padded to whole vectors of rows; padding rows have zero
+// costs.
+
+/// Balances of columns [c, c + K * kWidth): the K vectors stay in
+/// registers while the listed rows of cost differences are added (`plus`)
+/// or subtracted (`minus`); each row is a pointer to its first column.
+template <class Ops, unsigned K>
+inline void shift_tile(double* balance, std::size_t c,
+                       std::span<const double* const> plus,
+                       std::span<const double* const> minus) noexcept {
+  constexpr unsigned W = Ops::kWidth;
+  typename Ops::D acc[K];
+  for (unsigned t = 0; t < K; ++t) acc[t] = Ops::load(balance + c + t * W);
+  for (const double* row : plus) {
+    for (unsigned t = 0; t < K; ++t) {
+      acc[t] = Ops::add(acc[t], Ops::load(row + c + t * W));
+    }
+  }
+  for (const double* row : minus) {
+    for (unsigned t = 0; t < K; ++t) {
+      acc[t] = Ops::sub(acc[t], Ops::load(row + c + t * W));
+    }
+  }
+  for (unsigned t = 0; t < K; ++t) Ops::store(balance + c + t * W, acc[t]);
+}
+
+/// balance[c] += sum of plus rows - sum of minus rows, for every column.
+template <class Ops>
+void shift_balance(double* balance, std::size_t cols,
+                   std::span<const double* const> plus,
+                   std::span<const double* const> minus) noexcept {
+  constexpr unsigned W = Ops::kWidth;
+  constexpr unsigned kTile = 4;
+  std::size_t c = 0;
+  for (; c + kTile * W <= cols; c += kTile * W) {
+    shift_tile<Ops, kTile>(balance, c, plus, minus);
+  }
+  for (; c + W <= cols; c += W) shift_tile<Ops, 1>(balance, c, plus, minus);
+  for (; c < cols; ++c) shift_tile<ScalarOps, 1>(balance, c, plus, minus);
+}
+
+/// Pattern step's bit choice, V_c = 1 iff balance[c] > 0, into the
+/// pattern bitset (bit c % 64 of word c / 64). Appends the columns whose bit
+/// changed to `raised` (now 1) or `lowered` (now 0), ascending, and returns
+/// the two counts.
+template <class Ops>
+std::array<std::size_t, 2> choose_bits(const double* balance,
+                                       std::size_t cols,
+                                       std::uint64_t* pattern,
+                                       std::uint32_t* raised,
+                                       std::uint32_t* lowered) noexcept {
+  constexpr unsigned W = Ops::kWidth;
+  std::size_t up = 0;
+  std::size_t down = 0;
+  for (std::size_t base = 0; base < cols; base += 64) {
+    const double* b = balance + base;
+    const std::size_t count = std::min<std::size_t>(64, cols - base);
+    std::uint64_t now = 0;
+    std::size_t c = 0;
+    for (; c + W <= count; c += W) {
+      const auto positive = Ops::less(Ops::zero(), Ops::load(b + c));
+      now |= std::uint64_t{Ops::mask_bits(positive)} << c;
+    }
+    for (; c < count; ++c) now |= std::uint64_t{b[c] > 0.0} << c;
+    std::uint64_t& word = pattern[base / 64];
+    for (std::uint64_t flips = now ^ word; flips != 0; flips &= flips - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(flips));
+      const auto one = static_cast<std::size_t>(now >> bit & 1);
+      raised[up] = lowered[down] = static_cast<std::uint32_t>(base + bit);
+      up += one;
+      down += one ^ 1;
+    }
+    word = now;
+  }
+  return {up, down};
+}
+
+/// cost1 - cost0 of every cell, row-major (by_row[r * cols + c]) and
+/// column-major (by_col[c * rows_pad + r], 0 for padding rows r >= rows).
+/// Full 4 x 4 blocks are transposed in registers, so each 64-byte line of
+/// cells is read once and each column is written sequentially.
+void cost_diffs(const InterleavedCostMatrix& matrix, std::size_t rows_pad,
+                double* by_row, double* by_col) noexcept {
+  const std::size_t rows = matrix.rows;
+  const std::size_t cols = matrix.cols;
+  const double* cells = matrix.cells.data();
+  const std::size_t block_rows = simd::enabled() ? rows / 4 * 4 : 0;
+  const std::size_t block_cols = simd::enabled() ? cols / 4 * 4 : 0;
+  for (std::size_t c = 0; c < block_cols; c += 4) {
+    double* out = by_col + c * rows_pad;
+    for (std::size_t r = 0; r < block_rows; r += 4) {
+      simd::D4 d[4];  // d[i]: columns c..c+3 of row r + i
+      for (unsigned i = 0; i < 4; ++i) {
+        const double* p = cells + 2 * ((r + i) * cols + c);
+        simd::D4 zero, one;
+        simd::deinterleave4(simd::loadu4(p), simd::loadu4(p + 4), zero, one);
+        d[i] = simd::sub4(one, zero);
+        simd::storeu4(by_row + (r + i) * cols + c, d[i]);
+      }
+      simd::D4 t01, t23, u01, u23;
+      simd::interleave4(d[0], d[1], t01, t23);  // rows r, r + 1
+      simd::interleave4(d[2], d[3], u01, u23);  // rows r + 2, r + 3
+      simd::storeu4(out + r, simd::join2(simd::low2(t01), simd::low2(u01)));
+      simd::storeu4(out + rows_pad + r,
+                    simd::join2(simd::high2(t01), simd::high2(u01)));
+      simd::storeu4(out + 2 * rows_pad + r,
+                    simd::join2(simd::low2(t23), simd::low2(u23)));
+      simd::storeu4(out + 3 * rows_pad + r,
+                    simd::join2(simd::high2(t23), simd::high2(u23)));
+    }
+  }
+  // Cells outside the full blocks (all of them on the forced-scalar path).
+  for (std::size_t r = 0; r < rows_pad; ++r) {
+    for (std::size_t c = r < block_rows ? block_cols : 0; c < cols; ++c) {
+      if (r < rows) {
+        const double* cell = cells + 2 * (r * cols + c);
+        by_row[r * cols + c] = by_col[c * rows_pad + r] = cell[1] - cell[0];
+      } else {
+        by_col[c * rows_pad + r] = 0.0;
+      }
+    }
+  }
+}
+
+/// Types step for rows [r, r + R * kWidth) of one restart: the R vectors of
+/// match sums stay in registers while cost1 - cost0 is added for the
+/// columns `raised` to 1 and subtracted for those `lowered` to 0; then each
+/// row's type follows the reference's comparison chain.
+template <class Ops, unsigned R>
+inline void retype_tile(std::size_t r, std::size_t rows_pad,
+                        const double* diffs,
+                        std::span<const std::uint32_t> raised,
+                        std::span<const std::uint32_t> lowered,
+                        const double* sums0, const double* sums1,
+                        double* match, std::uint8_t* types,
+                        typename Ops::D& total) noexcept {
+  using D = typename Ops::D;
+  constexpr unsigned W = Ops::kWidth;
+  D m[R];
+  for (unsigned i = 0; i < R; ++i) m[i] = Ops::load(match + r + i * W);
+  for (const std::uint32_t c : raised) {
+    const double* d = diffs + c * rows_pad + r;
+    for (unsigned i = 0; i < R; ++i) m[i] = Ops::add(m[i], Ops::load(d + i * W));
+  }
+  for (const std::uint32_t c : lowered) {
+    const double* d = diffs + c * rows_pad + r;
+    for (unsigned i = 0; i < R; ++i) m[i] = Ops::sub(m[i], Ops::load(d + i * W));
+  }
+  alignas(64) double codes[R * W];
+  for (unsigned i = 0; i < R; ++i) {
+    Ops::store(match + r + i * W, m[i]);
+    D type;
+    total = Ops::add(total, best_type<Ops>(m[i], Ops::load(sums0 + r + i * W),
+                                           Ops::load(sums1 + r + i * W),
+                                           type));
+    Ops::store(codes + i * W, type);
+  }
+  for (unsigned l = 0; l < R * W; ++l) {
+    types[r + l] = static_cast<std::uint8_t>(codes[l]);
+  }
+}
+
+/// Types step of one restart from its stored match sums, over all rows_pad
+/// rows (padding rows add zero). Returns the restart's total.
+template <class Ops>
+double retype_rows(std::size_t rows_pad, const double* diffs,
+                   std::span<const std::uint32_t> raised,
+                   std::span<const std::uint32_t> lowered,
+                   const double* sums0, const double* sums1, double* match,
+                   std::uint8_t* types) noexcept {
+  constexpr unsigned W = Ops::kWidth;
+  constexpr unsigned kTile = 8;
+  typename Ops::D total = Ops::zero();
+  std::size_t r = 0;
+  for (; r + kTile * W <= rows_pad; r += kTile * W) {
+    retype_tile<Ops, kTile>(r, rows_pad, diffs, raised, lowered, sums0, sums1,
+                            match, types, total);
+  }
+  for (; r < rows_pad; r += W) {
+    retype_tile<Ops, 1>(r, rows_pad, diffs, raised, lowered, sums0, sums1,
+                        match, types, total);
+  }
+  alignas(64) double lanes[W];
+  Ops::store(lanes, total);
+  double sum = 0.0;
+  for (unsigned l = 0; l < W; ++l) sum += lanes[l];
+  return sum;
 }
 
 // ---- Process-wide gather memo -------------------------------------------
@@ -600,8 +813,16 @@ class GatherMemo {
 
   void reset() {
     std::lock_guard lock(mutex_);
+    // The dropped entries' buffers are recycled and the free list is kept:
+    // a reset before every search (as the benchmarks do) would otherwise
+    // hand matrix-sized blocks back to malloc and request them again from
+    // whichever threads publish next, spreading holes over their arenas.
+    for (auto& [epoch, bucket] : epochs_) {
+      for (auto& [mask, entry] : bucket.entries) {
+        recycle(std::move(entry.matrix));
+      }
+    }
     epochs_.clear();
-    free_.clear();
     entries_ = 0;
     pending_ = 0;
     bytes_ = 0;
@@ -799,6 +1020,7 @@ void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
   assert(costs.c1.size() == costs.c0.size());
   out.rows = partition.num_rows();
   out.cols = partition.num_cols();
+  out.exact = costs.exact;
   out.cells.resize(2 * out.rows * out.cols);
   double* cells = out.cells.data();
   util::assert_aligned64(cells);
@@ -908,6 +1130,7 @@ const InterleavedCostMatrix& EvalWorkspace::conditioned(
 
   cond_scratch_.rows = full.rows;
   cond_scratch_.cols = full.cols >> util::popcount(shared_mask);
+  cond_scratch_.exact = full.exact;
   cond_scratch_.cells.resize(2 * cond_scratch_.rows * cond_scratch_.cols);
 
   cond_cols_.resize(cond_scratch_.cols);
@@ -948,8 +1171,9 @@ unsigned EvalWorkspace::restart_block(std::size_t rows, std::size_t cols,
 }
 
 void EvalWorkspace::row_sums(const InterleavedCostMatrix& matrix) {
-  sums0_.resize(matrix.rows);
-  sums1_.resize(matrix.rows);
+  // Padding rows (up to rows_pad_) keep zero sums.
+  sums0_.assign(rows_pad_, 0.0);
+  sums1_.assign(rows_pad_, 0.0);
   if (simd::enabled()) {
     sum_all_rows<VectorOps>(matrix, sums0_.data(), sums1_.data());
   } else {
@@ -1000,7 +1224,7 @@ void EvalWorkspace::pattern_sweep(const InterleavedCostMatrix& matrix,
   // list is built branch-free, as the types are data-dependent.
   const double* const source[] = {
       matrix.cells.data(), matrix.cells.data(), matrix.cells.data(),
-      matrix.cells.data(), swapped_.data()};
+      matrix.cells.data(), derived_.data()};
   const bool vec = simd::enabled();
   for (const std::uint32_t z : active_) {
     std::size_t count = 0;
@@ -1022,6 +1246,71 @@ void EvalWorkspace::pattern_sweep(const InterleavedCostMatrix& matrix,
   }
 }
 
+template <class Ops>
+double EvalWorkspace::exact_restart(const InterleavedCostMatrix& matrix,
+                                    unsigned max_iterations) {
+  const std::size_t rows = matrix.rows;
+  const std::size_t cols = matrix.cols;
+  const double* const diff_rows = derived_.data();
+  const double* const diff_cols = diff_rows + rows * cols;
+  const auto retype = [&](std::size_t raised, std::size_t lowered) {
+    return retype_rows<Ops>(
+        rows_pad_, diff_cols,
+        std::span<const std::uint32_t>(raised_.data(), raised),
+        std::span<const std::uint32_t>(lowered_.data(), lowered),
+        sums0_.data(), sums1_.data(), match_.data(), row_types_.data());
+  };
+
+  // Types step for the drawn pattern: from the all-zero pattern, whose
+  // match sums are the AllZero row sums, raise the drawn columns.
+  std::copy_n(sums0_.data(), rows_pad_, match_.data());
+  std::size_t raised = 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    raised_[raised] = static_cast<std::uint32_t>(c);
+    raised += pattern_[c / 64] >> (c % 64) & 1;
+  }
+  double error = retype(raised, 0);
+
+  constexpr auto kPattern = static_cast<std::uint8_t>(RowType::kPattern);
+  constexpr auto kComplement =
+      static_cast<std::uint8_t>(RowType::kComplement);
+  std::fill(balance_.begin(), balance_.end(), 0.0);
+  std::fill(summed_types_.begin(), summed_types_.end(), std::uint8_t{0});
+  for (unsigned iter = 0; iter < max_iterations; ++iter) {
+    // Pattern step: move the balances from the types they reflect
+    // (summed_types_; initially none) to the current ones, touching only
+    // the rows whose type changed. A kPattern row contributes
+    // -(cost1 - cost0) to each balance, a kComplement row +(cost1 - cost0).
+    std::size_t plus = 0;
+    std::size_t minus = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint8_t before = summed_types_[r];
+      const std::uint8_t now = row_types_[r];
+      if (before == now) continue;
+      // Branch-free: the row enters each list zero, one or two times.
+      const double* diff = diff_rows + r * cols;
+      plus_rows_[plus] = plus_rows_[plus + 1] = diff;
+      plus += (before == kPattern) + (now == kComplement);
+      minus_rows_[minus] = minus_rows_[minus + 1] = diff;
+      minus += (before == kComplement) + (now == kPattern);
+      summed_types_[r] = now;
+    }
+    shift_balance<Ops>(balance_.data(), cols,
+                       std::span<const double* const>(plus_rows_.data(), plus),
+                       std::span<const double* const>(minus_rows_.data(), minus));
+    const auto [up, down] = choose_bits<Ops>(balance_.data(), cols,
+                                             pattern_.data(), raised_.data(),
+                                             lowered_.data());
+
+    // Types step: only the flipped columns move the match sums. With none,
+    // the types and the total stay as they are.
+    const double after = up + down == 0 ? error : retype(up, down);
+    if (after >= error - 1e-15) return std::min(error, after);
+    error = after;
+  }
+  return error;
+}
+
 VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
                                      const OptForPartParams& params,
                                      util::Rng& rng) {
@@ -1029,19 +1318,61 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
   const std::size_t rows = matrix.rows;
   const std::size_t cols = matrix.cols;
   const unsigned restarts = std::max(1u, params.init_patterns);
-  const unsigned block = restart_block(rows, cols, restarts);
+  rows_pad_ = (rows + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
   row_sums(matrix);
-  // {cost1, cost0} copy of the matrix for the pattern sweep's kComplement
-  // rows.
-  swapped_.resize(matrix.cells.size());
-  for (std::size_t i = 0; i < swapped_.size(); i += 2) {
-    swapped_[i] = matrix.cells[i + 1];
-    swapped_[i + 1] = matrix.cells[i];
-  }
-  pair_rows_.resize(rows);
 
   VtResult best;
   best.error = std::numeric_limits<double>::infinity();
+
+  if (matrix.exact) {
+    // One restart at a time, each drawing its pattern as the reference
+    // does, so the RNG stream is the same.
+    // The cost differences, row-major then column-major (see exact_restart).
+    derived_.resize(rows * cols + cols * rows_pad_);
+    cost_diffs(matrix, rows_pad_, derived_.data(),
+               derived_.data() + rows * cols);
+    match_.resize(rows_pad_);
+    row_types_.resize(rows_pad_);
+    summed_types_.resize(rows);
+    balance_.resize(cols);
+    plus_rows_.resize(2 * rows + 2);
+    minus_rows_.resize(2 * rows + 2);
+    pattern_.resize((cols + 63) / 64);
+    raised_.resize(cols);
+    lowered_.resize(cols);
+    for (unsigned z = 0; z < restarts; ++z) {
+      std::fill(pattern_.begin(), pattern_.end(), 0);
+      for (std::size_t c = 0; c < cols; ++c) {
+        pattern_[c / 64] |= std::uint64_t{rng.next_bool()} << (c % 64);
+      }
+      const double error =
+          simd::enabled()
+              ? exact_restart<VectorOps>(matrix, params.max_iterations)
+              : exact_restart<ScalarOps>(matrix, params.max_iterations);
+      if (error < best.error) {
+        best.error = error;
+        best.pattern.resize(cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          best.pattern[c] = pattern_[c / 64] >> (c % 64) & 1;
+        }
+        best.types.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          best.types[r] = static_cast<RowType>(row_types_[r]);
+        }
+      }
+    }
+    return best;
+  }
+
+  const unsigned block = restart_block(rows, cols, restarts);
+  // {cost1, cost0} copy of the matrix for the pattern sweep's kComplement
+  // rows.
+  derived_.resize(matrix.cells.size());
+  for (std::size_t i = 0; i < derived_.size(); i += 2) {
+    derived_[i] = matrix.cells[i + 1];
+    derived_[i + 1] = matrix.cells[i];
+  }
+  pair_rows_.resize(rows);
 
   for (unsigned base = 0; base < restarts; base += block) {
     const unsigned count = std::min(block, restarts - base);

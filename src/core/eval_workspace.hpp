@@ -29,6 +29,18 @@
 //    restart's arithmetic (and therefore its result) stays bit-identical to
 //    the reference implementation in opt_for_part.cpp.
 //
+//  * Exact incremental sweeps. A matrix with the exactness certificate
+//    (InterleavedCostMatrix::exact) has every sum the sweeps take exact, so
+//    a sum does not depend on the order its terms are added in. Its
+//    restarts run one at a time and keep their sums: each row's Pattern
+//    cost, and each column's balance if_zero - if_one (`if_one < if_zero`
+//    is then exactly `balance > 0`). The pattern step moves the balances
+//    only by the rows whose type changed, and the types step adds
+//    +-(cost1 - cost0) only for the columns whose bit flipped; after the
+//    first alternation a few percent of either change per alternation.
+//    Results stay bit-identical to the reference. Matrices without the
+//    certificate take the full sweeps above.
+//
 //  * Gather memo. Full matrices built from epoch-stamped cost arrays (see
 //    BitCostArrays::epoch) can be served from a process-wide, byte-capped
 //    memo keyed by (epoch, bound mask). Admission is two-touch: a key's
@@ -70,11 +82,13 @@ namespace dalut::core {
 
 /// Lightweight view of one output bit's cost arrays. `epoch` identifies the
 /// arrays' contents for the gather memo; 0 (the default for raw spans) means
-/// "unknown provenance" and disables caching for the call.
+/// "unknown provenance" and disables caching for the call. `exact` is the
+/// arrays' BitCostArrays::exact certificate; raw spans carry none.
 struct CostView {
   std::span<const double> c0;
   std::span<const double> c1;
   std::uint64_t epoch = 0;
+  bool exact = false;
 
   CostView() = default;
   CostView(std::span<const double> cost0, std::span<const double> cost1,
@@ -82,17 +96,21 @@ struct CostView {
       : c0(cost0), c1(cost1), epoch(epoch_id) {}
   // NOLINTNEXTLINE(google-explicit-constructor): deliberate implicit view.
   CostView(const BitCostArrays& costs)
-      : c0(costs.c0), c1(costs.c1), epoch(costs.epoch) {}
+      : c0(costs.c0), c1(costs.c1), epoch(costs.epoch), exact(costs.exact) {}
 };
 
 /// Cost matrix with the two per-cell costs stored adjacently:
 /// cells[2 * (r * cols + c)] = cost0, cells[2 * (r * cols + c) + 1] = cost1.
 /// Cell storage is 64-byte aligned (the SIMD kernels' alignment contract,
-/// docs/performance.md).
+/// docs/performance.md). `exact` carries the certificate of the cost arrays
+/// the cells came from (BitCostArrays::exact), which lets opt_for_part
+/// update its sums incrementally; a matrix whose sums are not all exact
+/// must not set it.
 struct InterleavedCostMatrix {
   std::size_t rows = 0;
   std::size_t cols = 0;
   util::aligned_vector<double> cells;
+  bool exact = false;
 
   double at0(std::size_t r, std::size_t c) const noexcept {
     return cells[2 * (r * cols + c)];
@@ -137,6 +155,7 @@ struct EvalCacheStats {
 
 EvalCacheStats eval_cache_stats();
 /// Drops every memo entry and zeroes the counters (tests and benchmarks).
+/// Recycled matrix buffers are kept for reuse.
 void reset_eval_cache();
 /// Drops `epoch`'s memo entries and pending two-touch keys, in time
 /// proportional to their number. Called through BitCostArrays::lease when
@@ -180,9 +199,10 @@ class EvalWorkspace {
                      std::span<const std::uint8_t> pattern,
                      std::span<const RowType> types) const;
 
-  /// Caps the restarts advanced per block (0 = size automatically from the
-  /// scratch budget). Exists so tests can force multi-block execution on
-  /// small matrices.
+  /// Caps the restarts the full sweeps advance per block (0 = size
+  /// automatically from the scratch budget; exact matrices run restarts
+  /// one at a time regardless). Exists so tests can force multi-block
+  /// execution on small matrices.
   void set_opt_restart_block_for_test(unsigned block) {
     opt_block_override_ = block;
   }
@@ -208,6 +228,14 @@ class EvalWorkspace {
                    util::aligned_vector<double>& totals);
   /// One pattern step for the active restarts of the current block.
   void pattern_sweep(const InterleavedCostMatrix& matrix, std::size_t stride);
+  /// One restart on an exact matrix, from the pattern drawn into pattern_:
+  /// alternates with incrementally updated sums until no improvement (or
+  /// `max_iterations`). Leaves the restart's V in pattern_ and T in
+  /// row_types_, and returns its error.
+  /// `Ops` picks the vector or the forced-scalar kernels.
+  template <class Ops>
+  double exact_restart(const InterleavedCostMatrix& matrix,
+                       unsigned max_iterations);
 
   // Deposit-table cache (node-based map: references stay valid on insert).
   std::unordered_map<std::uint32_t, std::vector<InputWord>> deposits_;
@@ -233,14 +261,31 @@ class EvalWorkspace {
   // patterns_ holds one full-width select mask per entry (0 or ~0), so the
   // types sweep can blend {cost0, cost1} bitwise instead of branching per
   // cell. The pattern sweep is restart-major instead (see pattern_sweep).
-  util::aligned_vector<double> sums0_, sums1_;    // rows
+  util::aligned_vector<double> sums0_, sums1_;    // rows_pad_
   util::aligned_vector<std::uint64_t> patterns_;  // cols * stride
   std::vector<std::uint8_t> types_;               // rows * stride
   util::aligned_vector<double> error_, after_;    // stride
   std::vector<std::uint32_t> active_, next_active_;
   std::vector<std::uint32_t> groups_;  // first restart of each active vector
   std::vector<const double*> pair_rows_;  // rows of one column-pair sum
-  util::aligned_vector<double> swapped_;  // matrix cells as {cost1, cost0}
+  // Matrix-sized scratch derived from the cells: the full sweeps'
+  // pair-swapped copy ({cost1, cost0} per cell), or the exact path's cost
+  // differences cost1 - cost0, row-major (rows * cols) and then
+  // column-major (cols * rows_pad_), so that a flipped column's
+  // differences load as vectors of rows.
+  util::aligned_vector<double> derived_;
+
+  // Per-restart state of the exact path (exact_restart). Row arrays are
+  // padded to whole SIMD vectors (rows_pad_ rows; padding rows have zero
+  // costs).
+  std::size_t rows_pad_ = 0;
+  util::aligned_vector<double> match_;      // Pattern-type row costs
+  std::vector<std::uint8_t> row_types_;     // T
+  std::vector<std::uint8_t> summed_types_;  // the T balance_ reflects
+  util::aligned_vector<double> balance_;    // if_zero - if_one per column
+  std::vector<std::uint64_t> pattern_;      // V, one bit per column
+  std::vector<std::uint32_t> raised_, lowered_;  // columns flipped to 1 / 0
+  std::vector<const double*> plus_rows_, minus_rows_;  // balance updates
   unsigned opt_block_override_ = 0;
 };
 

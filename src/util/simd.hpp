@@ -143,6 +143,10 @@ inline VecD dcmplt(VecD a, VecD b) noexcept {
 inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
   return _mm256_blendv_pd(b, a, mask);
 }
+/// One bit per lane of a lane mask (bit l set iff lane l is all-ones).
+inline unsigned dmovemask(VecD mask) noexcept {
+  return static_cast<unsigned>(_mm256_movemask_pd(mask));
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -199,6 +203,9 @@ inline VecD dcmpneq(VecD a, VecD b) noexcept { return _mm_cmpneq_pd(a, b); }
 inline VecD dcmplt(VecD a, VecD b) noexcept { return _mm_cmplt_pd(a, b); }
 inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
   return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
+}
+inline unsigned dmovemask(VecD mask) noexcept {
+  return static_cast<unsigned>(_mm_movemask_pd(mask));
 }
 
 inline VecU uloadu(const std::uint64_t* p) noexcept {
@@ -260,6 +267,11 @@ inline VecD dcmplt(VecD a, VecD b) noexcept {
 }
 inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
   return vbslq_f64(vreinterpretq_u64_f64(mask), a, b);
+}
+inline unsigned dmovemask(VecD mask) noexcept {
+  const uint64x2_t bits = vshrq_n_u64(vreinterpretq_u64_f64(mask), 63);
+  return static_cast<unsigned>(vgetq_lane_u64(bits, 0) |
+                               (vgetq_lane_u64(bits, 1) << 1));
 }
 
 inline VecU uloadu(const std::uint64_t* p) noexcept { return vld1q_u64(p); }
@@ -327,6 +339,9 @@ inline VecD dcmplt(VecD a, VecD b) noexcept {
 inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
   return std::bit_cast<std::uint64_t>(mask.v) != 0 ? a : b;
 }
+inline unsigned dmovemask(VecD mask) noexcept {
+  return static_cast<unsigned>(std::bit_cast<std::uint64_t>(mask.v) >> 63);
+}
 
 inline VecU uloadu(const std::uint64_t* p) noexcept { return {*p}; }
 inline VecU ubroadcast(std::uint64_t v) noexcept { return {v}; }
@@ -377,6 +392,7 @@ inline D2 high2(D4 v) noexcept { return _mm256_extractf128_pd(v, 1); }
 inline D4 join2(D2 lo, D2 hi) noexcept { return _mm256_set_m128d(hi, lo); }
 inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
 inline D4 add4(D4 a, D4 b) noexcept { return _mm256_add_pd(a, b); }
+inline D4 sub4(D4 a, D4 b) noexcept { return _mm256_sub_pd(a, b); }
 
 /// a = [a0 a1 a2 a3], b = [b0 b1 b2 b3] ->
 /// lo = [a0 b0 a1 b1], hi = [a2 b2 a3 b3].
@@ -403,6 +419,7 @@ using D2 = __m128d;
 inline D2 loadu2(const double* p) noexcept { return _mm_loadu_pd(p); }
 inline void storeu2(double* p, D2 v) noexcept { _mm_storeu_pd(p, v); }
 inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
+inline D2 sub2_(D2 a, D2 b) noexcept { return _mm_sub_pd(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return _mm_unpacklo_pd(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return _mm_unpackhi_pd(a, b); }
 #elif defined(DALUT_SIMD_NEON)
@@ -410,6 +427,7 @@ using D2 = float64x2_t;
 inline D2 loadu2(const double* p) noexcept { return vld1q_f64(p); }
 inline void storeu2(double* p, D2 v) noexcept { vst1q_f64(p, v); }
 inline D2 add2(D2 a, D2 b) noexcept { return vaddq_f64(a, b); }
+inline D2 sub2_(D2 a, D2 b) noexcept { return vsubq_f64(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return vzip1q_f64(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return vzip2q_f64(a, b); }
 #else
@@ -423,6 +441,9 @@ inline void storeu2(double* p, D2 v) noexcept {
 }
 inline D2 add2(D2 a, D2 b) noexcept {
   return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
+}
+inline D2 sub2_(D2 a, D2 b) noexcept {
+  return {{a.v[0] - b.v[0], a.v[1] - b.v[1]}};
 }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return {{a.v[0], b.v[0]}}; }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return {{a.v[1], b.v[1]}}; }
@@ -444,6 +465,9 @@ inline D2 high2(D4 v) noexcept { return v.hi; }
 inline D4 join2(D2 lo, D2 hi) noexcept { return {lo, hi}; }
 inline D4 add4(D4 a, D4 b) noexcept {
   return {add2(a.lo, b.lo), add2(a.hi, b.hi)};
+}
+inline D4 sub4(D4 a, D4 b) noexcept {
+  return {sub2_(a.lo, b.lo), sub2_(a.hi, b.hi)};
 }
 
 inline void interleave4(D4 a, D4 b, D4& lo, D4& hi) noexcept {

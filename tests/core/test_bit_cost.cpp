@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/eval_workspace.hpp"
 #include "util/rng.hpp"
 
 namespace dalut::core {
@@ -149,6 +150,54 @@ TEST(BitCost, WeightsScaleWithDistribution) {
   if (costs_u.c1[5] > 0) {
     EXPECT_NEAR(costs_w.c1[5] / costs_u.c1[5], p_ratio, 1e-9);
   }
+}
+
+TEST(BitCost, ExactOnlyWhenSumsAreExact) {
+  util::Rng rng(7);
+  const auto uniform_costs = [](const MultiOutputFunction& g,
+                                CostMetric metric) {
+    return build_bit_costs(g, g.values(), 2, LsbModel::kPredictive,
+                           InputDistribution::uniform(g.num_inputs()), metric);
+  };
+  // Uniform MED costs are integer losses below 2^m times 2^-n.
+  for (const unsigned n : {12u, 14u}) {
+    const auto g = random_function(n, n, rng);
+    const auto costs = uniform_costs(g, CostMetric::kMed);
+    EXPECT_TRUE(costs.exact) << "n=" << n;
+    for (const auto* arrays : {&costs.c0, &costs.c1}) {
+      for (const double cost : *arrays) {
+        const double units = std::ldexp(cost, static_cast<int>(n));
+        ASSERT_EQ(units, std::trunc(units));
+        ASSERT_LT(units, std::ldexp(1.0, static_cast<int>(g.num_outputs())));
+      }
+    }
+  }
+
+  // Table probabilities are not multiples of 2^-n in general.
+  const auto small = random_function(8, 6, rng);
+  std::vector<double> weights(256);
+  for (auto& w : weights) w = 0.1 + rng.next_double();
+  EXPECT_FALSE(build_bit_costs(small, small.values(), 2,
+                               LsbModel::kCurrentApprox,
+                               InputDistribution::from_weights(8, weights))
+                   .exact);
+
+  // The loss takes m bits for MED, 2m for MSE and 1 for the error rate;
+  // the certificate needs n + loss_bits + 2 <= 52.
+  const auto narrow = random_function(12, 19, rng);  // MSE: 12 + 38 + 2
+  EXPECT_TRUE(uniform_costs(narrow, CostMetric::kMse).exact);
+  const auto wide = random_function(12, 20, rng);  // MSE: 12 + 40 + 2
+  EXPECT_FALSE(uniform_costs(wide, CostMetric::kMse).exact);
+  EXPECT_TRUE(uniform_costs(wide, CostMetric::kMed).exact);
+  EXPECT_TRUE(uniform_costs(wide, CostMetric::kErrorRate).exact);
+
+  // Views carry the certificate of the arrays they view; raw spans have
+  // none, whatever their contents.
+  const auto costs = uniform_costs(small, CostMetric::kMed);
+  ASSERT_TRUE(costs.exact);
+  EXPECT_TRUE(CostView(costs).exact);
+  EXPECT_FALSE(CostView(costs.c0, costs.c1).exact);
+  EXPECT_FALSE(CostView(costs.c0, costs.c1, costs.epoch).exact);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/bssa.hpp"
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
+#include "core/sa_search.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/telemetry.hpp"
@@ -285,6 +286,160 @@ TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
   }
   ASSERT_TRUE(thinned);
   expect_blocked_identical(wide, restarts, 10);
+}
+
+/// A matrix of dyadic costs, integers in [0, levels) times 2^-12, as
+/// build_bit_costs produces them under a uniform distribution, marked
+/// exact. Few levels make ties common; every fifth row (from row 1) costs
+/// 0 throughout, so all four row types tie there.
+MatrixPair dyadic_matrix(std::size_t rows, std::size_t cols,
+                         std::uint64_t seed, unsigned levels) {
+  MatrixPair m(rows, cols, seed);
+  util::Rng rng(seed);
+  const double unit = std::ldexp(1.0, -12);
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    const bool zero_row = i / cols % 5 == 1;
+    for (unsigned v = 0; v < 2; ++v) {
+      const double cost =
+          zero_row ? 0.0 : unit * static_cast<double>(rng.next_below(levels));
+      (v ? m.reference.cost1 : m.reference.cost0)[i] = cost;
+      m.interleaved.cells[2 * i + v] = cost;
+    }
+  }
+  m.interleaved.exact = true;
+  return m;
+}
+
+/// Dyadic cost arrays over 2^n inputs with the exactness certificate.
+BitCostArrays dyadic_costs(unsigned n, std::uint64_t seed, unsigned levels) {
+  util::Rng rng(seed);
+  BitCostArrays costs;
+  const double unit = std::ldexp(1.0, -static_cast<int>(n));
+  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
+    costs.c0.push_back(unit * static_cast<double>(rng.next_below(levels)));
+    costs.c1.push_back(unit * static_cast<double>(rng.next_below(levels)));
+  }
+  costs.exact = true;
+  return costs;
+}
+
+void expect_same_setting(const Setting& actual, const Setting& expected) {
+  EXPECT_EQ(actual.error, expected.error);
+  EXPECT_EQ(actual.partition, expected.partition);
+  EXPECT_EQ(actual.mode, expected.mode);
+  EXPECT_EQ(actual.pattern, expected.pattern);
+  EXPECT_EQ(actual.types, expected.types);
+  EXPECT_EQ(actual.shared_bit, expected.shared_bit);
+  EXPECT_EQ(actual.pattern0, expected.pattern0);
+  EXPECT_EQ(actual.types0, expected.types0);
+  EXPECT_EQ(actual.pattern1, expected.pattern1);
+  EXPECT_EQ(actual.types1, expected.types1);
+}
+
+TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
+  // Exact matrices take the incremental path; each must reproduce the
+  // reference, and so the full sweeps the same matrix gets with its
+  // certificate cleared. Row and column counts cover partial vectors, the
+  // 4 x 4 difference blocks' tails and more than one 64-column pattern
+  // word.
+  std::uint64_t seed = 500;
+  for (const std::size_t rows : {1u, 2u, 3u, 5u, 32u}) {
+    for (const std::size_t cols : {1u, 2u, 3u, 4u, 5u, 64u, 65u, 130u}) {
+      for (const unsigned levels : {3u, 64u}) {
+        const MatrixPair exact = dyadic_matrix(rows, cols, seed++, levels);
+        MatrixPair cleared = exact;
+        cleared.interleaved.exact = false;
+        for (const unsigned z : {1u, 12u, 17u, 30u}) {
+          expect_blocked_identical(exact, z, seed);
+          expect_blocked_identical(cleared, z, seed++);
+        }
+      }
+    }
+  }
+
+  // Conditioned slices of an exact full matrix (the ND and multi-shared
+  // modes) carry the certificate.
+  const unsigned n = 9;
+  const BitCostArrays costs = dyadic_costs(n, 17, 5);
+  util::Rng part_rng(18);
+  auto& workspace = EvalWorkspace::local();
+  const auto p = Partition::random(n, 5, part_rng);
+  const MatrixRef full = workspace.full_matrix(p, costs);
+  ASSERT_TRUE(full.get().exact);
+  const auto bound = p.bound_inputs();
+  const std::uint32_t pair_mask =
+      (std::uint32_t{1} << bound[0]) | (std::uint32_t{1} << bound[3]);
+  for (const std::uint32_t mask :
+       {std::uint32_t{1} << bound[2], pair_mask}) {
+    for (std::uint32_t values = 0; values < (mask == pair_mask ? 4u : 2u);
+         ++values) {
+      const auto& slice = workspace.conditioned(full, p, mask, values);
+      ASSERT_TRUE(slice.exact);
+      const auto reference =
+          CostMatrix::build_conditioned_set(p, mask, values, costs.c0, costs.c1);
+      for (const bool scalar : {false, true}) {
+        const ScopedForceScalar scoped(scalar);
+        for (const unsigned z : {1u, 12u, 30u}) {
+          util::Rng ref_rng(z);
+          const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
+          util::Rng ws_rng(z);
+          expect_same_result(workspace.opt_for_part(slice, {z, 64}, ws_rng),
+                             expected);
+          EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
+        }
+      }
+    }
+  }
+}
+
+TEST(EvalWorkspace, SearchesIdenticalWithAndWithoutExactCertificate) {
+  // Cost arrays from build_bit_costs under a uniform distribution carry
+  // the certificate; the same arrays without it take the full sweeps. The
+  // searches must not tell them apart. (The cleared copy drops the epoch:
+  // gather-memo entries carry the certificate of the arrays they came
+  // from.)
+  util::Rng rng(5);
+  const unsigned n = 10;
+  const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
+    return static_cast<OutputWord>(rng.next_below(256));
+  });
+  auto approx = g.values();
+  for (auto& value : approx) value ^= static_cast<OutputWord>(rng.next_below(4));
+  const BitCostArrays costs =
+      build_bit_costs(g, approx, 3, LsbModel::kCurrentApprox,
+                      InputDistribution::uniform(n));
+  ASSERT_TRUE(costs.exact);
+  BitCostArrays cleared = costs;
+  cleared.exact = false;
+  cleared.epoch = 0;
+
+  SaParams params;
+  params.partition_limit = 40;
+  params.init_patterns = 12;
+  params.chains = 3;
+  const auto search = [&](const BitCostArrays& arrays) {
+    util::Rng search_rng(7);
+    return find_best_settings(n, 5, arrays, 3, params, search_rng, nullptr,
+                              true);
+  };
+  const auto with = search(costs);
+  const auto without = search(cleared);
+  ASSERT_EQ(with.top.size(), without.top.size());
+  for (std::size_t i = 0; i < with.top.size(); ++i) {
+    expect_same_setting(with.top[i], without.top[i]);
+  }
+  ASSERT_EQ(with.top_bto.size(), without.top_bto.size());
+  for (std::size_t i = 0; i < with.top_bto.size(); ++i) {
+    expect_same_setting(with.top_bto[i], without.top_bto[i]);
+  }
+
+  util::Rng part_rng(8);
+  const auto p = Partition::random(n, 5, part_rng);
+  util::Rng nd_rng(9);
+  const auto nd = optimize_nondisjoint(p, costs, {12, 64}, nd_rng);
+  util::Rng nd_cleared_rng(9);
+  expect_same_setting(nd,
+                      optimize_nondisjoint(p, cleared, {12, 64}, nd_cleared_rng));
 }
 
 TEST(EvalWorkspace, BtoBitIdenticalToReference) {

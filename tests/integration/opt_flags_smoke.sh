@@ -1,31 +1,39 @@
 #!/usr/bin/env bash
-# Search-flag validation smoke test for dalut_opt.
+# Search-flag validation smoke test for dalut_opt and dalut_suite.
 #
 # Every out-of-range or malformed search knob must be rejected up front with
 # exit status 2 (usage error) and an error naming the flag. `--patterns -1`
 # used to wrap to 2^32 - 1 restarts inside a single OptForPart call that
-# ignored SIGTERM, so each run is bounded by `timeout`.
+# ignored SIGTERM, so each run is bounded by `timeout`. `--threads` must lie
+# in [0, 512] in both tools (it used to map negative values to "hardware"
+# and clamp huge ones).
 set -uo pipefail
 
-if [[ $# -ne 1 ]]; then
-  echo "usage: $0 <path-to-dalut_opt>" >&2
+if [[ $# -ne 2 ]]; then
+  echo "usage: $0 <path-to-dalut_opt> <path-to-dalut_suite>" >&2
   exit 2
 fi
 dalut_opt=$1
+dalut_suite=$2
 
 failures=0
+# expect_rejected FLAG VALUE [TOOL ARGS...]: TOOL (default dalut_opt on a
+# width-8 run) given `--FLAG VALUE` exits 2 naming the flag.
 expect_rejected() {
   local flag=$1 value=$2 output status
-  output=$(timeout -s KILL 20 "$dalut_opt" --width 8 "--$flag" "$value" 2>&1)
+  shift 2
+  local tool=("$@")
+  [[ ${#tool[@]} -eq 0 ]] && tool=("$dalut_opt" --width 8)
+  output=$(timeout -s KILL 20 "${tool[@]}" "--$flag" "$value" 2>&1)
   status=$?
   if [[ $status -ne 2 ]]; then
-    echo "FAIL: --$flag $value exited $status, want 2" >&2
+    echo "FAIL: ${tool[0]##*/} --$flag $value exited $status, want 2" >&2
     failures=$((failures + 1))
   elif [[ $output != *"--$flag"* ]]; then
     echo "FAIL: --$flag $value error does not name the flag: $output" >&2
     failures=$((failures + 1))
   else
-    echo "ok: --$flag $value rejected: $output"
+    echo "ok: ${tool[0]##*/} --$flag $value rejected: $output"
   fi
 }
 
@@ -43,6 +51,21 @@ expect_rejected chains 4097
 expect_rejected bound -1
 expect_rejected bound 26
 expect_rejected bound x
+expect_rejected threads -1
+expect_rejected threads 513
+expect_rejected threads x
+expect_rejected threads -1 "$dalut_suite"
+expect_rejected threads 513 "$dalut_suite"
+
+# The suite's make-style -jN spelling goes through the same check.
+output=$(timeout -s KILL 20 "$dalut_suite" -j-2 2>&1)
+status=$?
+if [[ $status -ne 2 || $output != *"--threads"* ]]; then
+  echo "FAIL: dalut_suite -j-2 exited $status, want 2: $output" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: dalut_suite -j-2 rejected: $output"
+fi
 
 # The manifest's upper limits themselves are accepted.
 output=$(timeout -s KILL 60 "$dalut_opt" --width 8 --bound 4 --rounds 1 \

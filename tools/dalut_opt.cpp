@@ -152,6 +152,7 @@ struct SearchKnobs {
   unsigned patterns = 0;
   unsigned beams = 0;
   unsigned chains = 0;
+  unsigned threads = 0;  ///< 0 = hardware
 };
 
 core::CostMetric parse_metric(const std::string& name) {
@@ -261,7 +262,8 @@ int run(int argc, char** argv) {
   // --- Search knobs, in the suite manifest's ranges. ---
   // Checked before any work: a negative count would wrap to a huge unsigned
   // one, and `--patterns -1` would then run 2^32 - 1 restarts inside one
-  // OptForPart call, which never polls for a stop.
+  // OptForPart call, which never polls for a stop. `--threads` is checked
+  // against the pool's ceiling rather than silently clamped.
   SearchKnobs knobs;
   try {
     knobs.bound = static_cast<unsigned>(
@@ -276,6 +278,8 @@ int run(int argc, char** argv) {
         cli.integer_in("beams", 0, suite::kMaxBeams));
     knobs.chains = static_cast<unsigned>(
         cli.integer_in("chains", 0, suite::kMaxChains));
+    knobs.threads = static_cast<unsigned>(cli.integer_in(
+        "threads", 0, static_cast<std::int64_t>(util::kMaxWorkerCount)));
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
@@ -429,9 +433,9 @@ int run(int argc, char** argv) {
                 path.c_str());
   }
   const auto dist = core::InputDistribution::uniform(g.num_inputs());
-  // resolve_worker_count clamps 0 (and nonsense like -1) to a real pool
-  // size, so `--threads 0` cannot construct an empty, deadlocking pool.
-  util::ThreadPool pool(util::resolve_worker_count(cli.integer("threads")));
+  // resolve_worker_count turns 0 into the hardware's count, so
+  // `--threads 0` cannot construct an empty, deadlocking pool.
+  util::ThreadPool pool(util::resolve_worker_count(knobs.threads));
 
   unsigned bound = knobs.bound;
   if (bound == 0) {
@@ -628,7 +632,7 @@ int run(int argc, char** argv) {
                                         : cli.str("table"))
         << "\",\n    \"num_inputs\": " << g.num_inputs()
         << ",\n    \"num_outputs\": " << g.num_outputs()
-        << ",\n    \"threads\": " << cli.integer("threads")
+        << ",\n    \"threads\": " << knobs.threads
         << ",\n    \"seed\": " << cli.integer("seed")
         << ",\n    \"status\": \"" << util::to_string(result.status)
         << "\",\n    \"med\": ";

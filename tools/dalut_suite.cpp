@@ -170,6 +170,17 @@ int run(int argc, char** argv) {
     return kExitUsage;
   }
 
+  // Checked up front, in the range dalut_opt accepts, so that a negative or
+  // oversized count is a usage error, not "hardware" or a silent clamp.
+  std::int64_t threads = 0;
+  try {
+    threads = cli.integer_in("threads", 0,
+                             static_cast<std::int64_t>(util::kMaxWorkerCount));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return kExitUsage;
+  }
+
   const auto manifest_path = cli.str("manifest");
   if (manifest_path.empty()) {
     std::fprintf(stderr, "error: --manifest <file> is required\n");
@@ -230,7 +241,7 @@ int run(int argc, char** argv) {
     std::fflush(stderr);
   }
 
-  util::ThreadPool pool(util::resolve_worker_count(cli.integer("threads")));
+  util::ThreadPool pool(util::resolve_worker_count(threads));
 
   suite::SuiteOptions options;
   options.pool = &pool;
