@@ -1,10 +1,12 @@
 // Google-benchmark micro benchmarks for the core kernels: cost-array
-// construction, cost-matrix scatter, OptForPart, the SA search, and the
-// realized-LUT read path. These are the hot loops of both algorithms.
+// construction, cost-matrix scatter, OptForPart, the SA search, whole-domain
+// realization of a setting, and the realized-LUT read path. These are the
+// hot loops of both algorithms.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 
+#include "core/algorithm_common.hpp"
 #include "core/bit_cost.hpp"
 #include "core/bssa.hpp"
 #include "core/dalta.hpp"
@@ -304,6 +306,58 @@ void BM_NonDisjointOptimize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NonDisjointOptimize);
+
+// ---- Whole-domain realization: Arg 0 is the width, Arg 1 the mode (0 =
+// normal, 1 = BTO, 2 = ND). The settings are optimized for cos's MSB. ----
+
+core::Setting optimized_setting(unsigned width, int mode,
+                                const core::BitCostArrays& costs) {
+  util::Rng rng(8);
+  const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
+  switch (mode) {
+    case 0:
+      return core::optimize_normal(p, costs.c0, costs.c1, {8, 64}, rng);
+    case 1:
+      return core::optimize_bto(p, costs.c0, costs.c1);
+    default:
+      return core::optimize_nondisjoint(p, costs.c0, costs.c1, {8, 64}, rng);
+  }
+}
+
+void BM_WriteBitToCache(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  const auto g = make_cos(width);
+  const auto dist = core::InputDistribution::uniform(width);
+  auto cache = g.values();
+  const auto costs = core::build_bit_costs(
+      g, cache, width - 1, core::LsbModel::kCurrentApprox, dist);
+  const auto setting =
+      optimized_setting(width, static_cast<int>(state.range(1)), costs);
+  for (auto _ : state) {
+    core::write_bit_to_cache(cache, width - 1, setting);
+    benchmark::DoNotOptimize(cache.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.domain_size()));
+}
+BENCHMARK(BM_WriteBitToCache)->ArgsProduct({{12, 14}, {0, 1, 2}});
+
+void BM_SettingErrorUnderCosts(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  const auto g = make_cos(width);
+  const auto dist = core::InputDistribution::uniform(width);
+  const auto costs = core::build_bit_costs(
+      g, g.values(), width - 1, core::LsbModel::kCurrentApprox, dist);
+  const auto setting =
+      optimized_setting(width, static_cast<int>(state.range(1)), costs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::setting_error_under_costs(setting, costs.c0, costs.c1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.domain_size()));
+}
+BENCHMARK(BM_SettingErrorUnderCosts)->ArgsProduct({{12, 14}, {0, 1, 2}});
 
 void BM_ApproxLutRead(benchmark::State& state) {
   const unsigned width = 10;

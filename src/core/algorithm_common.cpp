@@ -1,6 +1,7 @@
 #include "core/algorithm_common.hpp"
 
 #include <bit>
+#include <cassert>
 #include <unordered_set>
 
 #include "core/partition_opt.hpp"
@@ -24,24 +25,22 @@ std::uint64_t choose(unsigned n, unsigned k) {
 
 void write_bit_to_cache(std::vector<OutputWord>& cache, unsigned k,
                         const Setting& setting) {
-  const DecomposedBit bit = DecomposedBit::realize(setting);
+  const auto bits = DecomposedBit::realize(setting).eval_all();
+  assert(bits.size() == cache.size());
   const OutputWord mask = OutputWord{1} << k;
-  for (InputWord x = 0; x < cache.size(); ++x) {
-    if (bit.eval(x)) {
-      cache[x] |= mask;
-    } else {
-      cache[x] &= ~mask;
-    }
+  for (std::size_t x = 0; x < cache.size(); ++x) {
+    cache[x] = (cache[x] & ~mask) | OutputWord{bits[x]} << k;
   }
 }
 
 double setting_error_under_costs(const Setting& setting,
                                  std::span<const double> c0,
                                  std::span<const double> c1) {
-  const DecomposedBit bit = DecomposedBit::realize(setting);
+  const auto bits = DecomposedBit::realize(setting).eval_all();
+  assert(bits.size() == c0.size() && c1.size() == c0.size());
   double error = 0.0;
-  for (InputWord x = 0; x < c0.size(); ++x) {
-    error += bit.eval(x) ? c1[x] : c0[x];
+  for (std::size_t x = 0; x < c0.size(); ++x) {
+    error += bits[x] != 0 ? c1[x] : c0[x];
   }
   return error;
 }

@@ -26,11 +26,9 @@ ConfigSweep::ConfigSweep(const MultiOutputFunction& g,
       if (!setting.valid()) {
         throw std::invalid_argument("invalid candidate setting");
       }
-      const auto bit = DecomposedBit::realize(setting);
-      auto& table = bit_values_[k][level];
-      table.resize(domain);
-      for (InputWord x = 0; x < domain; ++x) {
-        table[x] = bit.eval(x) ? 1 : 0;
+      bit_values_[k][level] = DecomposedBit::realize(setting).eval_all();
+      if (bit_values_[k][level].size() != domain) {
+        throw std::invalid_argument("candidate setting width mismatch");
       }
     }
   }

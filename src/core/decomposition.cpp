@@ -113,6 +113,60 @@ bool DecomposedBit::eval(InputWord x) const noexcept {
   return false;
 }
 
+void DecomposedBit::eval_all(std::span<std::uint8_t> out) const {
+  assert(out.size() == std::size_t{1} << partition_.num_inputs());
+  const bool nd = mode_ == DecompMode::kNonDisjoint;
+
+  // Column side: column c's bound-set bits deposited into an input code,
+  // and its selector into a row's truth table: phi(c), plus 2 * x_s in ND
+  // mode (the shared bit is bound, so it is fixed within a column).
+  const std::uint32_t bound_mask = partition_.bound_mask();
+  const std::size_t cols = bound_table_.size();
+  std::vector<std::uint32_t> col_x(cols);
+  std::vector<std::uint8_t> select(cols);
+  std::uint32_t bound_x = 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    col_x[c] = bound_x;
+    const unsigned xs = nd ? (bound_x >> shared_bit_) & 1u : 0u;
+    select[c] = static_cast<std::uint8_t>((bound_table_[c] != 0 ? 1u : 0u) |
+                                          xs << 1);
+    bound_x = (bound_x - bound_mask) & bound_mask;  // next code, ascending
+  }
+
+  // Row side: the row's output for each selector value, as a truth table
+  // indexed by the selector. A constant row needs no selector.
+  const std::uint32_t free_mask = partition_.free_mask();
+  const std::size_t rows = partition_.num_rows();
+  const unsigned all_one = nd ? 0b1111u : 0b11u;
+  std::uint32_t row_x = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    unsigned truth = 0b10;  // BTO: the bit is phi
+    if (mode_ != DecompMode::kBto) {
+      truth = free_table0_[r << 1] | free_table0_[(r << 1) | 1] << 1;
+    }
+    if (nd) {
+      truth |= (free_table1_[r << 1] | free_table1_[(r << 1) | 1] << 1) << 2;
+    }
+    std::uint8_t* row_out = out.data() + row_x;
+    if (truth == 0 || truth == all_one) {
+      const std::uint8_t value = truth != 0 ? 1 : 0;
+      for (std::size_t c = 0; c < cols; ++c) row_out[col_x[c]] = value;
+    } else {
+      for (std::size_t c = 0; c < cols; ++c) {
+        row_out[col_x[c]] =
+            static_cast<std::uint8_t>((truth >> select[c]) & 1u);
+      }
+    }
+    row_x = (row_x - free_mask) & free_mask;
+  }
+}
+
+std::vector<std::uint8_t> DecomposedBit::eval_all() const {
+  std::vector<std::uint8_t> out(std::size_t{1} << partition_.num_inputs());
+  eval_all(out);
+  return out;
+}
+
 ApproxLut::ApproxLut(unsigned num_inputs, unsigned num_outputs,
                      std::vector<DecomposedBit> bits)
     : num_inputs_(num_inputs), bits_(std::move(bits)) {
@@ -146,8 +200,15 @@ OutputWord ApproxLut::eval(InputWord x) const noexcept {
 }
 
 std::vector<OutputWord> ApproxLut::values() const {
-  std::vector<OutputWord> table(std::size_t{1} << num_inputs_);
-  for (InputWord x = 0; x < table.size(); ++x) table[x] = eval(x);
+  const std::size_t domain = std::size_t{1} << num_inputs_;
+  std::vector<OutputWord> table(domain, 0);
+  std::vector<std::uint8_t> bit_values(domain);
+  for (unsigned k = 0; k < bits_.size(); ++k) {
+    bits_[k].eval_all(bit_values);
+    for (std::size_t x = 0; x < domain; ++x) {
+      table[x] |= OutputWord{bit_values[x]} << k;
+    }
+  }
   return table;
 }
 

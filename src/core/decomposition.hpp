@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/input_distribution.hpp"
@@ -41,7 +42,16 @@ class DecomposedBit {
   /// only the bound table - the free table is not programmed.
   std::size_t stored_entries() const noexcept;
 
+  /// Single-point read: the bit for input code x. This is the hardware
+  /// read model; whole-domain consumers use eval_all.
   bool eval(InputWord x) const noexcept;
+
+  /// Whole-domain read: out[x] = eval(x) for every x in [0, 2^n), with
+  /// out.size() == 2^n. Walks the 2D table row by row instead of extracting
+  /// row and column indices per input: each row's free-set bits are
+  /// deposited once, each column's bound-set bits come from a table.
+  void eval_all(std::span<std::uint8_t> out) const;
+  std::vector<std::uint8_t> eval_all() const;
 
  private:
   DecompMode mode_ = DecompMode::kNormal;

@@ -1341,9 +1341,9 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
     raised_.resize(cols);
     lowered_.resize(cols);
     for (unsigned z = 0; z < restarts; ++z) {
-      std::fill(pattern_.begin(), pattern_.end(), 0);
-      for (std::size_t c = 0; c < cols; ++c) {
-        pattern_[c / 64] |= std::uint64_t{rng.next_bool()} << (c % 64);
+      for (std::size_t w = 0; w < pattern_.size(); ++w) {
+        pattern_[w] = rng.next_bits(
+            static_cast<unsigned>(std::min<std::size_t>(64, cols - w * 64)));
       }
       const double error =
           simd::enabled()
@@ -1390,8 +1390,12 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
     // Initial pattern vectors, drawn restart-major so the RNG stream is
     // identical to the reference implementation's per-restart draws.
     for (unsigned z = 0; z < count; ++z) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        patterns_[c * stride + z] = rng.next_bool() ? ~std::uint64_t{0} : 0;
+      for (std::size_t c = 0; c < cols; c += 64) {
+        const std::size_t span = std::min<std::size_t>(64, cols - c);
+        const std::uint64_t bits = rng.next_bits(static_cast<unsigned>(span));
+        for (std::size_t i = 0; i < span; ++i) {
+          patterns_[(c + i) * stride + z] = 0 - (bits >> i & 1);
+        }
       }
     }
 

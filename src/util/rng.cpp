@@ -1,31 +1,12 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <cassert>
 
 namespace dalut::util {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return std::rotl(x, k);
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   SplitMix64 seeder(seed);
   for (auto& s : state_) s = seeder.next();
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -39,7 +41,29 @@ class Rng {
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
+
+  /// `count` (<= 64) fair bits packed LSB-first: bit i is the i-th draw.
+  /// Identical to packing `count` next_bool() calls, draw for draw:
+  /// next_double() < 0.5 holds exactly when the top bit of next() is clear.
+  std::uint64_t next_bits(unsigned count) noexcept {
+    assert(count <= 64);
+    std::uint64_t bits = 0;
+    for (unsigned i = 0; i < count; ++i) {
+      bits |= (~next() >> 63) << i;
+    }
+    return bits;
+  }
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   std::uint64_t next_below(std::uint64_t bound) noexcept;

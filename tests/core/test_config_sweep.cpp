@@ -166,6 +166,10 @@ TEST(ConfigSweep, RejectsMismatchedInputs) {
   EXPECT_THROW(ConfigSweep(fx.g, fx.dist,
                            std::vector<ModeCandidates>(8), fx.costs),
                std::invalid_argument);  // invalid (default) settings
+  auto narrow_candidates = fx.candidates;
+  narrow_candidates[0].by_level[1] = make_fixture(6).candidates[0].by_level[1];
+  EXPECT_THROW(ConfigSweep(fx.g, fx.dist, narrow_candidates, fx.costs),
+               std::invalid_argument);  // a setting over another width
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/algorithm_common.hpp"
+#include "core/bit_cost.hpp"
 #include "core/evaluate.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace dalut::core {
@@ -18,6 +21,118 @@ Setting make_normal_setting(const Partition& p,
   s.pattern = std::move(pattern);
   s.types = std::move(types);
   return s;
+}
+
+/// A setting with random partition, pattern(s) and row types in `mode`.
+Setting random_setting(unsigned n, unsigned b, DecompMode mode,
+                       util::Rng& rng) {
+  Setting s;
+  s.error = 0.0;
+  s.partition = Partition::random(n, b, rng);
+  s.mode = mode;
+  const std::size_t cols = s.partition.num_cols();
+  const std::size_t rows = s.partition.num_rows();
+  const auto bits = [&](std::size_t count) {
+    std::vector<std::uint8_t> v(count);
+    for (auto& bit : v) bit = rng.next_bool() ? 1 : 0;
+    return v;
+  };
+  const auto types = [&] {
+    std::vector<RowType> t(rows);
+    for (auto& type : t) type = static_cast<RowType>(1 + rng.next_below(4));
+    return t;
+  };
+  switch (mode) {
+    case DecompMode::kNormal:
+      s.pattern = bits(cols);
+      s.types = types();
+      break;
+    case DecompMode::kBto:
+      s.pattern = bits(cols);
+      s.types.assign(rows, RowType::kPattern);
+      break;
+    case DecompMode::kNonDisjoint: {
+      const auto bound = s.partition.bound_inputs();
+      s.shared_bit = bound[rng.next_below(bound.size())];
+      s.pattern0 = bits(cols / 2);
+      s.pattern1 = bits(cols / 2);
+      s.types0 = types();
+      s.types1 = types();
+      break;
+    }
+  }
+  return s;
+}
+
+bool apply_type(RowType type, bool phi) {
+  switch (type) {
+    case RowType::kAllZero: return false;
+    case RowType::kAllOne: return true;
+    case RowType::kPattern: return phi;
+    case RowType::kComplement: return !phi;
+  }
+  return false;
+}
+
+/// The bit a setting defines at input x, read straight off the setting
+/// (Sec. III-A / IV-B), without realizing LUT contents.
+bool oracle_bit(const Setting& s, InputWord x) {
+  const Partition& p = s.partition;
+  const std::uint32_t row = p.row_of(x);
+  switch (s.mode) {
+    case DecompMode::kBto:
+      return s.pattern[p.col_of(x)] != 0;
+    case DecompMode::kNormal:
+      return apply_type(s.types[row], s.pattern[p.col_of(x)] != 0);
+    case DecompMode::kNonDisjoint: {
+      const auto reduced = util::extract_bits(
+          x, p.bound_mask() & ~(std::uint32_t{1} << s.shared_bit));
+      return util::get_bit(x, s.shared_bit)
+                 ? apply_type(s.types1[row], s.pattern1[reduced] != 0)
+                 : apply_type(s.types0[row], s.pattern0[reduced] != 0);
+    }
+  }
+  return false;
+}
+
+constexpr DecompMode kModes[] = {DecompMode::kNormal, DecompMode::kBto,
+                                 DecompMode::kNonDisjoint};
+
+TEST(DecomposedBit, WholeDomainMatchesPointEval) {
+  util::Rng rng(15);
+  for (unsigned n = 2; n <= 16; ++n) {
+    const unsigned middle = 1 + static_cast<unsigned>(rng.next_below(n - 1));
+    for (const unsigned b : {1u, n - 1, middle}) {
+      for (const DecompMode mode : kModes) {
+        const auto bit =
+            DecomposedBit::realize(random_setting(n, b, mode, rng));
+        const auto all = bit.eval_all();
+        ASSERT_EQ(all.size(), std::size_t{1} << n);
+        for (InputWord x = 0; x < all.size(); ++x) {
+          ASSERT_EQ(all[x] != 0, bit.eval(x))
+              << "n=" << n << " b=" << b << " mode=" << to_string(mode)
+              << " x=" << x;
+          ASSERT_LE(all[x], 1u);
+        }
+      }
+    }
+  }
+}
+
+TEST(DecomposedBit, PointEvalMatchesOracle) {
+  util::Rng rng(16);
+  for (const unsigned n : {2u, 5u, 9u}) {
+    for (unsigned b = 1; b < n; ++b) {
+      for (const DecompMode mode : kModes) {
+        const auto s = random_setting(n, b, mode, rng);
+        const auto bit = DecomposedBit::realize(s);
+        for (InputWord x = 0; x < (InputWord{1} << n); ++x) {
+          ASSERT_EQ(bit.eval(x), oracle_bit(s, x))
+              << "n=" << n << " b=" << b << " mode=" << to_string(mode);
+        }
+      }
+    }
+  }
 }
 
 TEST(DecomposedBit, NormalModeEvalMatchesSemantics) {
@@ -161,6 +276,24 @@ TEST(ApproxLut, EvalAssemblesBits) {
   for (InputWord x = 0; x < 16; ++x) EXPECT_EQ(values[x], lut.eval(x));
 }
 
+TEST(ApproxLut, ValuesMatchPointEval) {
+  util::Rng rng(17);
+  for (const unsigned n : {2u, 7u, 12u}) {
+    std::vector<Setting> settings;
+    for (unsigned k = 0; k < n; ++k) {
+      const unsigned b = 1 + static_cast<unsigned>(rng.next_below(n - 1));
+      settings.push_back(random_setting(n, b, kModes[k % 3], rng));
+    }
+    const auto lut = ApproxLut::realize(n, settings);
+    const auto values = lut.values();
+    ASSERT_EQ(values.size(), std::size_t{1} << n);
+    for (InputWord x = 0; x < values.size(); ++x) {
+      ASSERT_EQ(values[x], lut.eval(x)) << "n=" << n << " x=" << x;
+    }
+    EXPECT_EQ(lut.to_function().values(), values);
+  }
+}
+
 TEST(ApproxLut, RealizeRejectsMismatchedWidth) {
   Setting s;
   s.error = 0.0;
@@ -207,6 +340,69 @@ TEST(Evaluate, WeightedDistribution) {
   std::vector<OutputWord> approx{1, 1};  // error 1 at input 0 only
   const auto dist = InputDistribution::from_weights(1, {3.0, 1.0});
   EXPECT_DOUBLE_EQ(mean_error_distance(g, approx, dist), 0.75);
+}
+
+/// Non-uniform cost arrays for output bit k of a random function, so that
+/// summing the same terms in another order gives another double.
+BitCostArrays skewed_costs(unsigned n, unsigned k, util::Rng& rng) {
+  const auto g = MultiOutputFunction::from_eval(n, n, [&](InputWord) {
+    return static_cast<OutputWord>(rng.next_below(std::uint64_t{1} << n));
+  });
+  std::vector<double> weights(std::size_t{1} << n);
+  for (auto& w : weights) w = 0.1 + rng.next_double() * rng.next_double();
+  const auto dist = InputDistribution::from_weights(n, std::move(weights));
+  return build_bit_costs(g, g.values(), k, LsbModel::kCurrentApprox, dist);
+}
+
+TEST(AlgorithmCommon, WriteBitToCacheMatchesPerInputOracle) {
+  util::Rng rng(18);
+  for (const unsigned n : {3u, 10u, 13u}) {
+    for (const DecompMode mode : kModes) {
+      const unsigned b = 1 + static_cast<unsigned>(rng.next_below(n - 1));
+      const auto s = random_setting(n, b, mode, rng);
+      const unsigned k = static_cast<unsigned>(rng.next_below(n));
+      std::vector<OutputWord> cache(std::size_t{1} << n);
+      for (auto& y : cache) {
+        y = static_cast<OutputWord>(rng.next_below(std::uint64_t{1} << n));
+      }
+      const auto before = cache;
+      write_bit_to_cache(cache, k, s);
+      const OutputWord mask = OutputWord{1} << k;
+      for (InputWord x = 0; x < cache.size(); ++x) {
+        const OutputWord expected =
+            oracle_bit(s, x) ? before[x] | mask : before[x] & ~mask;
+        ASSERT_EQ(cache[x], expected)
+            << "n=" << n << " mode=" << to_string(mode) << " x=" << x;
+      }
+    }
+  }
+}
+
+TEST(AlgorithmCommon, SettingErrorUnderCostsSumsInAscendingInputOrder) {
+  util::Rng rng(19);
+  unsigned order_sensitive = 0;
+  for (const unsigned n : {4u, 10u, 13u}) {
+    for (const DecompMode mode : kModes) {
+      const unsigned k = static_cast<unsigned>(rng.next_below(n));
+      const auto costs = skewed_costs(n, k, rng);
+      const unsigned b = 1 + static_cast<unsigned>(rng.next_below(n - 1));
+      const auto s = random_setting(n, b, mode, rng);
+      double ascending = 0.0;
+      for (InputWord x = 0; x < costs.c0.size(); ++x) {
+        ascending += oracle_bit(s, x) ? costs.c1[x] : costs.c0[x];
+      }
+      double descending = 0.0;
+      for (InputWord x = costs.c0.size(); x-- > 0;) {
+        descending += oracle_bit(s, x) ? costs.c1[x] : costs.c0[x];
+      }
+      if (descending != ascending) ++order_sensitive;
+      EXPECT_EQ(setting_error_under_costs(s, costs.c0, costs.c1), ascending)
+          << "n=" << n << " mode=" << to_string(mode);
+    }
+  }
+  // The data can tell summation orders apart, so the EXPECT_EQ above pins
+  // the order, not just the value up to rounding.
+  EXPECT_GT(order_sensitive, 0u);
 }
 
 }  // namespace

@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
-# Search-flag validation smoke test for dalut_opt and dalut_suite.
+# Search-flag validation smoke test for dalut_opt, dalut_suite and
+# dalut_bench_report.
 #
 # Every out-of-range or malformed search knob must be rejected up front with
 # exit status 2 (usage error) and an error naming the flag. `--patterns -1`
 # used to wrap to 2^32 - 1 restarts inside a single OptForPart call that
 # ignored SIGTERM, so each run is bounded by `timeout`. `--threads` must lie
-# in [0, 512] in both tools (it used to map negative values to "hardware"
-# and clamp huge ones).
+# in [0, 512] in both search tools (it used to map negative values to
+# "hardware" and clamp huge ones). dalut_bench_report's `--runs -1` used to
+# wrap to 2^32 - 1 timed repetitions.
 set -uo pipefail
 
-if [[ $# -ne 2 ]]; then
-  echo "usage: $0 <path-to-dalut_opt> <path-to-dalut_suite>" >&2
+if [[ $# -ne 3 ]]; then
+  echo "usage: $0 <path-to-dalut_opt> <path-to-dalut_suite>" \
+       "<path-to-dalut_bench_report>" >&2
   exit 2
 fi
 dalut_opt=$1
 dalut_suite=$2
+dalut_bench_report=$3
 
 failures=0
 # expect_rejected FLAG VALUE [TOOL ARGS...]: TOOL (default dalut_opt on a
@@ -56,6 +60,14 @@ expect_rejected threads 513
 expect_rejected threads x
 expect_rejected threads -1 "$dalut_suite"
 expect_rejected threads 513 "$dalut_suite"
+expect_rejected runs -1 "$dalut_bench_report" --micro-only
+expect_rejected runs 0 "$dalut_bench_report" --micro-only
+expect_rejected runs 1001 "$dalut_bench_report" --micro-only
+expect_rejected runs x "$dalut_bench_report" --micro-only
+expect_rejected width -1 "$dalut_bench_report" --micro-only
+expect_rejected width 2 "$dalut_bench_report" --micro-only
+expect_rejected width 21 "$dalut_bench_report" --micro-only
+expect_rejected width 12abc "$dalut_bench_report" --micro-only
 
 # The suite's make-style -jN spelling goes through the same check.
 output=$(timeout -s KILL 20 "$dalut_suite" -j-2 2>&1)

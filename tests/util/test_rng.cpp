@@ -98,6 +98,20 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+TEST(Rng, NextBitsMatchesNextBool) {
+  for (unsigned count = 0; count <= 64; ++count) {
+    Rng packed(1000 + count);
+    Rng reference = packed;
+    const std::uint64_t bits = packed.next_bits(count);
+    std::uint64_t expected = 0;
+    for (unsigned i = 0; i < count; ++i) {
+      expected |= std::uint64_t{reference.next_bool()} << i;
+    }
+    EXPECT_EQ(bits, expected) << "count=" << count;
+    EXPECT_EQ(packed.state(), reference.state()) << "count=" << count;
+  }
+}
+
 TEST(SplitMix, KnownGolden) {
   // SplitMix64 with seed 0 produces this well-known first output.
   SplitMix64 sm(0);

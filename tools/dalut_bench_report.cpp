@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -497,13 +498,22 @@ int main(int argc, char** argv) {
       "Times the candidate-evaluation kernels old vs. new and emits a "
       "machine-readable JSON performance report.");
   cli.add_option("out", "-", "output JSON path ('-' = stdout)");
-  cli.add_option("runs", "3", "timed repetitions per kernel (best is kept)");
-  cli.add_option("width", "12", "bit width of the end-to-end table-2 subset");
+  cli.add_option("runs", "3",
+                 "timed repetitions per kernel, 1-1000 (best is kept)");
+  cli.add_option("width", "12",
+                 "bit width of the end-to-end table-2 subset, 3-20");
   cli.add_flag("micro-only", "skip the end-to-end table-2 subset (CI smoke)");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto runs = static_cast<unsigned>(cli.integer("runs"));
-  const auto width = static_cast<unsigned>(cli.integer("width"));
+  unsigned runs = 0;
+  unsigned width = 0;
+  try {
+    runs = static_cast<unsigned>(cli.integer_in("runs", 1, 1000));
+    width = static_cast<unsigned>(cli.integer_in("width", 3, 20));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
   const bool micro_only = cli.flag("micro-only");
 
   std::vector<MicroResult> micro;
