@@ -62,8 +62,7 @@ BENCHMARK(BM_CostMatrixScatter)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_CostMatrixGather(benchmark::State& state) {
   // The EvalWorkspace replacement for BM_CostMatrixScatter: interleaved
-  // source + thread-local scratch, memo disabled so every iteration pays
-  // the full gather.
+  // source + thread-local scratch; every iteration pays the full gather.
   const auto width = static_cast<unsigned>(state.range(0));
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);
@@ -72,43 +71,14 @@ void BM_CostMatrixGather(benchmark::State& state) {
   util::Rng rng(1);
   const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
   auto& workspace = core::EvalWorkspace::local();
-  core::set_eval_cache_capacity(0);
   for (auto _ : state) {
     const core::MatrixRef matrix = workspace.full_matrix(p, costs);
     benchmark::DoNotOptimize(matrix.get().cells.data());
   }
-  core::set_eval_cache_capacity(std::size_t{64} << 20);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.domain_size()));
 }
 BENCHMARK(BM_CostMatrixGather)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
-
-void BM_CostMatrixGatherCached(benchmark::State& state) {
-  // Memo hit path: the same (epoch, bound mask) key every iteration.
-  const auto width = static_cast<unsigned>(state.range(0));
-  const auto g = make_cos(width);
-  const auto dist = core::InputDistribution::uniform(width);
-  const auto costs = core::build_bit_costs(
-      g, g.values(), width - 1, core::LsbModel::kPredictive, dist);
-  util::Rng rng(1);
-  const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
-  auto& workspace = core::EvalWorkspace::local();
-  core::reset_eval_cache();
-  for (auto _ : state) {
-    const core::MatrixRef matrix = workspace.full_matrix(p, costs);
-    benchmark::DoNotOptimize(matrix.get().cells.data());
-  }
-  const auto stats = core::eval_cache_stats();
-  state.counters["hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) /
-                static_cast<double>(stats.hits + stats.misses);
-  core::reset_eval_cache();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.domain_size()));
-}
-BENCHMARK(BM_CostMatrixGatherCached)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_OptForPart(benchmark::State& state) {
   const auto width = static_cast<unsigned>(state.range(0));

@@ -6,7 +6,7 @@ Usage: check_bench_smoke.py <report.json>
 Asserts on the width-16 cost_matrix micro row (present even under
 --micro-only since schema v3):
 
-  1. the report is schema v4 and records the SIMD ISA, lane width, and
+  1. the report is schema v5 and records the SIMD ISA, lane width, and
      table-load mode in its config block, and its stream micro row (v4)
      is bit-identical to the scalar simulator,
   2. the EvalWorkspace path is not slower than the reference
@@ -32,7 +32,7 @@ def main() -> int:
     with open(sys.argv[1]) as f:
         report = json.load(f)
 
-    assert report["schema"] == "dalut-bench-report-v4", report["schema"]
+    assert report["schema"] == "dalut-bench-report-v5", report["schema"]
     config = report["config"]
     for key in ("simd_isa", "simd_lanes", "table_load"):
         assert key in config, f"config missing {key}"

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdlib>
 
-#include "core/eval_workspace.hpp"
 #include "util/simd.hpp"
 #include "util/trace_writer.hpp"
 
@@ -98,8 +97,6 @@ BitCostArrays build_bit_costs(const MultiOutputFunction& g,
   costs.c0.resize(domain);
   costs.c1.resize(domain);
   costs.epoch = next_cost_epoch();
-  costs.lease = std::shared_ptr<const void>(
-      nullptr, [e = costs.epoch](const void*) { release_eval_cache_epoch(e); });
   // Uniform p(X) is exactly 2^-n, so each cost is an integer loss times
   // 2^-n, and every sum over at most 2^n cells (or two such sums added) is
   // an integer below 2^(n + loss_bits + 1) times 2^-n: exact in a double's

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/input_distribution.hpp"
@@ -46,23 +45,20 @@ struct BitCostArrays {
   std::vector<double> c0;  ///< weighted cost of approximating bit k as 0
   std::vector<double> c1;  ///< weighted cost of approximating bit k as 1
   /// Process-unique id of the arrays' contents, stamped by build_bit_costs.
-  /// The evaluation engine's gather memo keys on it (core/eval_workspace.hpp);
-  /// 0 means "unknown provenance" and disables caching.
+  /// The evaluation engine keys its per-thread interleaved source mirror on
+  /// it (core/eval_workspace.hpp); 0 means "unknown provenance" and makes
+  /// the gather read the split arrays directly.
   std::uint64_t epoch = 0;
-  /// Shared by every copy of one build_bit_costs result (empty for hand-built
-  /// arrays). Once the last copy is gone no cost arrays carry `epoch`, so
-  /// the gather memo's entries for it could never hit again: the deleter
-  /// drops them through release_eval_cache_epoch().
-  std::shared_ptr<const void> lease;
   /// Exactness certificate, set by build_bit_costs: every cost is an
   /// integer multiple of 2^-n and every sum OptForPart takes over one
   /// output bit's costs is exactly representable, so the sums are
   /// independent of the order they are taken in. Holds for a uniform
   /// distribution when n + loss_bits + 2 <= 52, where the loss is below
   /// 2^loss_bits (m bits for kMed, 2m for kMse, 1 for kErrorRate). Like
-  /// `epoch`, it describes the contents: whoever edits the arrays or the
-  /// flag must re-stamp `epoch` (or clear it), since memo entries carry
-  /// the flag of the arrays they were gathered from.
+  /// `epoch`, it describes the contents. Whoever edits the arrays must
+  /// re-stamp `epoch` (or clear it), since a thread's interleaved mirror
+  /// would otherwise keep serving the old contents, and must keep the flag
+  /// true to the new contents.
   bool exact = false;
 };
 

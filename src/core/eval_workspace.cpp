@@ -4,11 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <iterator>
 #include <limits>
-#include <mutex>
-#include <unordered_set>
 
 #include "util/bits.hpp"
 #include "util/simd.hpp"
@@ -654,304 +650,44 @@ double retype_rows(std::size_t rows_pad, const double* diffs,
   return sum;
 }
 
-// ---- Process-wide gather memo -------------------------------------------
+// ---- Gather counters ---------------------------------------------------
 
-struct MemoKey {
-  std::uint64_t epoch = 0;
-  std::uint32_t bound_mask = 0;
+/// One gather-kernel counter. The atomic stays authoritative for
+/// eval_cache_stats() (reset_eval_cache zeroes it without touching the
+/// registry); the write-only registry mirror feeds the exported snapshot.
+struct GatherCounter {
+  explicit GatherCounter(const char* name)
+      : metric(util::telemetry::Counter::get(name)) {}
+  void add() {
+    value.fetch_add(1, std::memory_order_relaxed);
+    metric.add(1);
+  }
+  std::atomic<std::uint64_t> value{0};
+  util::telemetry::Counter metric;
 };
 
-struct MemoStats {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> pending_evictions{0};
-  std::atomic<std::uint64_t> gathers{0};
-  std::atomic<std::uint64_t> slices{0};
-};
-
-MemoStats& memo_stats() {
-  static MemoStats stats;
-  return stats;
+GatherCounter& gathers() {
+  static GatherCounter counter("evalcache.gathers");
+  return counter;
 }
 
-/// Registry mirrors of the MemoStats atomics. The atomics stay authoritative
-/// for eval_cache_stats() (reset_eval_cache zeroes them without touching the
-/// registry); these write-only counters feed the exported snapshot.
-struct MemoMetrics {
-  util::telemetry::Counter hits =
-      util::telemetry::Counter::get("evalcache.hits");
-  util::telemetry::Counter misses =
-      util::telemetry::Counter::get("evalcache.misses");
-  util::telemetry::Counter evictions =
-      util::telemetry::Counter::get("evalcache.evictions");
-  util::telemetry::Counter pending_evictions =
-      util::telemetry::Counter::get("evalcache.pending_evictions");
-  util::telemetry::Counter gathers =
-      util::telemetry::Counter::get("evalcache.gathers");
-  util::telemetry::Counter slices =
-      util::telemetry::Counter::get("evalcache.slices");
-};
-
-MemoMetrics& memo_metrics() {
-  static MemoMetrics metrics;
-  return metrics;
+GatherCounter& slices() {
+  static GatherCounter counter("evalcache.slices");
+  return counter;
 }
-
-std::size_t default_capacity() {
-  if (const char* env = std::getenv("DALUT_EVAL_CACHE_MB")) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10)) << 20;
-  }
-  return std::size_t{64} << 20;
-}
-
-/// Byte-capped matrix memo keyed by (epoch, bound mask), bucketed per
-/// epoch so a released epoch drops in time proportional to its own entries.
-/// Entries are shared so an eviction never invalidates a matrix still in
-/// use, and the buffers of evicted sole-owner entries are recycled into
-/// later gathers.
-class GatherMemo {
- public:
-  static GatherMemo& instance() {
-    static GatherMemo memo;
-    return memo;
-  }
-
-  bool enabled() {
-    std::lock_guard lock(mutex_);
-    return capacity_ > 0;
-  }
-
-  /// One locked probe per full-matrix request: returns the cached matrix on
-  /// a hit. Otherwise applies two-touch admission: the first sighting of a
-  /// key only records it and keeps the gather in thread-local scratch — the
-  /// overwhelmingly common case (a unique-partition stream) never writes
-  /// the shared cache. A key sighted again is worth retaining, so `publish`
-  /// is set: the caller gathers, insert()s, and every later access hits.
-  std::shared_ptr<const InterleavedCostMatrix> lookup(const MemoKey& key,
-                                                      bool& publish) {
-    std::lock_guard lock(mutex_);
-    publish = false;
-    auto bucket = epochs_.find(key.epoch);
-    if (bucket != epochs_.end()) {
-      EpochBucket& b = bucket->second;
-      if (const auto it = b.entries.find(key.bound_mask);
-          it != b.entries.end()) {
-        it->second.seq = ++seq_;
-        return it->second.matrix;
-      }
-      if (b.pending.erase(key.bound_mask) != 0) {
-        --pending_;
-        publish = true;
-        return nullptr;
-      }
-    }
-    if (pending_ >= kMaxSeen) {
-      evict_pending_batch();  // may erase buckets, `bucket` among them
-      bucket = epochs_.find(key.epoch);
-    }
-    if (bucket == epochs_.end()) bucket = epochs_.try_emplace(key.epoch).first;
-    bucket->second.pending.insert(key.bound_mask);
-    ++pending_;
-    return nullptr;
-  }
-
-  /// A writable matrix to gather into, recycled from an evicted entry when
-  /// one is available.
-  std::shared_ptr<InterleavedCostMatrix> acquire() {
-    {
-      std::lock_guard lock(mutex_);
-      if (!free_.empty()) {
-        auto matrix = std::move(free_.back());
-        free_.pop_back();
-        return matrix;
-      }
-    }
-    return std::make_shared<InterleavedCostMatrix>();
-  }
-
-  /// Publishes a gathered matrix. If another thread inserted the same key
-  /// concurrently the existing entry wins (contents are identical by
-  /// construction) and `matrix`'s buffer is recycled.
-  std::shared_ptr<const InterleavedCostMatrix> insert(
-      const MemoKey& key, std::shared_ptr<InterleavedCostMatrix> matrix) {
-    std::lock_guard lock(mutex_);
-    auto& entries = epochs_[key.epoch].entries;
-    const auto it = entries.find(key.bound_mask);
-    if (it != entries.end()) {
-      recycle(std::move(matrix));
-      return it->second.matrix;
-    }
-    bytes_ += entry_bytes(*matrix);
-    ++entries_;
-    std::shared_ptr<const InterleavedCostMatrix> result =
-        entries.emplace(key.bound_mask, Entry{matrix, ++seq_})
-            .first->second.matrix;
-    while (bytes_ > capacity_ && entries_ > 1) evict_oldest();
-    return result;
-  }
-
-  /// Drops every entry and pending key of `epoch`.
-  void release(std::uint64_t epoch) {
-    std::lock_guard lock(mutex_);
-    const auto bucket = epochs_.find(epoch);
-    if (bucket == epochs_.end()) return;
-    for (auto& [mask, entry] : bucket->second.entries) {
-      bytes_ -= entry_bytes(*entry.matrix);
-      recycle(std::move(entry.matrix));
-    }
-    entries_ -= bucket->second.entries.size();
-    pending_ -= bucket->second.pending.size();
-    epochs_.erase(bucket);
-  }
-
-  void set_capacity(std::size_t bytes) {
-    std::lock_guard lock(mutex_);
-    capacity_ = bytes;
-    while (bytes_ > capacity_ && entries_ > 0) evict_oldest();
-  }
-
-  void reset() {
-    std::lock_guard lock(mutex_);
-    // The dropped entries' buffers are recycled and the free list is kept:
-    // a reset before every search (as the benchmarks do) would otherwise
-    // hand matrix-sized blocks back to malloc and request them again from
-    // whichever threads publish next, spreading holes over their arenas.
-    for (auto& [epoch, bucket] : epochs_) {
-      for (auto& [mask, entry] : bucket.entries) {
-        recycle(std::move(entry.matrix));
-      }
-    }
-    epochs_.clear();
-    entries_ = 0;
-    pending_ = 0;
-    bytes_ = 0;
-    seq_ = 0;
-    memo_stats().hits = 0;
-    memo_stats().misses = 0;
-    memo_stats().evictions = 0;
-    memo_stats().pending_evictions = 0;
-    memo_stats().gathers = 0;
-    memo_stats().slices = 0;
-  }
-
-  void snapshot(EvalCacheStats& out) {
-    std::lock_guard lock(mutex_);
-    out.entries = entries_;
-    out.bytes = bytes_;
-    out.pending = pending_;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<InterleavedCostMatrix> matrix;
-    std::uint64_t seq = 0;
-  };
-  /// One epoch's published entries and two-touch pending keys, by bound
-  /// mask. A bucket left with neither is erased.
-  struct EpochBucket {
-    std::unordered_map<std::uint32_t, Entry> entries;
-    std::unordered_set<std::uint32_t> pending;
-  };
-
-  static std::size_t entry_bytes(const InterleavedCostMatrix& matrix) {
-    return matrix.cells.capacity() * sizeof(double) + sizeof(Entry);
-  }
-
-  void recycle(std::shared_ptr<InterleavedCostMatrix> matrix) {
-    if (matrix.use_count() == 1 && free_.size() < kMaxFree) {
-      free_.push_back(std::move(matrix));
-    }
-  }
-
-  void erase_if_empty(
-      std::unordered_map<std::uint64_t, EpochBucket>::iterator bucket) {
-    if (bucket->second.entries.empty() && bucket->second.pending.empty()) {
-      epochs_.erase(bucket);
-    }
-  }
-
-  /// Drops a small arbitrary batch of pending keys rather than flushing them
-  /// all, so an overflow only delays admission for a handful of keys.
-  void evict_pending_batch() {
-    std::uint64_t evicted = 0;
-    for (auto bucket = epochs_.begin();
-         bucket != epochs_.end() && evicted < kPendingBatch;) {
-      auto& pending = bucket->second.pending;
-      for (auto it = pending.begin();
-           it != pending.end() && evicted < kPendingBatch; ++evicted) {
-        it = pending.erase(it);
-      }
-      const auto next = std::next(bucket);
-      erase_if_empty(bucket);
-      bucket = next;
-    }
-    pending_ -= evicted;
-    memo_stats().pending_evictions.fetch_add(evicted,
-                                             std::memory_order_relaxed);
-    memo_metrics().pending_evictions.add(evicted);
-  }
-
-  void evict_oldest() {
-    auto oldest_bucket = epochs_.end();
-    std::unordered_map<std::uint32_t, Entry>::iterator oldest;
-    for (auto bucket = epochs_.begin(); bucket != epochs_.end(); ++bucket) {
-      auto& entries = bucket->second.entries;
-      for (auto it = entries.begin(); it != entries.end(); ++it) {
-        if (oldest_bucket == epochs_.end() ||
-            it->second.seq < oldest->second.seq) {
-          oldest_bucket = bucket;
-          oldest = it;
-        }
-      }
-    }
-    bytes_ -= entry_bytes(*oldest->second.matrix);
-    --entries_;
-    recycle(std::move(oldest->second.matrix));
-    oldest_bucket->second.entries.erase(oldest);
-    erase_if_empty(oldest_bucket);
-    memo_stats().evictions.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().evictions.add(1);
-  }
-
-  static constexpr std::size_t kMaxFree = 16;
-  static constexpr std::size_t kMaxSeen = std::size_t{1} << 17;
-  static constexpr std::uint64_t kPendingBatch = 64;
-
-  std::mutex mutex_;
-  std::unordered_map<std::uint64_t, EpochBucket> epochs_;
-  std::vector<std::shared_ptr<InterleavedCostMatrix>> free_;
-  std::size_t entries_ = 0;  ///< published entries across all buckets
-  std::size_t pending_ = 0;  ///< pending keys across all buckets
-  std::size_t bytes_ = 0;
-  std::size_t capacity_ = default_capacity();
-  std::uint64_t seq_ = 0;
-};
 
 }  // namespace
 
 EvalCacheStats eval_cache_stats() {
   EvalCacheStats stats;
-  auto& counters = memo_stats();
-  stats.hits = counters.hits.load(std::memory_order_relaxed);
-  stats.misses = counters.misses.load(std::memory_order_relaxed);
-  stats.evictions = counters.evictions.load(std::memory_order_relaxed);
-  stats.pending_evictions =
-      counters.pending_evictions.load(std::memory_order_relaxed);
-  stats.gathers = counters.gathers.load(std::memory_order_relaxed);
-  stats.slices = counters.slices.load(std::memory_order_relaxed);
-  GatherMemo::instance().snapshot(stats);
+  stats.gathers = gathers().value.load(std::memory_order_relaxed);
+  stats.slices = slices().value.load(std::memory_order_relaxed);
   return stats;
 }
 
-void reset_eval_cache() { GatherMemo::instance().reset(); }
-
-void release_eval_cache_epoch(std::uint64_t epoch) {
-  GatherMemo::instance().release(epoch);
-}
-
-void set_eval_cache_capacity(std::size_t bytes) {
-  GatherMemo::instance().set_capacity(bytes);
+void reset_eval_cache() {
+  gathers().value = 0;
+  slices().value = 0;
 }
 
 // ---- EvalWorkspace ------------------------------------------------------
@@ -1038,8 +774,7 @@ void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
                      out.cols,
                      SplitBlockLoader{costs.c0.data(), costs.c1.data()});
     }
-    memo_stats().gathers.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().gathers.add(1);
+    gathers().add();
     return;
   }
 
@@ -1079,29 +814,11 @@ void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
       }
     }
   }
-  memo_stats().gathers.fetch_add(1, std::memory_order_relaxed);
-  memo_metrics().gathers.add(1);
+  gathers().add();
 }
 
 MatrixRef EvalWorkspace::full_matrix(const Partition& partition,
                                      const CostView& costs) {
-  auto& memo = GatherMemo::instance();
-  if (costs.epoch != 0 && memo.enabled()) {
-    const MemoKey key{costs.epoch, partition.bound_mask()};
-    bool publish = false;
-    if (auto cached = memo.lookup(key, publish)) {
-      memo_stats().hits.fetch_add(1, std::memory_order_relaxed);
-      memo_metrics().hits.add(1);
-      return MatrixRef(std::move(cached));
-    }
-    memo_stats().misses.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().misses.add(1);
-    if (publish) {
-      auto fresh = memo.acquire();
-      gather_into(*fresh, partition, costs);
-      return MatrixRef(memo.insert(key, std::move(fresh)));
-    }
-  }
   gather_into(full_scratch_, partition, costs);
   return MatrixRef(&full_scratch_);
 }
@@ -1150,8 +867,7 @@ const InterleavedCostMatrix& EvalWorkspace::conditioned(
       dst[1] = pair[1];
     }
   }
-  memo_stats().slices.fetch_add(1, std::memory_order_relaxed);
-  memo_metrics().slices.add(1);
+  slices().add();
   return cond_scratch_;
 }
 

@@ -41,21 +41,6 @@
 //    Results stay bit-identical to the reference. Matrices without the
 //    certificate take the full sweeps above.
 //
-//  * Gather memo. Full matrices built from epoch-stamped cost arrays (see
-//    BitCostArrays::epoch) can be served from a process-wide, byte-capped
-//    memo keyed by (epoch, bound mask). Admission is two-touch: a key's
-//    first sighting stays in thread-local scratch (unique-partition streams
-//    -- the common case under the SA visited-set dedup and per-round cost
-//    rebuilds -- never write the shared cache), while a partition revisited
-//    under the same cost arrays is published on its second gather and skips
-//    the gather on every access after that. An epoch's entries live as
-//    long as some copy of its BitCostArrays does (BitCostArrays::lease)
-//    and the byte cap allows. Evicted buffers are recycled, so the memo
-//    allocates nothing in steady state either. Cache contents are a pure
-//    function of the key, so hit/miss timing cannot affect results: the
-//    determinism guarantees of docs/parallelism.md hold at any worker
-//    count.
-//
 //  * Conditioned slicing. The conditioned matrices of the non-disjoint and
 //    multi-shared modes are column slices of the full matrix, so they are
 //    sliced from it (sequential reads) instead of re-scattering the 2^n cost
@@ -67,7 +52,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -81,9 +65,10 @@
 namespace dalut::core {
 
 /// Lightweight view of one output bit's cost arrays. `epoch` identifies the
-/// arrays' contents for the gather memo; 0 (the default for raw spans) means
-/// "unknown provenance" and disables caching for the call. `exact` is the
-/// arrays' BitCostArrays::exact certificate; raw spans carry none.
+/// arrays' contents for the per-thread interleaved source mirror; 0 (the
+/// default for raw spans) means "unknown provenance", and the gather then
+/// reads the split arrays directly. `exact` is the arrays'
+/// BitCostArrays::exact certificate; raw spans carry none.
 struct CostView {
   std::span<const double> c0;
   std::span<const double> c1;
@@ -120,9 +105,9 @@ struct InterleavedCostMatrix {
   }
 };
 
-/// Handle to a full matrix: either a thread-local scratch buffer (valid
-/// until the next full_matrix() call on the same thread) or a shared memo
-/// entry kept alive by the handle.
+/// Non-owning handle to the calling thread's full-matrix scratch, valid
+/// until the next full_matrix() call on the same thread. Copying the handle
+/// never copies the matrix.
 class MatrixRef {
  public:
   const InterleavedCostMatrix& get() const noexcept { return *matrix_; }
@@ -133,45 +118,30 @@ class MatrixRef {
   friend class EvalWorkspace;
   explicit MatrixRef(const InterleavedCostMatrix* matrix) noexcept
       : matrix_(matrix) {}
-  explicit MatrixRef(std::shared_ptr<const InterleavedCostMatrix> owned)
-      : matrix_(owned.get()), owned_(std::move(owned)) {}
 
   const InterleavedCostMatrix* matrix_;
-  std::shared_ptr<const InterleavedCostMatrix> owned_;
 };
 
-/// Counters of the process-wide gather memo and gather kernels.
+/// Counters of the gather kernels.
 struct EvalCacheStats {
-  std::uint64_t hits = 0;        ///< full-matrix builds served from the memo
-  std::uint64_t misses = 0;      ///< memo lookups that had to gather
-  std::uint64_t evictions = 0;   ///< entries dropped to stay under the cap
-  std::uint64_t pending_evictions = 0;  ///< two-touch pending keys batch-evicted
-  std::uint64_t gathers = 0;     ///< scattered full-matrix gathers performed
-  std::uint64_t slices = 0;      ///< conditioned matrices sliced
-  std::uint64_t entries = 0;     ///< live memo entries
-  std::uint64_t bytes = 0;       ///< bytes held by live memo entries
-  std::uint64_t pending = 0;     ///< two-touch keys sighted once so far
+  std::uint64_t gathers = 0;  ///< scattered full-matrix gathers performed
+  std::uint64_t slices = 0;   ///< conditioned matrices sliced
+  /// Always 0: no matrix outlives its thread's scratch. Kept so that
+  /// existing readers still compile.
+  std::uint64_t bytes = 0;
 };
 
 EvalCacheStats eval_cache_stats();
-/// Drops every memo entry and zeroes the counters (tests and benchmarks).
-/// Recycled matrix buffers are kept for reuse.
+/// Zeroes the counters (tests and benchmarks). The telemetry registry's
+/// evalcache.* counters are not touched.
 void reset_eval_cache();
-/// Drops `epoch`'s memo entries and pending two-touch keys, in time
-/// proportional to their number. Called through BitCostArrays::lease when
-/// the last BitCostArrays carrying the epoch is destroyed.
-void release_eval_cache_epoch(std::uint64_t epoch);
-/// Overrides the memo byte budget (default 64 MiB, or the
-/// DALUT_EVAL_CACHE_MB environment variable; 0 disables the memo).
-void set_eval_cache_capacity(std::size_t bytes);
 
 class EvalWorkspace {
  public:
   /// The calling thread's workspace (created on first use, reused after).
   static EvalWorkspace& local();
 
-  /// Full cost matrix of `partition` under `costs`: from the memo when
-  /// `costs.epoch` != 0 and the memo is enabled, otherwise gathered into
+  /// Full cost matrix of `partition` under `costs`, gathered into
   /// thread-local scratch (valid until the next full_matrix() call).
   MatrixRef full_matrix(const Partition& partition, const CostView& costs);
 

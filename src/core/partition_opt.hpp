@@ -4,9 +4,9 @@
 // random sampling and BS-SA's simulated annealing parallelize over.
 //
 // The primary overloads take a CostView and route through the thread-local
-// EvalWorkspace (zero-allocation gathers, interleaved layout, gather memo);
-// the span overloads forward with an unstamped view, which disables the
-// memo but still uses the workspace kernels.
+// EvalWorkspace (zero-allocation gathers, interleaved layout); the span
+// overloads forward with an unstamped view, which gathers from the split
+// arrays but still uses the workspace kernels.
 #pragma once
 
 #include <span>

@@ -55,9 +55,9 @@ struct SaSearchResult {
 
 /// FindBestSettings over the cost arrays of one output bit.
 /// `num_inputs`/`bound_size` define the partition space. `pool` may be null.
-/// Candidate evaluation routes through the EvalWorkspace engine; passing an
-/// epoch-stamped CostView (e.g. a BitCostArrays) lets later callers reuse
-/// this search's gathered matrices via the memo.
+/// Candidate evaluation routes through the EvalWorkspace engine; an
+/// epoch-stamped CostView (e.g. a BitCostArrays) lets each worker gather
+/// from its interleaved mirror of the arrays.
 ///
 /// `control` (optional) is polled at sweep boundaries: a tripped control
 /// ends the walk after the last fully merged sweep, so the returned tops

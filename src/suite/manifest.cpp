@@ -50,7 +50,7 @@ void apply_field(SuiteJob& job, const std::string& key,
   } else if (key == "table") {
     job.table = value;
   } else if (key == "width") {
-    job.width = parse_field_unsigned(value, line, "width", 26);
+    job.width = parse_field_unsigned(value, line, "width", kMaxWidth);
   } else if (key == "algorithm") {
     if (value != "bssa" && value != "dalta" && value != "round-in" &&
         value != "round-out") {

@@ -27,6 +27,7 @@ namespace dalut::suite {
 /// Largest accepted value of each search knob. Manifest job fields and
 /// dalut_opt's flags both enforce these, so a job line and a command line
 /// accept the same values.
+inline constexpr unsigned kMaxWidth = 26;
 inline constexpr unsigned kMaxBound = 25;
 inline constexpr unsigned kMaxRounds = 1u << 20;
 inline constexpr unsigned kMaxPartitions = 1u << 20;

@@ -1,6 +1,6 @@
 // Equivalence tests for the EvalWorkspace evaluation engine: every kernel
 // must reproduce the reference CostMatrix / opt_for_part path bit-for-bit,
-// and the gather memo must serve revisited partitions without re-gathering.
+// and every full_matrix() call must gather the arrays' current contents.
 #include "core/eval_workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -8,12 +8,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/algorithm_common.hpp"
-#include "core/bssa.hpp"
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
 #include "core/sa_search.hpp"
@@ -71,7 +69,7 @@ TEST(EvalWorkspace, FullMatrixMatchesReferenceBuild) {
     const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
     // Unstamped view: scratch path.
     expect_same_matrix(workspace.full_matrix(p, fx.view()), reference);
-    // Stamped view: interleaved source + memo path.
+    // Stamped view: interleaved source path.
     expect_same_matrix(workspace.full_matrix(p, fx.stamped()), reference);
   }
 }
@@ -395,9 +393,9 @@ TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
 TEST(EvalWorkspace, SearchesIdenticalWithAndWithoutExactCertificate) {
   // Cost arrays from build_bit_costs under a uniform distribution carry
   // the certificate; the same arrays without it take the full sweeps. The
-  // searches must not tell them apart. (The cleared copy drops the epoch:
-  // gather-memo entries carry the certificate of the arrays they came
-  // from.)
+  // searches must not tell them apart. (The cleared copy also drops the
+  // epoch, so its gathers read the split arrays instead of the interleaved
+  // source mirror.)
   util::Rng rng(5);
   const unsigned n = 10;
   const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
@@ -568,188 +566,68 @@ TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
   EXPECT_EQ(actual.types, expected.types);
 }
 
-TEST(EvalWorkspaceCache, RevisitedPartitionSkipsTheGather) {
-  const CostFixture fx(8, 21);
+TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
+  std::vector<CostFixture> fixtures;
+  for (std::uint64_t seed = 21; seed < 26; ++seed) {
+    fixtures.emplace_back(8, seed);
+  }
   util::Rng rng(12);
   auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const CostView stamped = fx.stamped();
+  const auto p = Partition::random(8, 4, rng);
+  const auto check = [&](const CostFixture& fx, const CostView& view) {
+    expect_same_matrix(workspace.full_matrix(p, view),
+                       CostMatrix::build(p, fx.c0, fx.c1));
+  };
 
-  // The registry mirrors of the memo counters must advance in lock-step
-  // with the MemoStats the cache itself reports.
-  util::telemetry::reset_metrics_for_test();
-  util::telemetry::set_metrics_enabled(true);
-
-  // Two-touch admission: the first sighting stays in thread-local scratch,
-  // the second publishes the gather, and every later access is a hit that
-  // skips the gather entirely.
-  reset_eval_cache();
-  const auto m1 = workspace.full_matrix(p, stamped);
-  const auto after_first = eval_cache_stats();
-  EXPECT_EQ(after_first.misses, 1u);
-  EXPECT_EQ(after_first.gathers, 1u);
-  EXPECT_EQ(after_first.entries, 0u);
-
-  const auto m2 = workspace.full_matrix(p, stamped);
-  const auto after_second = eval_cache_stats();
-  EXPECT_EQ(after_second.misses, 2u);
-  EXPECT_EQ(after_second.gathers, 2u);
-  EXPECT_EQ(after_second.entries, 1u);
-
-  // Same epoch + same bound mask: memo hit, no new gather.
-  const auto m3 = workspace.full_matrix(p, stamped);
-  const auto m4 = workspace.full_matrix(p, stamped);
-  const auto after_hits = eval_cache_stats();
-  EXPECT_EQ(after_hits.hits, 2u);
-  EXPECT_EQ(after_hits.gathers, 2u);
-  EXPECT_EQ(&m2.get(), &m3.get());
-  EXPECT_EQ(&m3.get(), &m4.get());
-  expect_same_matrix(m1, CostMatrix::build(p, fx.c0, fx.c1));
-  expect_same_matrix(m3, CostMatrix::build(p, fx.c0, fx.c1));
-
-  // A fresh epoch over the same arrays must not be served from the memo.
-  const auto m5 = workspace.full_matrix(p, fx.stamped());
-  const auto after_fresh = eval_cache_stats();
-  EXPECT_EQ(after_fresh.hits, 2u);
-  EXPECT_EQ(after_fresh.misses, 3u);
-  EXPECT_EQ(after_fresh.gathers, 3u);
-  expect_same_matrix(m5, CostMatrix::build(p, fx.c0, fx.c1));
-
-  // Registry counters saw the same stream (reset_eval_cache zeroes only the
-  // MemoStats atomics; the registry was reset at the top of the test).
-  const auto snap = util::telemetry::snapshot_metrics();
-  EXPECT_EQ(snap.counter_value("evalcache.hits"), 2u);
-  EXPECT_EQ(snap.counter_value("evalcache.misses"), 3u);
-  EXPECT_EQ(snap.counter_value("evalcache.gathers"), 3u);
-  EXPECT_EQ(snap.counter_value("evalcache.evictions"), 0u);
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::reset_metrics_for_test();
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, PendingSetOverflowEvictsABoundedBatch) {
-  // Overflow the two-touch pending set: every distinct epoch creates a new
-  // (epoch, mask) key that is seen once and never promoted. One insert past
-  // kMaxSeen (1 << 17) evicts exactly one bounded batch of 64 pending keys.
-  const CostFixture fx(4, 23);  // 16-entry domain keeps each gather trivial
-  util::Rng rng(14);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 2, rng);
-
+  // The registry mirrors of the gather counters must advance in lock-step
+  // with the counters eval_cache_stats() reports.
   util::telemetry::reset_metrics_for_test();
   util::telemetry::set_metrics_enabled(true);
   reset_eval_cache();
 
-  constexpr std::size_t kMaxSeen = std::size_t{1} << 17;
-  for (std::size_t i = 0; i < kMaxSeen + 1; ++i) {
-    (void)workspace.full_matrix(p, fx.stamped());
+  // One stamped view, revisited: no matrix is retained, so every call
+  // gathers afresh into the thread's scratch.
+  const CostView stamped = fixtures[0].stamped();
+  for (int i = 0; i < 3; ++i) check(fixtures[0], stamped);
+  EXPECT_EQ(eval_cache_stats().gathers, 3u);
+
+  const std::uint32_t shared_mask = p.bound_mask() & (0u - p.bound_mask());
+  expect_same_matrix(
+      workspace.conditioned(workspace.full_matrix(p, stamped), p,
+                            shared_mask, 1),
+      CostMatrix::build_conditioned_set(p, shared_mask, 1, fixtures[0].c0,
+                                        fixtures[0].c1));
+
+  // Five distinct epochs cycle the thread's four interleaved source slots
+  // twice, so every revisit re-mirrors a slot another epoch held.
+  std::vector<CostView> views;
+  for (const auto& fx : fixtures) views.push_back(fx.stamped());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < fixtures.size(); ++i) {
+      check(fixtures[i], views[i]);
+    }
   }
+
+  // Arrays edited in place and re-stamped gather their new contents, also
+  // when their previous epoch still holds a mirror slot.
+  for (int edit = 0; edit < 5; ++edit) {
+    auto& fx = fixtures[edit % 2];
+    for (double& cost : fx.c0) cost += 1.0;
+    for (double& cost : fx.c1) cost *= 0.5;
+    check(fx, fx.stamped());
+  }
+
   const auto stats = eval_cache_stats();
-  EXPECT_EQ(stats.pending_evictions, 64u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, kMaxSeen + 1);
-  EXPECT_EQ(stats.entries, 0u);  // nothing was ever sighted twice
-  EXPECT_EQ(util::telemetry::snapshot_metrics().counter_value(
-                "evalcache.pending_evictions"),
-            64u);
-
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::reset_metrics_for_test();
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, EntriesLiveExactlyAsLongAsTheirCostArrays) {
-  const unsigned n = 8;
-  std::vector<OutputWord> values(std::size_t{1} << n);
-  for (std::size_t x = 0; x < values.size(); ++x) {
-    values[x] = static_cast<OutputWord>((x * 37 + 11) & 0xffu);
-  }
-  const MultiOutputFunction g(n, n, values);
-  const std::vector<OutputWord> approx(values.size(), 0);
-  const auto dist = InputDistribution::uniform(n);
-  util::Rng rng(15);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(n, 4, rng);
-  auto q = Partition::random(n, 4, rng);
-  while (q == p) q = Partition::random(n, 4, rng);
-
-  reset_eval_cache();
-  auto costs = std::make_unique<BitCostArrays>(
-      build_bit_costs(g, approx, n - 1, LsbModel::kCurrentApprox, dist));
-  (void)workspace.full_matrix(p, *costs);
-  (void)workspace.full_matrix(p, *costs);  // second sighting: published
-  (void)workspace.full_matrix(q, *costs);  // first sighting: pending
-  const auto published = eval_cache_stats();
-  EXPECT_EQ(published.entries, 1u);
-  EXPECT_EQ(published.pending, 1u);
-  EXPECT_GT(published.bytes, 0u);
-
-  {
-    // A surviving copy shares the lease: the entry still serves hits.
-    const BitCostArrays copy = *costs;
-    costs.reset();
-    const auto kept = eval_cache_stats();
-    EXPECT_EQ(kept.entries, 1u);
-    EXPECT_EQ(kept.pending, 1u);
-    EXPECT_EQ(kept.bytes, published.bytes);
-    const auto hit = workspace.full_matrix(p, copy);
-    EXPECT_EQ(eval_cache_stats().hits, published.hits + 1);
-    expect_same_matrix(hit, CostMatrix::build(p, copy.c0, copy.c1));
-  }
-
-  // The last copy is gone: its epoch can never be looked up again.
-  const auto released = eval_cache_stats();
-  EXPECT_EQ(released.entries, 0u);
-  EXPECT_EQ(released.pending, 0u);
-  EXPECT_EQ(released.bytes, 0u);
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, SearchLeavesNoEntriesBehind) {
-  const unsigned n = 10;
-  std::vector<OutputWord> values(std::size_t{1} << n);
-  for (std::size_t x = 0; x < values.size(); ++x) {
-    values[x] = static_cast<OutputWord>((x * x) >> 10);
-  }
-  const MultiOutputFunction g(n, n, values);
-  BssaParams params;
-  params.bound_size = 5;
-  params.rounds = 2;
-  params.beam_width = 2;
-  params.modes = ModePolicy::bto_normal_nd();
-  params.sa.partition_limit = 12;
-  params.sa.init_patterns = 4;
-  params.seed = 7;
-
-  reset_eval_cache();
-  (void)run_bssa(g, InputDistribution::uniform(n), params);
-  // Every cost array the search built died with it, and so did the memo
-  // entries and pending keys keyed by their epochs.
-  const auto stats = eval_cache_stats();
-  EXPECT_GT(stats.hits, 0u);  // entries were published along the way
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.gathers, 3u + 1u + 10u + 5u);
+  EXPECT_EQ(stats.slices, 1u);
   EXPECT_EQ(stats.bytes, 0u);
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, ZeroCapacityDisablesTheMemo) {
-  const CostFixture fx(8, 22);
-  util::Rng rng(13);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const CostView stamped = fx.stamped();
-
-  reset_eval_cache();
-  set_eval_cache_capacity(0);
-  (void)workspace.full_matrix(p, stamped);
-  (void)workspace.full_matrix(p, stamped);
-  const auto stats = eval_cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.gathers, 2u);
-
-  set_eval_cache_capacity(std::size_t{64} << 20);
+  // reset_eval_cache() zeroes only its own counters; the registry was
+  // reset above, so both saw the same stream.
+  const auto snap = util::telemetry::snapshot_metrics();
+  EXPECT_EQ(snap.counter_value("evalcache.gathers"), stats.gathers);
+  EXPECT_EQ(snap.counter_value("evalcache.slices"), stats.slices);
+  util::telemetry::set_metrics_enabled(false);
+  util::telemetry::reset_metrics_for_test();
   reset_eval_cache();
 }
 

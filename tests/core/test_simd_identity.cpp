@@ -99,8 +99,8 @@ TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
       std::vector<MatrixSnapshot> scalar;
       {
         ScopedForceScalar scoped(true);
-        // Unstamped view: scratch/split gather. Stamped: interleaved-source
-        // gather (fresh epoch per call, so the memo never serves a repeat).
+        // Unstamped view: split-array gather. Stamped: interleaved-source
+        // gather (fresh epoch per call, so each call mirrors the arrays).
         scalar.emplace_back(workspace.full_matrix(p, fx.view()));
         scalar.emplace_back(workspace.full_matrix(p, fx.stamped()));
       }

@@ -8,7 +8,9 @@
 # ignored SIGTERM, so each run is bounded by `timeout`. `--threads` must lie
 # in [0, 512] in both search tools (it used to map negative values to
 # "hardware" and clamp huge ones). dalut_bench_report's `--runs -1` used to
-# wrap to 2^32 - 1 timed repetitions.
+# wrap to 2^32 - 1 timed repetitions. dalut_opt's `--width 27` used to be
+# killed for memory and `--width -1` died in std::vector; `--checkpoint-every
+# -1` wrapped to 2^32 - 1 and silently never checkpointed.
 set -uo pipefail
 
 if [[ $# -ne 3 ]]; then
@@ -58,6 +60,14 @@ expect_rejected bound x
 expect_rejected threads -1
 expect_rejected threads 513
 expect_rejected threads x
+expect_rejected width -1 "$dalut_opt"
+expect_rejected width 0 "$dalut_opt"
+expect_rejected width 1 "$dalut_opt"
+expect_rejected width 27 "$dalut_opt"
+expect_rejected width x "$dalut_opt"
+expect_rejected checkpoint-every -1
+expect_rejected checkpoint-every x
+expect_rejected checkpoint-every -1 "$dalut_suite"
 expect_rejected threads -1 "$dalut_suite"
 expect_rejected threads 513 "$dalut_suite"
 expect_rejected runs -1 "$dalut_bench_report" --micro-only
@@ -77,6 +87,25 @@ if [[ $status -ne 2 || $output != *"--threads"* ]]; then
   failures=$((failures + 1))
 else
   echo "ok: dalut_suite -j-2 rejected: $output"
+fi
+
+# `--width 3` runs, and `--checkpoint-every 0` turns checkpointing off: the
+# run saves no checkpoint (a finished run deletes its checkpoint file, so
+# the save counter is what tells).
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+output=$(timeout -s KILL 60 "$dalut_opt" --width 3 --partitions 4 \
+  --patterns 2 --threads 1 --checkpoint "$scratch/ck" --checkpoint-every 0 \
+  --metrics-out "$scratch/metrics.json" 2>&1)
+status=$?
+if [[ $status -ne 0 ]]; then
+  echo "FAIL: --width 3 --checkpoint-every 0 exited $status: $output" >&2
+  failures=$((failures + 1))
+elif grep -q '"checkpoint.saves": *[1-9]' "$scratch/metrics.json"; then
+  echo "FAIL: --checkpoint-every 0 still saved checkpoints" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: --width 3 --checkpoint-every 0 accepted"
 fi
 
 # The manifest's upper limits themselves are accepted.

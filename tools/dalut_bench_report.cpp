@@ -3,13 +3,13 @@
 // Self-times the hot per-candidate kernels old vs. new — the reference
 // CostMatrix::build / opt_for_part path against the EvalWorkspace gather and
 // restart-blocked OptForPart (both return bit-identical results, so only
-// the time differs) — plus the gather-memo hit path, steady-state heap
-// allocations per call (counted by a global operator new hook in this
-// binary), and an end-to-end BS-SA / DALTA subset of the table-2 experiment
-// with candidates/sec, and a telemetry-overhead comparison of the
-// instrumented SA hot path with metrics + tracing off vs. on. Results go to
-// stdout or to `--out <path>` (BENCH_PR2.json / BENCH_PR4.json in the repo
-// record past PR numbers; see docs/performance.md to regenerate).
+// the time differs) — plus steady-state heap allocations per call
+// (counted by a global operator new hook in this binary), an end-to-end
+// BS-SA / DALTA subset of the table-2 experiment with candidates/sec, and a
+// telemetry-overhead comparison of the instrumented SA hot path with
+// metrics + tracing off vs. on. Results go to stdout or to `--out <path>`
+// (BENCH_PR2.json / BENCH_PR4.json in the repo record past PR numbers; see
+// docs/performance.md to regenerate).
 //
 // CI runs `dalut_bench_report --micro-only --runs 1` as a smoke check.
 #include <algorithm>
@@ -123,7 +123,7 @@ unsigned bound_size_for(unsigned width) {
 /// times per timed run after one untimed warm-up call.
 template <typename Body>
 double time_ns(unsigned runs, std::size_t iters, Body&& body) {
-  body();  // warm up caches, scratch buffers, and the memo
+  body();  // warm up caches and scratch buffers
   double best = 1e300;
   for (unsigned run = 0; run < std::max(1u, runs); ++run) {
     util::WallTimer timer;
@@ -151,13 +151,6 @@ struct MicroResult {
   double new_ns = 0.0;
   double old_allocs = 0.0;
   double new_allocs = 0.0;
-};
-
-struct CacheResult {
-  unsigned width = 0;
-  double miss_ns = 0.0;
-  double hit_ns = 0.0;
-  double hit_rate = 0.0;
 };
 
 struct Table2Result {
@@ -190,7 +183,6 @@ MicroResult bench_cost_matrix(unsigned width, unsigned runs) {
     volatile double sink = matrix.cost0[0];
     (void)sink;
   };
-  core::set_eval_cache_capacity(0);  // time the gather, not the memo
   auto new_body = [&] {
     const core::MatrixRef matrix = workspace.full_matrix(p, costs);
     volatile double sink = matrix.get().cells[0];
@@ -200,7 +192,6 @@ MicroResult bench_cost_matrix(unsigned width, unsigned runs) {
   result.new_ns = time_ns(runs, iters, new_body);
   result.old_allocs = allocs_per_call(iters, old_body);
   result.new_allocs = allocs_per_call(iters, new_body);
-  core::set_eval_cache_capacity(std::size_t{64} << 20);
   return result;
 }
 
@@ -235,40 +226,6 @@ MicroResult bench_opt_for_part(unsigned width, unsigned runs) {
   result.new_ns = time_ns(runs, iters, new_body);
   result.old_allocs = allocs_per_call(iters, old_body);
   result.new_allocs = allocs_per_call(iters, new_body);
-  return result;
-}
-
-CacheResult bench_gather_cache(unsigned width, unsigned runs) {
-  const auto g = make_function("cos", width);
-  const auto dist = core::InputDistribution::uniform(width);
-  const auto costs = core::build_bit_costs(
-      g, g.values(), width - 1, core::LsbModel::kPredictive, dist);
-  util::Rng rng(4);
-  const auto p = core::Partition::random(width, bound_size_for(width), rng);
-  auto& workspace = core::EvalWorkspace::local();
-  const std::size_t iters = micro_iters(width);
-
-  CacheResult result;
-  result.width = width;
-  core::set_eval_cache_capacity(0);
-  result.miss_ns = time_ns(runs, iters, [&] {
-    const core::MatrixRef matrix = workspace.full_matrix(p, costs);
-    volatile double sink = matrix.get().cells[0];
-    (void)sink;
-  });
-  core::set_eval_cache_capacity(std::size_t{64} << 20);
-  core::reset_eval_cache();
-  result.hit_ns = time_ns(runs, iters, [&] {
-    const core::MatrixRef matrix = workspace.full_matrix(p, costs);
-    volatile double sink = matrix.get().cells[0];
-    (void)sink;
-  });
-  const auto stats = core::eval_cache_stats();
-  result.hit_rate = stats.hits + stats.misses == 0
-                        ? 0.0
-                        : static_cast<double>(stats.hits) /
-                              static_cast<double>(stats.hits + stats.misses);
-  core::reset_eval_cache();
   return result;
 }
 
@@ -411,13 +368,12 @@ std::vector<Table2Result> bench_table2(unsigned width, unsigned runs,
 // ---- JSON emission ------------------------------------------------------
 
 void write_json(std::FILE* out, const std::vector<MicroResult>& micro,
-                const std::vector<CacheResult>& cache,
                 const TelemetryOverheadResult& telemetry,
                 const StreamMicroResult& stream,
                 const std::vector<Table2Result>& table2, unsigned runs,
                 bool micro_only, std::size_t workers) {
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"dalut-bench-report-v4\",\n");
+  std::fprintf(out, "  \"schema\": \"dalut-bench-report-v5\",\n");
   std::fprintf(out,
                "  \"config\": {\"runs\": %u, \"micro_only\": %s, "
                "\"pool_workers\": %zu, \"simd_isa\": \"%s\", "
@@ -438,19 +394,6 @@ void write_json(std::FILE* out, const std::vector<MicroResult>& micro,
                  m.name.c_str(), m.width, m.old_ns, m.new_ns,
                  m.new_ns > 0 ? m.old_ns / m.new_ns : 0.0, m.old_allocs,
                  m.new_allocs, i + 1 < micro.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-
-  std::fprintf(out, "  \"gather_cache\": [\n");
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    const auto& c = cache[i];
-    std::fprintf(out,
-                 "    {\"width\": %u, \"miss_ns_per_call\": %.1f, "
-                 "\"hit_ns_per_call\": %.1f, \"hit_speedup\": %.3f, "
-                 "\"hit_rate\": %.4f}%s\n",
-                 c.width, c.miss_ns, c.hit_ns,
-                 c.hit_ns > 0 ? c.miss_ns / c.hit_ns : 0.0, c.hit_rate,
-                 i + 1 < cache.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
 
@@ -526,9 +469,6 @@ int main(int argc, char** argv) {
     micro.push_back(bench_opt_for_part(w, runs));
   }
 
-  std::vector<CacheResult> cache;
-  cache.push_back(bench_gather_cache(14, runs));
-
   const TelemetryOverheadResult telemetry = bench_telemetry_overhead(10, runs);
 
   // Runs under --micro-only too: CI's smoke keys on bit_identical.
@@ -566,7 +506,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  write_json(out, micro, cache, telemetry, stream, table2, runs, micro_only,
+  write_json(out, micro, telemetry, stream, table2, runs, micro_only,
              workers);
   if (out != stdout) {
     std::fclose(out);

@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -49,7 +50,6 @@
 #include "core/bssa.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dalta.hpp"
-#include "core/eval_workspace.hpp"
 #include "core/serialize.hpp"
 #include "core/table_io.hpp"
 #include "func/extended.hpp"
@@ -110,7 +110,7 @@ util::RunControl g_control;
 extern "C" void handle_stop_signal(int) { g_control.request_cancel(); }
 
 std::optional<core::MultiOutputFunction> load_function(
-    const util::CliParser& cli) {
+    const util::CliParser& cli, unsigned width) {
   const auto table_path = cli.str("table");
   if (!table_path.empty()) {
     const auto load_str = cli.str("table-load");
@@ -128,7 +128,6 @@ std::optional<core::MultiOutputFunction> load_function(
     // served from a file mapping instead of heap copies under auto/map.
     return core::load_function_file(table_path, mode);
   }
-  const auto width = static_cast<unsigned>(cli.integer("width"));
   const auto name = cli.str("benchmark");
   if (auto spec = func::benchmark_by_name(name, width)) {
     return core::MultiOutputFunction::from_eval(spec->num_inputs,
@@ -146,6 +145,7 @@ std::optional<core::MultiOutputFunction> load_function(
 
 /// The search-size flags, range-checked up front.
 struct SearchKnobs {
+  unsigned width = 0;  ///< of the built-in benchmarks
   unsigned bound = 0;
   unsigned rounds = 0;
   unsigned partitions = 0;
@@ -153,6 +153,7 @@ struct SearchKnobs {
   unsigned beams = 0;
   unsigned chains = 0;
   unsigned threads = 0;  ///< 0 = hardware
+  unsigned checkpoint_every = 0;  ///< 0 = off
 };
 
 core::CostMetric parse_metric(const std::string& name) {
@@ -263,9 +264,13 @@ int run(int argc, char** argv) {
   // Checked before any work: a negative count would wrap to a huge unsigned
   // one, and `--patterns -1` would then run 2^32 - 1 restarts inside one
   // OptForPart call, which never polls for a stop. `--threads` is checked
-  // against the pool's ceiling rather than silently clamped.
+  // against the pool's ceiling rather than silently clamped. A width below 2
+  // has no proper nonempty bound set; one above the manifest's cap would
+  // ask for a 2^27-entry table and more.
   SearchKnobs knobs;
   try {
+    knobs.width = static_cast<unsigned>(
+        cli.integer_in("width", 2, suite::kMaxWidth));
     knobs.bound = static_cast<unsigned>(
         cli.integer_in("bound", 0, suite::kMaxBound));
     knobs.rounds = static_cast<unsigned>(
@@ -280,6 +285,8 @@ int run(int argc, char** argv) {
         cli.integer_in("chains", 0, suite::kMaxChains));
     knobs.threads = static_cast<unsigned>(cli.integer_in(
         "threads", 0, static_cast<std::int64_t>(util::kMaxWorkerCount)));
+    knobs.checkpoint_every = static_cast<unsigned>(cli.integer_in(
+        "checkpoint-every", 0, std::numeric_limits<unsigned>::max()));
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
@@ -377,8 +384,6 @@ int run(int argc, char** argv) {
 
   // --- Checkpoint / resume. ---
   const auto checkpoint_path = cli.str("checkpoint");
-  const auto checkpoint_every =
-      static_cast<unsigned>(cli.integer("checkpoint-every"));
   if (cli.flag("resume") && checkpoint_path.empty()) {
     std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
     return kExitFatal;
@@ -420,7 +425,7 @@ int run(int argc, char** argv) {
     };
   }
 
-  const auto function = load_function(cli);
+  const auto function = load_function(cli, knobs.width);
   if (!function) return kExitFatal;
   const auto& g = *function;
   if (const auto path = cli.str("table-out"); !path.empty()) {
@@ -496,7 +501,7 @@ int run(int argc, char** argv) {
     params.seed = static_cast<std::uint64_t>(cli.integer("seed"));
     params.pool = &pool;
     params.control = &control;
-    params.checkpoint_every = sink ? checkpoint_every : 0;
+    params.checkpoint_every = sink ? knobs.checkpoint_every : 0;
     params.checkpoint_sink = sink;
     params.resume = resume_state ? &*resume_state : nullptr;
     result = core::run_dalta(g, dist, params);
@@ -513,7 +518,7 @@ int run(int argc, char** argv) {
     params.seed = static_cast<std::uint64_t>(cli.integer("seed"));
     params.pool = &pool;
     params.control = &control;
-    params.checkpoint_every = sink ? checkpoint_every : 0;
+    params.checkpoint_every = sink ? knobs.checkpoint_every : 0;
     params.checkpoint_sink = sink;
     params.resume = resume_state ? &*resume_state : nullptr;
     result = core::run_bssa(g, dist, params);
@@ -611,13 +616,6 @@ int run(int argc, char** argv) {
   // the metrics snapshot below.
   events.close();
   if (!metrics_out.empty()) {
-    // Cache occupancy is a point-in-time value, published as gauges just
-    // before export.
-    const auto cache = core::eval_cache_stats();
-    util::telemetry::Gauge::get("evalcache.entries")
-        .set(static_cast<double>(cache.entries));
-    util::telemetry::Gauge::get("evalcache.bytes")
-        .set(static_cast<double>(cache.bytes));
     std::ofstream out(metrics_out);
     if (!out) {
       std::fprintf(stderr, "io error: cannot write metrics to '%s': %s\n",

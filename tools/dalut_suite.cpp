@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,12 +171,16 @@ int run(int argc, char** argv) {
     return kExitUsage;
   }
 
-  // Checked up front, in the range dalut_opt accepts, so that a negative or
-  // oversized count is a usage error, not "hardware" or a silent clamp.
+  // Checked up front, in the ranges dalut_opt accepts, so that a negative
+  // or oversized count is a usage error, not "hardware", a silent clamp, or
+  // (for `--checkpoint-every -1`) a wrap to 2^32 - 1 that never checkpoints.
   std::int64_t threads = 0;
+  std::int64_t checkpoint_every = 0;
   try {
     threads = cli.integer_in("threads", 0,
                              static_cast<std::int64_t>(util::kMaxWorkerCount));
+    checkpoint_every = cli.integer_in("checkpoint-every", 0,
+                                      std::numeric_limits<unsigned>::max());
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
@@ -250,8 +255,7 @@ int run(int argc, char** argv) {
   options.cache_max_entries =
       static_cast<std::size_t>(cli.integer("cache-max"));
   options.checkpoint_dir = cli.str("checkpoint-dir");
-  options.checkpoint_every =
-      static_cast<unsigned>(cli.integer("checkpoint-every"));
+  options.checkpoint_every = static_cast<unsigned>(checkpoint_every);
   options.dump_tables_dir = cli.str("dump-tables");
   options.table_encoding = cli.flag("binary-tables")
                                ? core::TableEncoding::kBinary
