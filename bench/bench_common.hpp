@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/bssa.hpp"
@@ -59,28 +61,43 @@ inline void add_scale_options(util::CliParser& cli) {
   cli.add_flag("full", "paper-scale parameters (width 16, R=5, 10 runs)");
 }
 
-/// Resolves the scale from CLI options (applying --full overrides).
+/// Resolves the scale from CLI options (applying --full overrides). Exits
+/// with status 2 and an error naming the flag when --width (3..20), --runs
+/// or --rounds (1..1000) is out of range or malformed, or is given together
+/// with --full, which fixes all three.
 inline ExperimentScale resolve_scale(const util::CliParser& cli) {
   ExperimentScale scale;
-  if (cli.flag("full")) {
-    scale.width = 16;
-    scale.rounds = 5;
-    scale.runs = 10;
-    scale.init_patterns = 30;
-    scale.dalta_partitions = 1000;
-    scale.bssa_partitions = 500;
-    scale.chains = 10;
-  } else {
-    scale.width = static_cast<unsigned>(cli.integer("width"));
-    scale.runs = static_cast<unsigned>(cli.integer("runs"));
-    scale.rounds = static_cast<unsigned>(cli.integer("rounds"));
-    scale.bound_size = default_bound_size(scale.width);
-    // Match the paper's coverage of the partition space:
-    // 1000 / C(16,9) = 8.7% for DALTA, half that for BS-SA.
-    const double space = binomial(scale.width, scale.bound_size);
-    scale.dalta_partitions = static_cast<unsigned>(
-        std::min(1000.0, std::max(20.0, std::round(0.087 * space))));
-    scale.bssa_partitions = std::max(10u, scale.dalta_partitions / 2);
+  try {
+    if (cli.flag("full")) {
+      for (const char* name : {"width", "runs", "rounds"}) {
+        if (cli.given(name)) {
+          throw std::invalid_argument(
+              std::string("--") + name +
+              " cannot be combined with --full (width 16, R = 5, 10 runs)");
+        }
+      }
+      scale.width = 16;
+      scale.rounds = 5;
+      scale.runs = 10;
+      scale.init_patterns = 30;
+      scale.dalta_partitions = 1000;
+      scale.bssa_partitions = 500;
+      scale.chains = 10;
+    } else {
+      scale.width = static_cast<unsigned>(cli.integer_in("width", 3, 20));
+      scale.runs = static_cast<unsigned>(cli.integer_in("runs", 1, 1000));
+      scale.rounds = static_cast<unsigned>(cli.integer_in("rounds", 1, 1000));
+      scale.bound_size = default_bound_size(scale.width);
+      // Match the paper's coverage of the partition space:
+      // 1000 / C(16,9) = 8.7% for DALTA, half that for BS-SA.
+      const double space = binomial(scale.width, scale.bound_size);
+      scale.dalta_partitions = static_cast<unsigned>(
+          std::min(1000.0, std::max(20.0, std::round(0.087 * space))));
+      scale.bssa_partitions = std::max(10u, scale.dalta_partitions / 2);
+    }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
   }
   scale.bound_size = default_bound_size(scale.width);
   return scale;

@@ -103,6 +103,7 @@ BitCostArrays build_bit_costs(const MultiOutputFunction& g,
   // 53-bit significand, with a bit of margin.
   costs.exact = dist.is_uniform() &&
                 g.num_inputs() + loss_bits(metric, g.num_outputs()) + 2 <= 52;
+  if (costs.exact) costs.loss_bits = loss_bits(metric, g.num_outputs());
 
   auto fill = [&](std::size_t i) {
     const auto x = static_cast<InputWord>(i);
@@ -168,7 +169,10 @@ BitCostArrays build_bit_costs(const MultiOutputFunction& g,
         const simd::VecI y = simd::iloadu(gv + x);
         const simd::VecI ap = simd::iloadu(av + x);
         const simd::VecI msb = simd::iand(ap, vabove);
-        simd::VecI d0, d1;
+        // Every case below assigns both; the zero start only keeps the
+        // SSE2 build free of -Wmaybe-uninitialized.
+        simd::VecI d0 = vzero;
+        simd::VecI d1 = vzero;
         switch (model) {
           case LsbModel::kCurrentApprox:
           case LsbModel::kAccurateFill: {

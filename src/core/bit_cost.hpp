@@ -45,21 +45,26 @@ struct BitCostArrays {
   std::vector<double> c0;  ///< weighted cost of approximating bit k as 0
   std::vector<double> c1;  ///< weighted cost of approximating bit k as 1
   /// Process-unique id of the arrays' contents, stamped by build_bit_costs.
-  /// The evaluation engine keys its per-thread interleaved source mirror on
-  /// it (core/eval_workspace.hpp); 0 means "unknown provenance" and makes
-  /// the gather read the split arrays directly.
+  /// The evaluation engine keys its per-thread source mirror on it
+  /// (core/eval_workspace.hpp); 0 means "unknown provenance" and makes the
+  /// gather read the split arrays directly.
   std::uint64_t epoch = 0;
   /// Exactness certificate, set by build_bit_costs: every cost is an
-  /// integer multiple of 2^-n and every sum OptForPart takes over one
-  /// output bit's costs is exactly representable, so the sums are
-  /// independent of the order they are taken in. Holds for a uniform
-  /// distribution when n + loss_bits + 2 <= 52, where the loss is below
-  /// 2^loss_bits (m bits for kMed, 2m for kMse, 1 for kErrorRate). Like
-  /// `epoch`, it describes the contents. Whoever edits the arrays must
-  /// re-stamp `epoch` (or clear it), since a thread's interleaved mirror
-  /// would otherwise keep serving the old contents, and must keep the flag
-  /// true to the new contents.
+  /// integer loss below 2^loss_bits times 2^-n, and every sum OptForPart
+  /// takes over one output bit's costs is exactly representable, so the
+  /// sums are independent of the order they are taken in. Holds for a
+  /// uniform distribution when n + loss_bits + 2 <= 52 (loss_bits is m for
+  /// kMed, 2m for kMse, 1 for kErrorRate). The evaluation engine runs
+  /// certified arrays on integer losses cost * 2^n when every sum fits an
+  /// int32 (core/eval_workspace.hpp), and on exact double sums otherwise.
+  /// Like `epoch`, the certificate describes the contents. Whoever edits
+  /// the arrays must re-stamp `epoch` (or clear it), since a thread's source
+  /// mirror would otherwise keep serving the old contents, and must keep
+  /// both fields true to the new contents.
   bool exact = false;
+  /// Bits of the largest loss when `exact` (every loss is an integer below
+  /// 2^loss_bits); 0 without the certificate.
+  unsigned loss_bits = 0;
 };
 
 /// Next free epoch id (atomic, never returns 0). build_bit_costs stamps each

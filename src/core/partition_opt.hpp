@@ -4,9 +4,10 @@
 // random sampling and BS-SA's simulated annealing parallelize over.
 //
 // The primary overloads take a CostView and route through the thread-local
-// EvalWorkspace (zero-allocation gathers, interleaved layout); the span
-// overloads forward with an unstamped view, which gathers from the split
-// arrays but still uses the workspace kernels.
+// EvalWorkspace's prepare() (zero-allocation gathers; certified cost arrays
+// in the integer layout, others interleaved); the span overloads forward
+// with an unstamped, uncertified view, which gathers from the split arrays
+// but still uses the workspace kernels.
 #pragma once
 
 #include <span>

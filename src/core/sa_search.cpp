@@ -207,7 +207,7 @@ class SaSearch {
     auto work = [&](std::size_t i) {
       // One gathered matrix serves both the normal and the BTO variant.
       auto& workspace = EvalWorkspace::local();
-      const MatrixRef matrix = workspace.full_matrix(batch[i], costs_);
+      const CandidateRef matrix = workspace.prepare(batch[i], costs_);
       auto vt = workspace.opt_for_part(matrix, opt_params, rngs[i]);
       results[i].error = vt.error;
       results[i].partition = batch[i];

@@ -57,7 +57,7 @@ struct SaSearchResult {
 /// `num_inputs`/`bound_size` define the partition space. `pool` may be null.
 /// Candidate evaluation routes through the EvalWorkspace engine; an
 /// epoch-stamped CostView (e.g. a BitCostArrays) lets each worker gather
-/// from its interleaved mirror of the arrays.
+/// from its mirror of the arrays (int32 losses for the integer layout).
 ///
 /// `control` (optional) is polled at sweep boundaries: a tripped control
 /// ends the walk after the last fully merged sweep, so the returned tops

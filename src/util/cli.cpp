@@ -108,6 +108,10 @@ bool CliParser::flag(const std::string& name) const {
   return it->second == "true" || it->second == "1";
 }
 
+bool CliParser::given(const std::string& name) const {
+  return values_.count(name) != 0;
+}
+
 std::string CliParser::str(const std::string& name) const {
   const auto value = values_.find(name);
   if (value != values_.end()) return value->second;

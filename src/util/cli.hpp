@@ -34,6 +34,8 @@ class CliParser {
   bool parse(int argc, char** argv);
 
   bool flag(const std::string& name) const;
+  /// True when `--name` appeared on the command line.
+  bool given(const std::string& name) const;
   std::string str(const std::string& name) const;
   std::int64_t integer(const std::string& name) const;
   /// Value of the integer option `--name`, which must lie in [lo, hi].

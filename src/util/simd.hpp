@@ -6,12 +6,16 @@
 // operations. Building with -DDALUT_SIMD=OFF defines DALUT_SIMD_DISABLE and
 // forces the scalar backend regardless of the target.
 //
-// The wrapper exposes exactly the operations the kernels need, in two
+// The wrapper exposes exactly the operations the kernels need, in three
 // granularities:
 //
 //  * Lane vectors (VecD / VecU / VecI, kLanes wide): elementwise double,
 //    u64-mask, and i32 arithmetic for the blend sweeps and the bit-cost /
 //    error kernels.
+//  * Full-register int32 lanes (Vec32, kLanes32 wide: twice kLanes on
+//    every vector backend) for the integer OptForPart kernels, with a
+//    widening 64-bit accumulator, an in-register transpose, a narrowing
+//    byte store and 64-byte compares.
 //  * Fixed granules (D2 = one interleaved {cost0, cost1} cell, D4 = two
 //    cells): the building blocks of the cost-matrix gather, defined for
 //    every backend so the blocked gather kernel is backend-generic.
@@ -370,6 +374,311 @@ inline VecI iselect(VecI mask, VecI a, VecI b) noexcept {
 }
 inline VecD i_to_d(VecI v) noexcept { return {static_cast<double>(v.v)}; }
 
+#endif
+
+// ---- Full-register int32 lanes ------------------------------------------
+// Vec32 fills a whole register with i32 lanes (kLanes32: 8 on AVX2, 4 on
+// SSE2 and NEON, 1 on the scalar backend), for the integer OptForPart
+// kernels. Integer adds are exact and associative, so these kernels may
+// sum in any order; the callers guarantee that no lane overflows. Acc64
+// widens lanes into 64-bit running sums for totals that can pass 2^31.
+
+#if defined(DALUT_SIMD_AVX2)
+
+inline constexpr unsigned kLanes32 = 8;
+using Vec32 = __m256i;
+
+inline Vec32 i32zero() noexcept { return _mm256_setzero_si256(); }
+inline Vec32 i32broadcast(std::int32_t v) noexcept {
+  return _mm256_set1_epi32(v);
+}
+inline Vec32 i32load(const std::int32_t* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void i32store(std::int32_t* p, Vec32 v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline Vec32 i32add(Vec32 a, Vec32 b) noexcept {
+  return _mm256_add_epi32(a, b);
+}
+inline Vec32 i32sub(Vec32 a, Vec32 b) noexcept {
+  return _mm256_sub_epi32(a, b);
+}
+/// Signed per-lane a > b as an all-ones/all-zeros lane mask.
+inline Vec32 i32cmpgt(Vec32 a, Vec32 b) noexcept {
+  return _mm256_cmpgt_epi32(a, b);
+}
+/// mask ? a : b, per lane; every mask lane is all-ones or all-zeros.
+inline Vec32 i32select(Vec32 mask, Vec32 a, Vec32 b) noexcept {
+  return _mm256_blendv_epi8(b, a, mask);
+}
+/// One bit per lane of a lane mask (bit l set iff lane l is all-ones).
+inline unsigned i32movemask(Vec32 mask) noexcept {
+  return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(mask)));
+}
+/// Stores the low byte of each lane (every lane must hold 0..255).
+inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
+  const __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                        _mm256_extracti128_si256(v, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                   _mm_packus_epi16(words, words));
+}
+/// Transposes the kLanes32 x kLanes32 block whose row i is rows[i].
+inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
+  Vec32 t[8];
+  for (unsigned i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_epi32(rows[i], rows[i + 1]);
+    t[i + 1] = _mm256_unpackhi_epi32(rows[i], rows[i + 1]);
+  }
+  // u[4h + k] holds element k (and k + 4, upper half) of rows 4h .. 4h + 3.
+  Vec32 u[8];
+  for (unsigned h = 0; h < 2; ++h) {
+    const Vec32* s = t + 4 * h;
+    u[4 * h + 0] = _mm256_unpacklo_epi64(s[0], s[2]);
+    u[4 * h + 1] = _mm256_unpackhi_epi64(s[0], s[2]);
+    u[4 * h + 2] = _mm256_unpacklo_epi64(s[1], s[3]);
+    u[4 * h + 3] = _mm256_unpackhi_epi64(s[1], s[3]);
+  }
+  for (unsigned k = 0; k < 4; ++k) {
+    rows[k] = _mm256_permute2x128_si256(u[k], u[4 + k], 0x20);
+    rows[k + 4] = _mm256_permute2x128_si256(u[k], u[4 + k], 0x31);
+  }
+}
+
+struct Acc64 {
+  __m256i lo = _mm256_setzero_si256();
+  __m256i hi = _mm256_setzero_si256();
+};
+/// acc += each lane of v, sign-extended to 64 bits.
+inline void acc_add(Acc64& acc, Vec32 v) noexcept {
+  acc.lo = _mm256_add_epi64(acc.lo,
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+  acc.hi = _mm256_add_epi64(
+      acc.hi, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+}
+inline std::int64_t acc_sum(const Acc64& acc) noexcept {
+  alignas(32) std::int64_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc.lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), acc.hi);
+  std::int64_t sum = 0;
+  for (const std::int64_t lane : lanes) sum += lane;
+  return sum;
+}
+
+/// Bit i set iff a[i] == b[i], for the 64 bytes at a and b.
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                const std::uint8_t* b) noexcept {
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; i += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i y =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+    equal |= std::uint64_t{static_cast<std::uint32_t>(
+                 _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, y)))}
+             << i;
+  }
+  return equal;
+}
+/// Bit i set iff a[i] == value, for the 64 bytes at a.
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                std::uint8_t value) noexcept {
+  const __m256i y = _mm256_set1_epi8(static_cast<char>(value));
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; i += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    equal |= std::uint64_t{static_cast<std::uint32_t>(
+                 _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, y)))}
+             << i;
+  }
+  return equal;
+}
+
+#elif defined(DALUT_SIMD_SSE2)
+
+inline constexpr unsigned kLanes32 = 4;
+using Vec32 = __m128i;
+
+inline Vec32 i32zero() noexcept { return _mm_setzero_si128(); }
+inline Vec32 i32broadcast(std::int32_t v) noexcept { return _mm_set1_epi32(v); }
+inline Vec32 i32load(const std::int32_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void i32store(std::int32_t* p, Vec32 v) noexcept {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+inline Vec32 i32add(Vec32 a, Vec32 b) noexcept { return _mm_add_epi32(a, b); }
+inline Vec32 i32sub(Vec32 a, Vec32 b) noexcept { return _mm_sub_epi32(a, b); }
+inline Vec32 i32cmpgt(Vec32 a, Vec32 b) noexcept {
+  return _mm_cmpgt_epi32(a, b);
+}
+inline Vec32 i32select(Vec32 mask, Vec32 a, Vec32 b) noexcept {
+  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
+}
+inline unsigned i32movemask(Vec32 mask) noexcept {
+  return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(mask)));
+}
+inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
+  const __m128i words = _mm_packs_epi32(v, v);
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+  std::memcpy(p, &bytes, 4);
+}
+inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
+  const Vec32 t0 = _mm_unpacklo_epi32(rows[0], rows[1]);
+  const Vec32 t1 = _mm_unpacklo_epi32(rows[2], rows[3]);
+  const Vec32 t2 = _mm_unpackhi_epi32(rows[0], rows[1]);
+  const Vec32 t3 = _mm_unpackhi_epi32(rows[2], rows[3]);
+  rows[0] = _mm_unpacklo_epi64(t0, t1);
+  rows[1] = _mm_unpackhi_epi64(t0, t1);
+  rows[2] = _mm_unpacklo_epi64(t2, t3);
+  rows[3] = _mm_unpackhi_epi64(t2, t3);
+}
+
+struct Acc64 {
+  __m128i lo = _mm_setzero_si128();
+  __m128i hi = _mm_setzero_si128();
+};
+inline void acc_add(Acc64& acc, Vec32 v) noexcept {
+  const __m128i sign = _mm_srai_epi32(v, 31);
+  acc.lo = _mm_add_epi64(acc.lo, _mm_unpacklo_epi32(v, sign));
+  acc.hi = _mm_add_epi64(acc.hi, _mm_unpackhi_epi32(v, sign));
+}
+inline std::int64_t acc_sum(const Acc64& acc) noexcept {
+  alignas(16) std::int64_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc.lo);
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes + 2), acc.hi);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                const std::uint8_t* b) noexcept {
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const __m128i y = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+    equal |= std::uint64_t{static_cast<std::uint32_t>(
+                 _mm_movemask_epi8(_mm_cmpeq_epi8(x, y)))}
+             << i;
+  }
+  return equal;
+}
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                std::uint8_t value) noexcept {
+  const __m128i y = _mm_set1_epi8(static_cast<char>(value));
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    equal |= std::uint64_t{static_cast<std::uint32_t>(
+                 _mm_movemask_epi8(_mm_cmpeq_epi8(x, y)))}
+             << i;
+  }
+  return equal;
+}
+
+#elif defined(DALUT_SIMD_NEON)
+
+inline constexpr unsigned kLanes32 = 4;
+using Vec32 = int32x4_t;
+
+inline Vec32 i32zero() noexcept { return vdupq_n_s32(0); }
+inline Vec32 i32broadcast(std::int32_t v) noexcept { return vdupq_n_s32(v); }
+inline Vec32 i32load(const std::int32_t* p) noexcept { return vld1q_s32(p); }
+inline void i32store(std::int32_t* p, Vec32 v) noexcept { vst1q_s32(p, v); }
+inline Vec32 i32add(Vec32 a, Vec32 b) noexcept { return vaddq_s32(a, b); }
+inline Vec32 i32sub(Vec32 a, Vec32 b) noexcept { return vsubq_s32(a, b); }
+inline Vec32 i32cmpgt(Vec32 a, Vec32 b) noexcept {
+  return vreinterpretq_s32_u32(vcgtq_s32(a, b));
+}
+inline Vec32 i32select(Vec32 mask, Vec32 a, Vec32 b) noexcept {
+  return vbslq_s32(vreinterpretq_u32_s32(mask), a, b);
+}
+inline unsigned i32movemask(Vec32 mask) noexcept {
+  const uint32x4_t bits = vshrq_n_u32(vreinterpretq_u32_s32(mask), 31);
+  const int32x4_t shifts = {0, 1, 2, 3};
+  return vaddvq_u32(vshlq_u32(bits, shifts));
+}
+inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
+  const uint16x4_t words = vreinterpret_u16_s16(vmovn_s32(v));
+  const uint8x8_t bytes = vmovn_u16(vcombine_u16(words, words));
+  const std::uint32_t low = vget_lane_u32(vreinterpret_u32_u8(bytes), 0);
+  std::memcpy(p, &low, 4);
+}
+inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
+  const int32x4x2_t t01 = vtrnq_s32(rows[0], rows[1]);
+  const int32x4x2_t t23 = vtrnq_s32(rows[2], rows[3]);
+  rows[0] = vcombine_s32(vget_low_s32(t01.val[0]), vget_low_s32(t23.val[0]));
+  rows[1] = vcombine_s32(vget_low_s32(t01.val[1]), vget_low_s32(t23.val[1]));
+  rows[2] =
+      vcombine_s32(vget_high_s32(t01.val[0]), vget_high_s32(t23.val[0]));
+  rows[3] =
+      vcombine_s32(vget_high_s32(t01.val[1]), vget_high_s32(t23.val[1]));
+}
+
+struct Acc64 {
+  int64x2_t lo = vdupq_n_s64(0);
+  int64x2_t hi = vdupq_n_s64(0);
+};
+inline void acc_add(Acc64& acc, Vec32 v) noexcept {
+  acc.lo = vaddw_s32(acc.lo, vget_low_s32(v));
+  acc.hi = vaddw_s32(acc.hi, vget_high_s32(v));
+}
+inline std::int64_t acc_sum(const Acc64& acc) noexcept {
+  return vaddvq_s64(acc.lo) + vaddvq_s64(acc.hi);
+}
+
+#else  // scalar backend
+
+inline constexpr unsigned kLanes32 = 1;
+struct Vec32 {
+  std::int32_t v;
+};
+
+inline Vec32 i32zero() noexcept { return {0}; }
+inline Vec32 i32broadcast(std::int32_t v) noexcept { return {v}; }
+inline Vec32 i32load(const std::int32_t* p) noexcept { return {*p}; }
+inline void i32store(std::int32_t* p, Vec32 v) noexcept { *p = v.v; }
+inline Vec32 i32add(Vec32 a, Vec32 b) noexcept { return {a.v + b.v}; }
+inline Vec32 i32sub(Vec32 a, Vec32 b) noexcept { return {a.v - b.v}; }
+inline Vec32 i32cmpgt(Vec32 a, Vec32 b) noexcept {
+  return {a.v > b.v ? std::int32_t{-1} : std::int32_t{0}};
+}
+inline Vec32 i32select(Vec32 mask, Vec32 a, Vec32 b) noexcept {
+  return mask.v != 0 ? a : b;
+}
+inline unsigned i32movemask(Vec32 mask) noexcept {
+  return static_cast<unsigned>(mask.v) >> 31;
+}
+inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
+  *p = static_cast<std::uint8_t>(v.v);
+}
+inline void i32transpose(Vec32 (&)[kLanes32]) noexcept {}
+
+struct Acc64 {
+  std::int64_t v = 0;
+};
+inline void acc_add(Acc64& acc, Vec32 v) noexcept { acc.v += v.v; }
+inline std::int64_t acc_sum(const Acc64& acc) noexcept { return acc.v; }
+
+#endif
+
+#if !defined(DALUT_SIMD_AVX2) && !defined(DALUT_SIMD_SSE2)
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                const std::uint8_t* b) noexcept {
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; ++i) {
+    equal |= std::uint64_t{a[i] == b[i]} << i;
+  }
+  return equal;
+}
+inline std::uint64_t bytes_eq64(const std::uint8_t* a,
+                                std::uint8_t value) noexcept {
+  std::uint64_t equal = 0;
+  for (unsigned i = 0; i < 64; ++i) {
+    equal |= std::uint64_t{a[i] == value} << i;
+  }
+  return equal;
+}
 #endif
 
 // ---- Fixed granules for the interleaved gather --------------------------

@@ -12,12 +12,16 @@
 #include <vector>
 
 #include "core/algorithm_common.hpp"
+#include "core/bssa.hpp"
+#include "core/dalta.hpp"
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
 #include "core/sa_search.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dalut::core {
 namespace {
@@ -498,23 +502,17 @@ TEST(EvalWorkspace, OptimizeNormalBitIdenticalToLegacyPath) {
   EXPECT_EQ(setting.mode, DecompMode::kNormal);
 }
 
-TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
-  const CostFixture fx(8, 19);
-  util::Rng part_rng(10);
-  const auto p = Partition::random(fx.num_inputs, 4, part_rng);
-  const OptForPartParams params{6, 64};
-
-  // Replicate the pre-engine implementation: per shared bit, two
-  // conditioned builds then two reference optimizations in order.
+/// The pre-engine non-disjoint optimization: per shared bit, two
+/// conditioned builds, then two reference optimizations in order.
+Setting legacy_nondisjoint(const Partition& p, std::span<const double> c0,
+                           std::span<const double> c1,
+                           const OptForPartParams& params, util::Rng& rng) {
   Setting expected;
-  util::Rng ref_rng(31);
   for (const unsigned shared : p.bound_inputs()) {
-    const auto m0 =
-        CostMatrix::build_conditioned(p, shared, false, fx.c0, fx.c1);
-    const auto m1 =
-        CostMatrix::build_conditioned(p, shared, true, fx.c0, fx.c1);
-    auto vt0 = opt_for_part(m0, params, ref_rng);
-    auto vt1 = opt_for_part(m1, params, ref_rng);
+    const auto m0 = CostMatrix::build_conditioned(p, shared, false, c0, c1);
+    const auto m1 = CostMatrix::build_conditioned(p, shared, true, c0, c1);
+    auto vt0 = opt_for_part(m0, params, rng);
+    auto vt1 = opt_for_part(m1, params, rng);
     const double error = vt0.error + vt1.error;
     if (error < expected.error) {
       expected.error = error;
@@ -525,9 +523,10 @@ TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
       expected.types1 = std::move(vt1.types);
     }
   }
+  return expected;
+}
 
-  util::Rng rng(31);
-  const auto actual = optimize_nondisjoint(p, fx.c0, fx.c1, params, rng);
+void expect_same_nondisjoint(const Setting& actual, const Setting& expected) {
   EXPECT_EQ(actual.error, expected.error);
   EXPECT_EQ(actual.shared_bit, expected.shared_bit);
   EXPECT_EQ(actual.pattern0, expected.pattern0);
@@ -536,34 +535,80 @@ TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
   EXPECT_EQ(actual.types1, expected.types1);
 }
 
+TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
+  const CostFixture fx(8, 19);
+  util::Rng part_rng(10);
+  const auto p = Partition::random(fx.num_inputs, 4, part_rng);
+  const OptForPartParams params{6, 64};
+
+  util::Rng ref_rng(31);
+  const Setting expected = legacy_nondisjoint(p, fx.c0, fx.c1, params, ref_rng);
+  util::Rng rng(31);
+  expect_same_nondisjoint(optimize_nondisjoint(p, fx.c0, fx.c1, params, rng),
+                          expected);
+}
+
+/// Certified cost arrays over 2^n inputs as build_bit_costs produces them
+/// under a uniform distribution: losses in [0, levels) times 2^-n, with the
+/// exactness certificate and loss_bits. Rows of `p` whose index is 1 mod 5
+/// cost 0 throughout, so all four row types tie there; few levels make
+/// other ties common. `epoch` 0 leaves the arrays unstamped.
+BitCostArrays certified_costs(const Partition& p, std::uint64_t seed,
+                              std::uint32_t levels, unsigned loss_bits,
+                              bool stamped) {
+  util::Rng rng(seed);
+  const unsigned n = p.num_inputs();
+  const double unit = std::ldexp(1.0, -static_cast<int>(n));
+  BitCostArrays costs;
+  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
+    const bool zero_row =
+        util::extract_bits(static_cast<InputWord>(x), p.free_mask()) % 5 == 1;
+    costs.c0.push_back(zero_row ? 0.0 : unit * rng.next_below(levels));
+    costs.c1.push_back(zero_row ? 0.0 : unit * rng.next_below(levels));
+  }
+  costs.exact = true;
+  costs.loss_bits = loss_bits;
+  costs.epoch = stamped ? next_cost_epoch() : 0;
+  return costs;
+}
+
 TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
+  // Raw doubles slice the interleaved matrix; certified costs slice the
+  // integer layout. Both kernel sets.
   const CostFixture fx(8, 20);
   util::Rng part_rng(11);
   const auto p = Partition::random(fx.num_inputs, 4, part_rng);
+  const BitCostArrays certified = certified_costs(p, 42, 7, 3, true);
   const OptForPartParams params{5, 64};
   const auto bound = p.bound_inputs();
   const std::vector<unsigned> shared{bound[1], bound[3]};
   const std::uint32_t mask =
       (std::uint32_t{1} << shared[0]) | (std::uint32_t{1} << shared[1]);
 
-  MultiSharedSetting expected;
-  expected.error = 0.0;
-  util::Rng ref_rng(41);
-  for (std::uint32_t j = 0; j < 4; ++j) {
-    const auto matrix =
-        CostMatrix::build_conditioned_set(p, mask, j, fx.c0, fx.c1);
-    auto vt = opt_for_part(matrix, params, ref_rng);
-    expected.error += vt.error;
-    expected.patterns.push_back(std::move(vt.pattern));
-    expected.types.push_back(std::move(vt.types));
-  }
-
-  util::Rng rng(41);
-  const auto actual = optimize_for_shared_set(p, shared, fx.c0, fx.c1,
-                                              params, rng);
-  EXPECT_EQ(actual.error, expected.error);
-  EXPECT_EQ(actual.patterns, expected.patterns);
-  EXPECT_EQ(actual.types, expected.types);
+  const auto check = [&](const CostView& costs) {
+    MultiSharedSetting expected;
+    expected.error = 0.0;
+    util::Rng ref_rng(41);
+    for (std::uint32_t j = 0; j < 4; ++j) {
+      const auto matrix =
+          CostMatrix::build_conditioned_set(p, mask, j, costs.c0, costs.c1);
+      auto vt = opt_for_part(matrix, params, ref_rng);
+      expected.error += vt.error;
+      expected.patterns.push_back(std::move(vt.pattern));
+      expected.types.push_back(std::move(vt.types));
+    }
+    for (const bool scalar : {false, true}) {
+      const ScopedForceScalar scoped(scalar);
+      util::Rng rng(41);
+      const auto actual =
+          optimize_for_shared_set(p, shared, costs, params, rng);
+      EXPECT_EQ(actual.error, expected.error);
+      EXPECT_EQ(actual.patterns, expected.patterns);
+      EXPECT_EQ(actual.types, expected.types);
+    }
+  };
+  check(CostView(fx.c0, fx.c1));
+  check(certified);
 }
 
 TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
@@ -629,6 +674,224 @@ TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
   util::telemetry::set_metrics_enabled(false);
   util::telemetry::reset_metrics_for_test();
   reset_eval_cache();
+}
+
+/// The integer path against the reference on one partition's costs: normal
+/// OptForPart at several Z, BTO, and the non-disjoint composition over
+/// conditioned slices, each with the vector and the forced-scalar kernels
+/// and the same RNG stream.
+void expect_integer_identical(const Partition& p, const BitCostArrays& costs) {
+  ASSERT_TRUE(integer_admitted(p, costs));
+  auto& workspace = EvalWorkspace::local();
+  const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
+  const auto reference_bto = opt_for_part_bto(reference);
+  for (const bool scalar : {false, true}) {
+    const ScopedForceScalar scoped(scalar);
+    for (const unsigned z : {1u, 12u, 30u}) {
+      SCOPED_TRACE(testing::Message()
+                   << reference.rows << "x" << reference.cols << " Z=" << z
+                   << " scalar=" << scalar);
+      util::Rng ref_rng(z);
+      const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
+      util::Rng ws_rng(z);
+      const CandidateRef candidate = workspace.prepare(p, costs);
+      ASSERT_TRUE(candidate.is_integer());
+      expect_same_result(workspace.opt_for_part(candidate, {z, 64}, ws_rng),
+                         expected);
+      EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
+      expect_same_result(workspace.opt_for_part_bto(candidate), reference_bto);
+    }
+    util::Rng ref_rng(3);
+    const Setting expected =
+        legacy_nondisjoint(p, costs.c0, costs.c1, {5, 64}, ref_rng);
+    util::Rng rng(3);
+    expect_same_nondisjoint(optimize_nondisjoint(p, costs, {5, 64}, rng),
+                            expected);
+  }
+}
+
+TEST(EvalWorkspace, IntegerPathBitIdenticalToReference) {
+  // Every shape from 2 x 2 up: rows and columns below one int32 vector,
+  // one vector, and several; stamped arrays gather from the loss mirror,
+  // unstamped ones convert on the fly.
+  std::uint64_t seed = 900;
+  util::Rng part_rng(901);
+  for (const unsigned n : {2u, 3u, 5u, 7u, 9u, 11u}) {
+    for (unsigned bound = 1; bound < n; bound += (n > 5 ? 2 : 1)) {
+      const auto p = Partition::random(n, bound, part_rng);
+      for (const std::uint32_t levels : {3u, 256u}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " bound=" << bound
+                                        << " levels=" << levels);
+        expect_integer_identical(
+            p, certified_costs(p, seed++, levels, 8, levels == 3));
+      }
+    }
+  }
+}
+
+TEST(EvalWorkspace, IntegerAdmissionBoundary) {
+  // Losses at 2^loss_bits - 1 (cost0 everywhere, cost1 in three cells of
+  // four) put the row sums, s0 + s1 and the balances next to 2^31 on the
+  // largest admitted shapes. One more loss bit is the first rejected
+  // shape, which takes the double kernels. Both must match the reference;
+  // under UBSan an off-by-one in the admission bound overflows.
+  struct Case {
+    unsigned bound;
+    unsigned loss_bits;
+    bool admitted;
+  };
+  const unsigned n = 12;
+  for (const Case c : {Case{6, 24, true}, Case{6, 25, false},
+                       Case{7, 23, true}, Case{7, 24, false},
+                       Case{5, 23, true}, Case{5, 24, false}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "bound=" << c.bound << " loss_bits=" << c.loss_bits);
+    util::Rng rng(c.bound * 100 + c.loss_bits);
+    const auto p = Partition::random(n, c.bound, rng);
+    const double top =
+        std::ldexp(std::ldexp(1.0, static_cast<int>(c.loss_bits)) - 1.0,
+                   -static_cast<int>(n));
+    BitCostArrays costs;
+    for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
+      costs.c0.push_back(top);
+      costs.c1.push_back(rng.next_below(4) == 0 ? 0.0 : top);
+    }
+    costs.exact = true;
+    costs.loss_bits = c.loss_bits;
+    costs.epoch = next_cost_epoch();
+    EXPECT_EQ(integer_admitted(p, costs), c.admitted);
+
+    auto& workspace = EvalWorkspace::local();
+    const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
+    for (const bool scalar : {false, true}) {
+      const ScopedForceScalar scoped(scalar);
+      util::Rng ref_rng(5);
+      const auto expected = opt_for_part(reference, {6, 64}, ref_rng);
+      util::Rng ws_rng(5);
+      const CandidateRef candidate = workspace.prepare(p, costs);
+      EXPECT_EQ(candidate.is_integer(), c.admitted);
+      expect_same_result(workspace.opt_for_part(candidate, {6, 64}, ws_rng),
+                         expected);
+      expect_same_result(workspace.opt_for_part_bto(candidate),
+                         opt_for_part_bto(reference));
+    }
+  }
+}
+
+TEST(EvalWorkspace, BssaAndDaltaIdenticalWithoutCertificate) {
+  // Equal weights give every input p = 2^-n, as the uniform distribution
+  // does, but a weight table carries no certificate: its searches take the
+  // uncertified full sweeps. Uniform searches run on the integer layout
+  // (the ND mode on its conditioned slices). Settings and MED must agree.
+  const unsigned n = 10;
+  util::Rng rng(61);
+  const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
+    return static_cast<OutputWord>(rng.next_below(256));
+  });
+  const auto uniform = InputDistribution::uniform(n);
+  const auto weighted = InputDistribution::from_weights(
+      n, std::vector<double>(std::size_t{1} << n, 1.0));
+  ASSERT_FALSE(build_bit_costs(g, g.values(), 7, LsbModel::kPredictive,
+                               weighted)
+                   .exact);
+  ASSERT_TRUE(build_bit_costs(g, g.values(), 7, LsbModel::kPredictive,
+                              uniform)
+                  .exact);
+
+  const auto expect_same_run = [](const DecompositionResult& with,
+                                  const DecompositionResult& without) {
+    EXPECT_EQ(with.med, without.med);
+    ASSERT_EQ(with.settings.size(), without.settings.size());
+    for (std::size_t k = 0; k < with.settings.size(); ++k) {
+      expect_same_setting(with.settings[k], without.settings[k]);
+    }
+  };
+  util::ThreadPool pool(3);
+  BssaParams bp;
+  bp.bound_size = 5;
+  bp.rounds = 2;
+  bp.beam_width = 2;
+  bp.sa.partition_limit = 16;
+  bp.sa.init_patterns = 6;
+  bp.sa.chains = 2;
+  bp.modes = ModePolicy::bto_normal_nd();
+  bp.seed = 62;
+  bp.pool = &pool;
+  expect_same_run(run_bssa(g, uniform, bp), run_bssa(g, weighted, bp));
+
+  DaltaParams dp;
+  dp.bound_size = 5;
+  dp.rounds = 2;
+  dp.partition_limit = 24;
+  dp.init_patterns = 6;
+  dp.seed = 63;
+  dp.pool = &pool;
+  expect_same_run(run_dalta(g, uniform, dp), run_dalta(g, weighted, dp));
+}
+
+TEST(EvalWorkspace, OptForPartWorkCounters) {
+  // One fixed matrix through all three OptForPart paths. Each restart runs
+  // its improving alternations plus the one that stops it; the reference
+  // replay counts the improving ones.
+  util::Rng part_rng(71);
+  const auto p = Partition::random(9, 5, part_rng);
+  const BitCostArrays costs = certified_costs(p, 72, 64, 6, true);
+  const unsigned restarts = 7;
+  const std::uint64_t seed = 73;
+  const auto rounds = improving_rounds(
+      CostMatrix::build(p, costs.c0, costs.c1), restarts, seed);
+  std::uint64_t alternations = 0;
+  for (const unsigned r : rounds) alternations += std::min(r + 1, 64u);
+
+  util::telemetry::reset_metrics_for_test();
+  util::telemetry::set_metrics_enabled(true);
+  auto& workspace = EvalWorkspace::local();
+  const OptForPartParams params{restarts, 64};
+  const auto counters = [] {
+    const auto snap = util::telemetry::snapshot_metrics();
+    return std::array<std::uint64_t, 4>{
+        snap.counter_value("opt_for_part.calls"),
+        snap.counter_value("opt_for_part.restarts"),
+        snap.counter_value("opt_for_part.alternations"),
+        snap.counter_value("opt_for_part.int_calls")};
+  };
+  util::Rng rng(seed);
+  workspace.opt_for_part(workspace.prepare(p, costs), params, rng);
+  EXPECT_EQ(counters(),
+            (std::array<std::uint64_t, 4>{1, restarts, alternations, 1}));
+  rng = util::Rng(seed);
+  workspace.opt_for_part(workspace.full_matrix(p, costs), params, rng);
+  rng = util::Rng(seed);
+  workspace.opt_for_part(workspace.full_matrix(p, CostView(costs.c0, costs.c1)),
+                         params, rng);
+  EXPECT_EQ(counters(), (std::array<std::uint64_t, 4>{3, 3 * restarts,
+                                                      3 * alternations, 1}));
+  // BTO is not an alternating optimization and does not count.
+  workspace.opt_for_part_bto(workspace.prepare(p, costs));
+  EXPECT_EQ(counters()[0], 3u);
+
+  // Write-only: a search reads the same with the counters on and off.
+  SaParams sa;
+  sa.partition_limit = 24;
+  sa.init_patterns = 6;
+  sa.chains = 2;
+  const auto search = [&] {
+    util::Rng search_rng(74);
+    return find_best_settings(9, 5, costs, 3, sa, search_rng, nullptr, true);
+  };
+  const auto on = search();
+  EXPECT_GT(counters()[3], 1u);
+  util::telemetry::set_metrics_enabled(false);
+  const auto off = search();
+  ASSERT_EQ(on.top.size(), off.top.size());
+  for (std::size_t i = 0; i < on.top.size(); ++i) {
+    expect_same_setting(on.top[i], off.top[i]);
+  }
+  ASSERT_EQ(on.top_bto.size(), off.top_bto.size());
+  for (std::size_t i = 0; i < on.top_bto.size(); ++i) {
+    expect_same_setting(on.top_bto[i], off.top_bto[i]);
+  }
+  util::telemetry::reset_metrics_for_test();
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // case and the sweeps hit columns both above and below one vector width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/bit_cost.hpp"
@@ -229,6 +231,79 @@ TEST(SimdIdentity, MeanErrorDistanceMatchesScalar) {
       EXPECT_EQ(pooled, serial) << "n=" << n;
     }
   }
+}
+
+// The full-register int32 lanes of the integer OptForPart path, against
+// plain loops over the same values on whichever backend this build
+// compiled (AVX2, SSE2, NEON or the one-lane scalar struct).
+TEST(SimdIdentity, Int32LanesMatchScalarLoops) {
+  constexpr unsigned W = simd::kLanes32;
+  util::Rng rng(8);
+  const auto draw = [&] {
+    return static_cast<std::int32_t>(rng.next_below(1u << 24)) - (1 << 23);
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    std::int32_t a[W], b[W];
+    for (unsigned l = 0; l < W; ++l) {
+      a[l] = draw();
+      b[l] = trial % 5 == 0 ? a[l] : draw();
+    }
+    const simd::Vec32 va = simd::i32load(a);
+    const simd::Vec32 vb = simd::i32load(b);
+    std::int32_t out[W];
+    simd::i32store(out, simd::i32add(va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[l] + b[l]);
+    simd::i32store(out, simd::i32sub(va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[l] - b[l]);
+    const simd::Vec32 greater = simd::i32cmpgt(va, vb);
+    unsigned bits = 0;
+    for (unsigned l = 0; l < W; ++l) bits |= unsigned{a[l] > b[l]} << l;
+    EXPECT_EQ(simd::i32movemask(greater), bits);
+    simd::i32store(out, simd::i32select(greater, va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], std::max(a[l], b[l]));
+
+    simd::Acc64 acc;
+    std::int64_t sum = 0;
+    for (int k = 0; k < 300; ++k) {
+      simd::acc_add(acc, va);
+      for (unsigned l = 0; l < W; ++l) sum += a[l];
+    }
+    EXPECT_EQ(simd::acc_sum(acc), sum);
+
+    std::int32_t codes[W];
+    std::uint8_t bytes[W];
+    for (unsigned l = 0; l < W; ++l) codes[l] = a[l] & 0xff;
+    simd::i32store_bytes(bytes, simd::i32load(codes));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(bytes[l], codes[l]);
+  }
+
+  std::int32_t block[W][W];
+  simd::Vec32 rows[W];
+  for (unsigned i = 0; i < W; ++i) {
+    for (unsigned j = 0; j < W; ++j) block[i][j] = draw();
+    rows[i] = simd::i32load(block[i]);
+  }
+  simd::i32transpose(rows);
+  for (unsigned j = 0; j < W; ++j) {
+    std::int32_t column[W];
+    simd::i32store(column, rows[j]);
+    for (unsigned i = 0; i < W; ++i) EXPECT_EQ(column[i], block[i][j]);
+  }
+
+  std::uint8_t x[64], y[64];
+  for (unsigned i = 0; i < 64; ++i) {
+    x[i] = static_cast<std::uint8_t>(rng.next_below(5));
+    y[i] = rng.next_below(3) == 0 ? static_cast<std::uint8_t>(rng.next_below(5))
+                                  : x[i];
+  }
+  std::uint64_t equal = 0;
+  std::uint64_t threes = 0;
+  for (unsigned i = 0; i < 64; ++i) {
+    equal |= std::uint64_t{x[i] == y[i]} << i;
+    threes |= std::uint64_t{x[i] == 3} << i;
+  }
+  EXPECT_EQ(simd::bytes_eq64(x, y), equal);
+  EXPECT_EQ(simd::bytes_eq64(x, std::uint8_t{3}), threes);
 }
 
 }  // namespace

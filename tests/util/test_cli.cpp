@@ -27,6 +27,17 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
   EXPECT_FALSE(cli.flag("full"));
 }
 
+TEST(Cli, GivenTellsExplicitOptionsFromDefaults) {
+  CliParser cli("test");
+  cli.add_option("runs", "3", "runs");
+  cli.add_option("width", "12", "bit width");
+  std::vector<std::string> args{"prog", "--runs=3"};
+  auto argv = make_argv(args);
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_TRUE(cli.given("runs"));  // even when it repeats the default
+  EXPECT_FALSE(cli.given("width"));
+}
+
 TEST(Cli, SpaceSeparatedValue) {
   CliParser cli("test");
   cli.add_option("runs", "10", "runs");
