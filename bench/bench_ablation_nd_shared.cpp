@@ -77,14 +77,14 @@ int main(int argc, char** argv) {
     sa.init_patterns = scale.init_patterns;
     sa.chains = scale.chains;
     const auto found = core::find_best_settings(
-        g.num_inputs(), scale.bound_size, costs.c0, costs.c1, top_partitions,
-        sa, rng, &pool, false);
+        g.num_inputs(), scale.bound_size, costs, top_partitions, sa, rng,
+        &pool, false);
 
     double best[3] = {1e300, 1e300, 1e300};
     for (const auto& candidate : found.top) {
       for (unsigned s = 0; s <= 2; ++s) {
         const auto setting = core::optimize_multi_shared(
-            candidate.partition, s, costs.c0, costs.c1, opt_params, rng);
+            candidate.partition, s, costs, opt_params, rng);
         best[s] = std::min(best[s], setting.error);
       }
     }

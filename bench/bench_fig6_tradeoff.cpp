@@ -91,27 +91,25 @@ int main(int argc, char** argv) {
   for (unsigned k = 0; k < m; ++k) {
     const auto costs = core::build_bit_costs(
         g, cache, k, core::LsbModel::kCurrentApprox, dist);
-    const auto found = core::find_best_settings(
-        n, scale.bound_size, costs.c0, costs.c1, 4, params.sa, rng, &pool,
-        /*track_bto=*/true);
+    const auto found =
+        core::find_best_settings(n, scale.bound_size, costs, 4, params.sa, rng,
+                                 &pool, /*track_bto=*/true);
     core::Setting normal = found.top.front();
     core::Setting bto = found.top_bto.front();
     core::Setting nd;
     for (const auto& top : found.top) {
-      auto trial = core::optimize_nondisjoint(top.partition, costs.c0,
-                                              costs.c1, opt_params, rng);
+      auto trial =
+          core::optimize_nondisjoint(top.partition, costs, opt_params, rng);
       if (trial.error < nd.error) nd = std::move(trial);
     }
     // The fresh search can miss the anchor's (known good) routing; evaluate
     // every mode there too so no candidate is worse than the anchor's.
     const auto& anchor_p = anchor.settings[k].partition;
-    auto a_normal =
-        core::optimize_normal(anchor_p, costs.c0, costs.c1, opt_params, rng);
+    auto a_normal = core::optimize_normal(anchor_p, costs, opt_params, rng);
     if (a_normal.error < normal.error) normal = std::move(a_normal);
-    auto a_bto = core::optimize_bto(anchor_p, costs.c0, costs.c1);
+    auto a_bto = core::optimize_bto(anchor_p, costs);
     if (a_bto.error < bto.error) bto = std::move(a_bto);
-    auto a_nd = core::optimize_nondisjoint(anchor_p, costs.c0, costs.c1,
-                                           opt_params, rng);
+    auto a_nd = core::optimize_nondisjoint(anchor_p, costs, opt_params, rng);
     if (a_nd.error < nd.error) nd = std::move(a_nd);
 
     energies[k] = {unit_energy(bto, n, tech), unit_energy(normal, n, tech),

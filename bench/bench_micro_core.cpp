@@ -160,8 +160,8 @@ void BM_FindBestSettings(benchmark::State& state) {
   params.chains = 3;
   util::Rng rng(4);
   for (auto _ : state) {
-    auto result = core::find_best_settings(width, 6, costs.c0, costs.c1, 3,
-                                           params, rng, nullptr, false);
+    auto result = core::find_best_settings(width, 6, costs, 3, params, rng,
+                                           nullptr, false);
     benchmark::DoNotOptimize(result.top.data());
   }
 }
@@ -187,8 +187,8 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   util::telemetry::set_tracing_enabled(enabled);
   util::Rng rng(4);
   for (auto _ : state) {
-    auto result = core::find_best_settings(width, 6, costs.c0, costs.c1, 3,
-                                           params, rng, nullptr, false);
+    auto result = core::find_best_settings(width, 6, costs, 3, params, rng,
+                                           nullptr, false);
     benchmark::DoNotOptimize(result.top.data());
   }
   util::telemetry::set_metrics_enabled(false);
@@ -247,8 +247,8 @@ void BM_FindBestSettingsParallel(benchmark::State& state) {
   params.chains = 10;
   for (auto _ : state) {
     util::Rng rng(4);
-    auto result = core::find_best_settings(width, 9, costs.c0, costs.c1, 3,
-                                           params, rng, pool_ptr, false);
+    auto result = core::find_best_settings(width, 9, costs, 3, params, rng,
+                                           pool_ptr, false);
     benchmark::DoNotOptimize(result.top.data());
   }
   state.SetItemsProcessed(state.iterations() * params.partition_limit);
@@ -270,8 +270,7 @@ void BM_NonDisjointOptimize(benchmark::State& state) {
   util::Rng rng(5);
   const auto p = core::Partition::random(width, 6, rng);
   for (auto _ : state) {
-    auto result =
-        core::optimize_nondisjoint(p, costs.c0, costs.c1, {8, 64}, rng);
+    auto result = core::optimize_nondisjoint(p, costs, {8, 64}, rng);
     benchmark::DoNotOptimize(result.error);
   }
 }
@@ -286,11 +285,11 @@ core::Setting optimized_setting(unsigned width, int mode,
   const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
   switch (mode) {
     case 0:
-      return core::optimize_normal(p, costs.c0, costs.c1, {8, 64}, rng);
+      return core::optimize_normal(p, costs, {8, 64}, rng);
     case 1:
-      return core::optimize_bto(p, costs.c0, costs.c1);
+      return core::optimize_bto(p, costs);
     default:
-      return core::optimize_nondisjoint(p, costs.c0, costs.c1, {8, 64}, rng);
+      return core::optimize_nondisjoint(p, costs, {8, 64}, rng);
   }
 }
 

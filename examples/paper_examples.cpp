@@ -86,8 +86,8 @@ void example2() {
       build_bit_costs(g, g.values(), 0, LsbModel::kCurrentApprox, dist);
   util::Rng rng(1);
 
-  const auto full = optimize_normal(p, costs.c0, costs.c1, {16, 64}, rng);
-  const auto bto = optimize_bto(p, costs.c0, costs.c1);
+  const auto full = optimize_normal(p, costs, {16, 64}, rng);
+  const auto bto = optimize_bto(p, costs);
   std::printf("normal-mode error : %.5f (free table needed)\n", full.error);
   std::printf("BTO-mode error    : %.5f (free table POWERED OFF)\n",
               bto.error);
@@ -115,8 +115,8 @@ void example3() {
   const Partition p(5, 0b00111);
   util::Rng rng(2);
 
-  const auto disjoint = optimize_normal(p, costs.c0, costs.c1, {24, 64}, rng);
-  const auto nd = optimize_nondisjoint(p, costs.c0, costs.c1, {24, 64}, rng);
+  const auto disjoint = optimize_normal(p, costs, {24, 64}, rng);
+  const auto nd = optimize_nondisjoint(p, costs, {24, 64}, rng);
   std::printf("partition        : %s\n", p.to_string().c_str());
   std::printf("disjoint error   : %.5f\n", disjoint.error);
   std::printf("non-disjoint err : %.5f (shared bit x%u)\n", nd.error,

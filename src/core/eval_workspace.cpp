@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "util/bits.hpp"
 #include "util/simd.hpp"
@@ -308,20 +307,13 @@ void transpose_diffs(IntegerCostMatrix& m) {
   }
 }
 
-// ---- Sweep kernels ------------------------------------------------------
+// ---- Op sets -------------------------------------------------------------
 //
-// The OptForPart sweeps keep their running sums in registers: the types
-// sweep holds a tile of restart vectors x rows of `match` accumulators
-// across the column loop, and the column-pair sums hold a tile of
-// {if-zero, if-one} column pairs across the row loop. Every accumulator is
-// one (row, restart) or (column, restart) sum, advanced in the reference
-// order (columns ascending, rows ascending), so the tiling changes only
-// which sums are in flight together, never what any sum adds.
-//
-// The kernels are written once against a small op set and instantiated for
-// simd lane vectors and for plain doubles; the latter is the forced-scalar
-// path (simd::set_force_scalar). Both add, compare and select the same
-// doubles, so their results are bit-identical.
+// The OptForPart kernels below (the exact incremental sweeps and the BTO
+// column-pair sums) are written once against a small op set and
+// instantiated for simd lane vectors and for plain scalars; the latter is
+// the forced-scalar path (simd::set_force_scalar). Both add, compare and
+// select the same values, so their results are bit-identical.
 
 template <class T>
 constexpr T type_code(RowType type) noexcept {
@@ -367,7 +359,6 @@ struct ScalarOps;
 struct VectorOps : DoubleTotals {
   using T = double;
   using D = simd::VecD;
-  using U = simd::VecU;
   using Scalar = ScalarOps;
   static constexpr unsigned kWidth = simd::kLanes;
   static D zero() noexcept { return simd::dzero(); }
@@ -380,23 +371,8 @@ struct VectorOps : DoubleTotals {
   /// Bit l set iff lane l of the mask is set.
   static unsigned mask_bits(D m) noexcept { return simd::dmovemask(m); }
   static void store(double* p, D v) noexcept { simd::dstoreu(p, v); }
-  static U bits(std::uint64_t v) noexcept { return simd::ubroadcast(v); }
-  static U load_bits(const std::uint64_t* p) noexcept {
-    return simd::uloadu(p);
-  }
-  static U bit_xor(U a, U b) noexcept { return simd::uxor(a, b); }
-  /// mask ? cost1 : cost0, given the bits of cost0 and cost0 ^ cost1.
-  static D pick(U mask, U cost0, U diff) noexcept {
-    return simd::as_double(simd::uxor(cost0, simd::uand(mask, diff)));
-  }
 
-  /// One {cost0, cost1} cell.
-  using Cell = simd::D2;
-  static Cell load_cell(const double* p) noexcept { return simd::loadu2(p); }
-  static void store_cell(double* p, Cell v) noexcept { simd::storeu2(p, v); }
-  static Cell add_cells(Cell a, Cell b) noexcept { return simd::add2(a, b); }
-
-  /// Two adjacent cells.
+  /// Two adjacent {cost0, cost1} cells.
   using Pairs = simd::D4;
   static constexpr unsigned kCells = 2;
   /// Pair accumulators per column tile: about eight vector registers.
@@ -428,7 +404,6 @@ struct VectorOps : DoubleTotals {
 struct ScalarOps : DoubleTotals {
   using T = double;
   using D = double;
-  using U = std::uint64_t;
   using Scalar = ScalarOps;
   static constexpr unsigned kWidth = 1;
   static D zero() noexcept { return 0.0; }
@@ -446,31 +421,20 @@ struct ScalarOps : DoubleTotals {
     return static_cast<unsigned>(std::bit_cast<std::uint64_t>(m) >> 63);
   }
   static void store(double* p, D v) noexcept { *p = v; }
-  static U bits(std::uint64_t v) noexcept { return v; }
-  static U load_bits(const std::uint64_t* p) noexcept { return *p; }
-  static U bit_xor(U a, U b) noexcept { return a ^ b; }
-  static D pick(U mask, U cost0, U diff) noexcept {
-    return std::bit_cast<double>(cost0 ^ (mask & diff));
-  }
-
-  struct Cell {
+  /// One {cost0, cost1} cell.
+  struct Pairs {
     double zero, one;
   };
-  static Cell load_cell(const double* p) noexcept { return {p[0], p[1]}; }
-  static void store_cell(double* p, Cell v) noexcept {
+  static constexpr unsigned kCells = 1;
+  static constexpr unsigned kPairTile = 4;
+  static Pairs load_pairs(const double* p) noexcept { return {p[0], p[1]}; }
+  static void store_pairs(double* p, Pairs v) noexcept {
     p[0] = v.zero;
     p[1] = v.one;
   }
-  static Cell add_cells(Cell a, Cell b) noexcept {
+  static Pairs add_pairs(Pairs a, Pairs b) noexcept {
     return {a.zero + b.zero, a.one + b.one};
   }
-
-  using Pairs = Cell;
-  static constexpr unsigned kCells = 1;
-  static constexpr unsigned kPairTile = 4;
-  static Pairs load_pairs(const double* p) noexcept { return load_cell(p); }
-  static void store_pairs(double* p, Pairs v) noexcept { store_cell(p, v); }
-  static Pairs add_pairs(Pairs a, Pairs b) noexcept { return add_cells(a, b); }
 
   using Acc = double;
   static Acc acc_zero() noexcept { return 0.0; }
@@ -533,47 +497,6 @@ struct IntVectorOps : IntegerTotals {
   }
 };
 
-/// Rows whose AllZero/AllOne sums are accumulated together.
-constexpr std::size_t kSumRows = 8;
-
-/// {AllZero, AllOne} cost sums of rows [r, r + N): each row's pair of sums
-/// runs over columns ascending (the reference order), and the N rows keep N
-/// independent add chains in flight.
-template <class Ops, std::size_t N>
-void sum_rows(const InterleavedCostMatrix& matrix, std::size_t r,
-              double* sums0, double* sums1) noexcept {
-  static constexpr double kZeros[2] = {};
-  const std::size_t cols = matrix.cols;
-  const double* row = matrix.cells.data() + 2 * r * cols;
-  typename Ops::Cell acc[N];
-  for (std::size_t i = 0; i < N; ++i) acc[i] = Ops::load_cell(kZeros);
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t i = 0; i < N; ++i) {
-      acc[i] = Ops::add_cells(acc[i],
-                              Ops::load_cell(row + 2 * (i * cols + c)));
-    }
-  }
-  for (std::size_t i = 0; i < N; ++i) {
-    double sums[2];
-    Ops::store_cell(sums, acc[i]);
-    sums0[r + i] = sums[0];
-    sums1[r + i] = sums[1];
-  }
-}
-
-template <class Ops>
-void sum_all_rows(const InterleavedCostMatrix& matrix, double* sums0,
-                  double* sums1) noexcept {
-  std::size_t r = 0;
-  for (; r + kSumRows <= matrix.rows; r += kSumRows) {
-    sum_rows<Ops, kSumRows>(matrix, r, sums0, sums1);
-  }
-  for (; r < matrix.rows; ++r) sum_rows<Ops, 1>(matrix, r, sums0, sums1);
-}
-
-/// Largest number of restart vectors a types tile holds in registers.
-constexpr unsigned kMaxTileVectors = 4;
-
 /// The reference's comparison chain, lane by lane: the cheapest of AllZero
 /// (s0), AllOne (s1), Pattern (match) and Complement (s0 + s1 - match),
 /// the earlier type winning a tie. Returns the cost; `type` gets the code.
@@ -597,115 +520,20 @@ inline typename Ops::D best_type(typename Ops::D match, typename Ops::D s0,
   return best;
 }
 
-/// Types step for rows [r, r + R) of one restart tile: V vectors of restarts
-/// starting at `groups[j]`, each kWidth wide. The R x V match accumulators
-/// stay in registers across the column loop; each is one (row, restart)
-/// sum over columns ascending, as in the reference. The row's best type and
-/// cost then follow the reference's comparison chain lane by lane, and the
-/// cost is added to the restart's running total.
-template <class Ops, unsigned V, unsigned R>
-inline void types_rows(const InterleavedCostMatrix& matrix, std::size_t r,
-                       const std::uint64_t* patterns, std::size_t stride,
-                       const std::uint32_t* groups, const double* sums0,
-                       const double* sums1, std::uint8_t* types,
-                       typename Ops::D (&total)[V]) noexcept {
-  using D = typename Ops::D;
-  constexpr unsigned W = Ops::kWidth;
-  const std::size_t cols = matrix.cols;
-  const double* row = matrix.cells.data() + 2 * r * cols;
-  D acc[R][V];
-  for (unsigned i = 0; i < R; ++i) {
-    for (unsigned j = 0; j < V; ++j) acc[i][j] = Ops::zero();
-  }
-  for (std::size_t c = 0; c < cols; ++c) {
-    // Full-width select masks: cost0 ^ (mask & (cost0 ^ cost1)) is
-    // bit-for-bit the double the reference's `pattern[c] ? cost1 : cost0`
-    // picks.
-    typename Ops::U cost0[R], diff[R];
-    for (unsigned i = 0; i < R; ++i) {
-      const double* cell = row + 2 * (i * cols + c);
-      cost0[i] = Ops::bits(std::bit_cast<std::uint64_t>(cell[0]));
-      diff[i] = Ops::bit_xor(
-          cost0[i], Ops::bits(std::bit_cast<std::uint64_t>(cell[1])));
-    }
-    const std::uint64_t* pat = patterns + c * stride;
-    for (unsigned j = 0; j < V; ++j) {
-      const auto mask = Ops::load_bits(pat + groups[j]);
-      for (unsigned i = 0; i < R; ++i) {
-        acc[i][j] = Ops::add(acc[i][j], Ops::pick(mask, cost0[i], diff[i]));
-      }
-    }
-  }
-
-  for (unsigned i = 0; i < R; ++i) {
-    const D s0 = Ops::splat(sums0[r + i]);
-    const D s1 = Ops::splat(sums1[r + i]);
-    alignas(64) double codes[V * W];
-    for (unsigned j = 0; j < V; ++j) {
-      D type;
-      total[j] = Ops::add(total[j], best_type<Ops>(acc[i][j], s0, s1, type));
-      Ops::store(codes + j * W, type);
-    }
-    std::uint8_t* row_types = types + (r + i) * stride;
-    for (unsigned j = 0; j < V; ++j) {
-      for (unsigned l = 0; l < W; ++l) {
-        row_types[groups[j] + l] = static_cast<std::uint8_t>(codes[j * W + l]);
-      }
-    }
-  }
-}
-
-/// Types step of one restart tile over the whole matrix: rows two at a
-/// time (each pattern load serves both), totals in registers throughout.
-template <class Ops, unsigned V>
-void types_tile(const InterleavedCostMatrix& matrix,
-                const std::uint64_t* patterns, std::size_t stride,
-                const std::uint32_t* groups, const double* sums0,
-                const double* sums1, std::uint8_t* types, double* totals) {
-  typename Ops::D total[V];
-  for (unsigned j = 0; j < V; ++j) total[j] = Ops::zero();
-  std::size_t r = 0;
-  for (; r + 2 <= matrix.rows; r += 2) {
-    types_rows<Ops, V, 2>(matrix, r, patterns, stride, groups, sums0, sums1,
-                          types, total);
-  }
-  if (r < matrix.rows) {
-    types_rows<Ops, V, 1>(matrix, r, patterns, stride, groups, sums0, sums1,
-                          types, total);
-  }
-  for (unsigned j = 0; j < V; ++j) Ops::store(totals + groups[j], total[j]);
-}
-
-template <class Ops>
-void types_tiles(const InterleavedCostMatrix& matrix,
-                 const std::uint64_t* patterns, std::size_t stride,
-                 std::span<const std::uint32_t> groups, const double* sums0,
-                 const double* sums1, std::uint8_t* types, double* totals) {
-  static_assert(kMaxTileVectors == 4);
-  constexpr std::array kTiles = {&types_tile<Ops, 1>, &types_tile<Ops, 2>,
-                                 &types_tile<Ops, 3>, &types_tile<Ops, 4>};
-  for (std::size_t g = 0; g < groups.size(); g += kMaxTileVectors) {
-    const std::size_t vectors =
-        std::min<std::size_t>(kMaxTileVectors, groups.size() - g);
-    kTiles[vectors - 1](matrix, patterns, stride, groups.data() + g, sums0,
-                        sums1, types, totals);
-  }
-}
-
-/// {if-zero, if-one} sums of columns [c, c + K * kCells) over the listed
-/// rows, held in registers across the row loop; each listed row is a
-/// pointer to its first cell. emit(column, if_zero, if_one) is called per
-/// column, columns ascending.
+/// {if-zero, if-one} sums of columns [c, c + K * kCells) over all rows of
+/// the matrix, held in registers across the row loop (rows ascending, as in
+/// the reference). emit(column, if_zero, if_one) is called per column,
+/// columns ascending.
 template <class Ops, unsigned K, class Emit>
-inline void pair_tile(std::size_t c, std::span<const double* const> rows,
+inline void pair_tile(const InterleavedCostMatrix& matrix, std::size_t c,
                       Emit& emit) {
   using Pairs = typename Ops::Pairs;
   constexpr unsigned kStep = 2 * Ops::kCells;
   static constexpr double kZeros[kStep] = {};
   Pairs acc[K];
   for (unsigned t = 0; t < K; ++t) acc[t] = Ops::load_pairs(kZeros);
-  for (const double* row : rows) {
-    const double* p = row + 2 * c;
+  const double* p = matrix.cells.data() + 2 * c;
+  for (std::size_t r = 0; r < matrix.rows; ++r, p += 2 * matrix.cols) {
     for (unsigned t = 0; t < K; ++t) {
       acc[t] = Ops::add_pairs(acc[t], Ops::load_pairs(p + kStep * t));
     }
@@ -720,24 +548,23 @@ inline void pair_tile(std::size_t c, std::span<const double* const> rows,
 /// Runs K-pair tiles from column `c` while they fit, then halves K for the
 /// remainder of narrow matrices. Returns the first column not covered.
 template <class Ops, unsigned K, class Emit>
-std::size_t pair_tiles(std::size_t cols, std::size_t c,
-                       std::span<const double* const> rows, Emit& emit) {
-  for (; c + Ops::kCells * K <= cols; c += Ops::kCells * K) {
-    pair_tile<Ops, K>(c, rows, emit);
+std::size_t pair_tiles(const InterleavedCostMatrix& matrix, std::size_t c,
+                       Emit& emit) {
+  for (; c + Ops::kCells * K <= matrix.cols; c += Ops::kCells * K) {
+    pair_tile<Ops, K>(matrix, c, emit);
   }
   if constexpr (K > 1) {
-    return pair_tiles<Ops, K / 2>(cols, c, rows, emit);
+    return pair_tiles<Ops, K / 2>(matrix, c, emit);
   } else {
     return c;
   }
 }
 
-/// Column-pair sums of the listed rows for all `cols` columns.
+/// Column-pair sums of the matrix for all its columns.
 template <class Ops, class Emit>
-void column_pair_sums(std::size_t cols, std::span<const double* const> rows,
-                      Emit&& emit) {
-  std::size_t c = pair_tiles<Ops, Ops::kPairTile>(cols, 0, rows, emit);
-  for (; c < cols; ++c) pair_tile<ScalarOps, 1>(c, rows, emit);
+void column_pair_sums(const InterleavedCostMatrix& matrix, Emit&& emit) {
+  std::size_t c = pair_tiles<Ops, Ops::kPairTile>(matrix, 0, emit);
+  for (; c < matrix.cols; ++c) pair_tile<ScalarOps, 1>(matrix, c, emit);
 }
 
 // ---- Incremental kernels for exact matrices ------------------------------
@@ -1329,97 +1156,6 @@ CandidateRef EvalWorkspace::conditioned(const CandidateRef& full,
   return slice;
 }
 
-unsigned EvalWorkspace::restart_block(std::size_t rows, std::size_t cols,
-                                      unsigned restarts) const {
-  if (opt_block_override_ != 0) {
-    return std::min(opt_block_override_, restarts);
-  }
-  // Keep the per-block pattern masks, types and totals within ~1 MiB so
-  // they stay cache-resident next to the matrix itself.
-  const std::size_t per_restart =
-      sizeof(std::uint64_t) * cols + rows + 2 * sizeof(double);
-  const std::size_t budget = std::size_t{1} << 20;
-  const auto block = static_cast<unsigned>(
-      std::clamp<std::size_t>(budget / per_restart, 1, restarts));
-  return block;
-}
-
-void EvalWorkspace::row_sums(const InterleavedCostMatrix& matrix) {
-  // Padding rows (up to rows_pad_) keep zero sums.
-  sums0_.assign(rows_pad_, 0.0);
-  sums1_.assign(rows_pad_, 0.0);
-  if (simd::enabled()) {
-    sum_all_rows<VectorOps>(matrix, sums0_.data(), sums1_.data());
-  } else {
-    sum_all_rows<ScalarOps>(matrix, sums0_.data(), sums1_.data());
-  }
-}
-
-void EvalWorkspace::types_sweep(const InterleavedCostMatrix& matrix,
-                                std::size_t stride,
-                                util::aligned_vector<double>& totals) {
-  // Tiles cover the lane groups that hold an active restart. The other
-  // lanes of such a group are recomputed along with it: a converged
-  // restart's pattern is frozen, so its types and total come out exactly as
-  // stored, and padding lanes (stride > count) are never read.
-  const unsigned width = simd::enabled() ? VectorOps::kWidth : 1;
-  groups_.clear();
-  for (const std::uint32_t z : active_) {
-    const std::uint32_t group = z - z % width;
-    if (groups_.empty() || groups_.back() != group) groups_.push_back(group);
-  }
-  util::assert_aligned64(patterns_.data());
-  if (simd::enabled()) {
-    types_tiles<VectorOps>(matrix, patterns_.data(), stride, groups_,
-                           sums0_.data(), sums1_.data(), types_.data(),
-                           totals.data());
-  } else {
-    types_tiles<ScalarOps>(matrix, patterns_.data(), stride, groups_,
-                           sums0_.data(), sums1_.data(), types_.data(),
-                           totals.data());
-  }
-}
-
-void EvalWorkspace::pattern_sweep(const InterleavedCostMatrix& matrix,
-                                  std::size_t stride) {
-  // Restart-major: a row only contributes to the restarts whose current
-  // type for it is kPattern or kComplement, and with realistic cost arrays
-  // that is sparse (most rows settle on kAllZero/kAllOne for most
-  // restarts), so listing each restart's participating rows keeps the work
-  // proportional to the participating (row, restart) pairs. A kComplement
-  // row charges the costs with the roles reversed, so it is listed from the
-  // pair-swapped copy. Converged restarts keep their patterns.
-  static_assert(static_cast<int>(RowType::kAllZero) == 1 &&
-                static_cast<int>(RowType::kAllOne) == 2 &&
-                static_cast<int>(RowType::kPattern) == 3 &&
-                static_cast<int>(RowType::kComplement) == 4);
-  const std::size_t row_words = 2 * matrix.cols;
-  // Row source by type code; only kPattern/kComplement rows are kept. The
-  // list is built branch-free, as the types are data-dependent.
-  const double* const source[] = {
-      matrix.cells.data(), matrix.cells.data(), matrix.cells.data(),
-      matrix.cells.data(), derived_.data()};
-  const bool vec = simd::enabled();
-  for (const std::uint32_t z : active_) {
-    std::size_t count = 0;
-    for (std::size_t r = 0; r < matrix.rows; ++r) {
-      const std::uint8_t type = types_[r * stride + z];
-      pair_rows_[count] = source[type] + r * row_words;
-      count += type >= static_cast<std::uint8_t>(RowType::kPattern);
-    }
-    const std::span<const double* const> rows(pair_rows_.data(), count);
-    std::uint64_t* pat = patterns_.data() + z;
-    const auto set_bit = [&](std::size_t c, double if_zero, double if_one) {
-      pat[c * stride] = if_one < if_zero ? ~std::uint64_t{0} : 0;
-    };
-    if (vec) {
-      column_pair_sums<VectorOps>(matrix.cols, rows, set_bit);
-    } else {
-      column_pair_sums<ScalarOps>(matrix.cols, rows, set_bit);
-    }
-  }
-}
-
 template <class Ops>
 typename Ops::Sum EvalWorkspace::exact_restart(
     const ExactInput<typename Ops::T>& input,
@@ -1560,110 +1296,55 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
   assert(params.init_patterns >= 1);
   const std::size_t rows = matrix.rows;
   const std::size_t cols = matrix.cols;
-  const unsigned restarts = std::max(1u, params.init_patterns);
-  rows_pad_ = (rows + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-  row_sums(matrix);
+  const OptForPartParams clamped{std::max(1u, params.init_patterns),
+                                 params.max_iterations};
   std::uint64_t alternations = 0;
-
+  VtResult best;
   if (matrix.exact) {
-    // The cost differences, row-major then column-major (see ExactInput).
-    derived_.resize(rows * cols + cols * rows_pad_);
-    cost_diffs(matrix, rows_pad_, derived_.data(),
-               derived_.data() + rows * cols);
+    // The cost differences, row-major then column-major (see ExactInput),
+    // and the AllZero/AllOne row sums; padding rows cost 0.
+    const std::size_t rows_pad =
+        (rows + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+    diffs_.resize(rows * cols + cols * rows_pad);
+    cost_diffs(matrix, rows_pad, diffs_.data(), diffs_.data() + rows * cols);
+    sums0_.assign(rows_pad, 0.0);
+    sums1_.assign(rows_pad, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double s0 = 0.0;
+      double s1 = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        s0 += matrix.at0(r, c);
+        s1 += matrix.at1(r, c);
+      }
+      sums0_[r] = s0;
+      sums1_[r] = s1;
+    }
     const ExactInput<double> input{rows,
                                    cols,
-                                   rows_pad_,
-                                   derived_.data(),
-                                   derived_.data() + rows * cols,
+                                   rows_pad,
+                                   diffs_.data(),
+                                   diffs_.data() + rows * cols,
                                    sums0_.data(),
                                    sums1_.data()};
-    VtResult best = simd::enabled()
-                        ? exact_restarts<VectorOps>(input, exact_doubles_,
-                                                    params, rng, 0,
-                                                    alternations)
-                        : exact_restarts<ScalarOps>(input, exact_doubles_,
-                                                    params, rng, 0,
-                                                    alternations);
-    count_opt_for_part(restarts, alternations, false);
-    return best;
-  }
-
-  VtResult best;
-  best.error = std::numeric_limits<double>::infinity();
-  const unsigned block = restart_block(rows, cols, restarts);
-  // {cost1, cost0} copy of the matrix for the pattern sweep's kComplement
-  // rows.
-  derived_.resize(matrix.cells.size());
-  for (std::size_t i = 0; i < derived_.size(); i += 2) {
-    derived_[i] = matrix.cells[i + 1];
-    derived_[i + 1] = matrix.cells[i];
-  }
-  pair_rows_.resize(rows);
-
-  for (unsigned base = 0; base < restarts; base += block) {
-    const unsigned count = std::min(block, restarts - base);
-    // Per-restart arrays are restart-minor ([item * stride + restart]) with
-    // the stride padded to whole vectors, so every restart tile loads full
-    // vectors. patterns_ holds one full-width select mask (0 or ~0) per
-    // entry; padding lanes stay 0.
-    const std::size_t stride =
-        (count + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-    patterns_.assign(cols * stride, 0);
-    types_.resize(rows * stride);
-    error_.resize(stride);
-    after_.resize(stride);
-
-    // Initial pattern vectors, drawn restart-major so the RNG stream is
-    // identical to the reference implementation's per-restart draws.
-    for (unsigned z = 0; z < count; ++z) {
-      for (std::size_t c = 0; c < cols; c += 64) {
-        const std::size_t span = std::min<std::size_t>(64, cols - c);
-        const std::uint64_t bits = rng.next_bits(static_cast<unsigned>(span));
-        for (std::size_t i = 0; i < span; ++i) {
-          patterns_[(c + i) * stride + z] = 0 - (bits >> i & 1);
-        }
-      }
+    best = simd::enabled()
+               ? exact_restarts<VectorOps>(input, exact_doubles_, clamped, rng,
+                                           0, alternations)
+               : exact_restarts<ScalarOps>(input, exact_doubles_, clamped, rng,
+                                           0, alternations);
+  } else {
+    // Without the certificate, sums depend on the order their terms are
+    // added in, which only the reference fixes: de-interleave and run it.
+    reference_.rows = rows;
+    reference_.cols = cols;
+    reference_.cost0.resize(rows * cols);
+    reference_.cost1.resize(rows * cols);
+    for (std::size_t i = 0; i < rows * cols; ++i) {
+      reference_.cost0[i] = matrix.cells[2 * i];
+      reference_.cost1[i] = matrix.cells[2 * i + 1];
     }
-
-    active_.resize(count);
-    for (unsigned z = 0; z < count; ++z) active_[z] = z;
-    types_sweep(matrix, stride, error_);
-
-    // Both steps are exact coordinate minimizations, so each restart's
-    // error is non-increasing; a restart leaves the active set at its first
-    // sweep without improvement (same epsilon rule as the reference).
-    for (unsigned iter = 0;
-         iter < params.max_iterations && !active_.empty(); ++iter) {
-      alternations += active_.size();
-      pattern_sweep(matrix, stride);
-      types_sweep(matrix, stride, after_);
-      next_active_.clear();
-      for (const std::uint32_t z : active_) {
-        if (after_[z] >= error_[z] - 1e-15) {
-          error_[z] = std::min(error_[z], after_[z]);
-        } else {
-          error_[z] = after_[z];
-          next_active_.push_back(z);
-        }
-      }
-      active_.swap(next_active_);
-    }
-
-    for (unsigned z = 0; z < count; ++z) {
-      if (error_[z] < best.error) {
-        best.error = error_[z];
-        best.pattern.resize(cols);
-        for (std::size_t c = 0; c < cols; ++c) {
-          best.pattern[c] = patterns_[c * stride + z] ? 1 : 0;
-        }
-        best.types.resize(rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-          best.types[r] = static_cast<RowType>(types_[r * stride + z]);
-        }
-      }
-    }
+    best = core::opt_for_part(reference_, clamped, rng, &alternations);
   }
-  count_opt_for_part(restarts, alternations, false);
+  count_opt_for_part(clamped.init_patterns, alternations, false);
   return best;
 }
 
@@ -1694,16 +1375,9 @@ VtResult EvalWorkspace::opt_for_part(const CandidateRef& candidate,
 }
 
 VtResult EvalWorkspace::opt_for_part_bto(const InterleavedCostMatrix& matrix) {
-  const std::size_t rows = matrix.rows;
-  const std::size_t cols = matrix.cols;
-  pair_rows_.resize(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    pair_rows_[r] = matrix.cells.data() + 2 * r * cols;
-  }
-
   VtResult result;
-  result.types.assign(rows, RowType::kPattern);
-  result.pattern.assign(cols, 0);
+  result.types.assign(matrix.rows, RowType::kPattern);
+  result.pattern.assign(matrix.cols, 0);
   result.error = 0.0;
   const auto choose = [&](std::size_t c, double if_zero, double if_one) {
     if (if_one < if_zero) {
@@ -1714,9 +1388,9 @@ VtResult EvalWorkspace::opt_for_part_bto(const InterleavedCostMatrix& matrix) {
     }
   };
   if (simd::enabled()) {
-    column_pair_sums<VectorOps>(cols, pair_rows_, choose);
+    column_pair_sums<VectorOps>(matrix, choose);
   } else {
-    column_pair_sums<ScalarOps>(cols, pair_rows_, choose);
+    column_pair_sums<ScalarOps>(matrix, choose);
   }
   return result;
 }

@@ -15,19 +15,11 @@
 //    into an interleaved source copy once per thread, halving the random
 //    cache-line traffic of the 2^n scattered gather.
 //
-//  * Thread-local scratch. Matrices, deposit tables, row sums, the
-//    pair-swapped matrix copy, and restart state all live in per-thread
-//    buffers that are reused across candidates, so steady-state evaluation
-//    performs no heap allocations (only the small output pattern/type
-//    vectors of a result are freshly allocated).
-//
-//  * Register-blocked OptForPart. All Z random restarts advance in
-//    lock-step sweeps over the matrix. The types step keeps a tile of
-//    restart vectors x two rows of running sums in registers across the
-//    column loop; the pattern step keeps a tile of {if-zero, if-one} column
-//    pairs in registers across each restart's participating rows. Each
-//    restart's arithmetic (and therefore its result) stays bit-identical to
-//    the reference implementation in opt_for_part.cpp.
+//  * Thread-local scratch. Matrices, deposit tables, row sums, cost
+//    differences and restart state all live in per-thread buffers that are
+//    reused across candidates, so steady-state evaluation performs no heap
+//    allocations (only the small output pattern/type vectors of a result
+//    are freshly allocated).
 //
 //  * Exact incremental sweeps. A matrix with the exactness certificate
 //    (InterleavedCostMatrix::exact) has every sum the sweeps take exact, so
@@ -39,8 +31,7 @@
 //    the types), and the types step adds +-(cost1 - cost0) only for the
 //    columns whose bit flipped; after the first alternation a few percent
 //    of either change per alternation. Results stay bit-identical to the
-//    reference. Matrices without the certificate take the full sweeps
-//    above.
+//    reference.
 //
 //  * Integer layout. The searches' certified arrays hold integer losses
 //    times 2^-n. prepare() gathers them straight into int32 losses
@@ -53,6 +44,14 @@
 //    arrays beyond the bound take the same kernels on doubles. The
 //    per-thread source mirror of such arrays holds their int32 losses
 //    instead of interleaved doubles.
+//
+//  * One algorithm, three routes. opt_for_part() runs the incremental
+//    sweeps on int32 losses (integer candidates), on doubles (certified
+//    matrices beyond the integer bound), and hands a matrix without the
+//    certificate to the reference opt_for_part(), whose summation order is
+//    the one such a matrix's results depend on. The searches' uniform cost
+//    arrays always carry the certificate; non-uniform weights, MSE with
+//    n + 2m + 2 > 52 and raw CostView(c0, c1) spans do not.
 //
 //  * Conditioned slicing. The conditioned matrices of the non-disjoint and
 //    multi-shared modes are column slices of the full matrix, so they are
@@ -212,7 +211,8 @@ class EvalWorkspace {
                                            std::uint32_t shared_values);
 
   /// Alternating (V, T) optimization; bit-identical to the reference
-  /// opt_for_part() for the same matrix contents and RNG state.
+  /// opt_for_part() for the same matrix contents and RNG state (a matrix
+  /// without the exactness certificate runs the reference itself).
   VtResult opt_for_part(const InterleavedCostMatrix& matrix,
                         const OptForPartParams& params, util::Rng& rng);
 
@@ -246,14 +246,6 @@ class EvalWorkspace {
   double evaluate_vt(const InterleavedCostMatrix& matrix,
                      std::span<const std::uint8_t> pattern,
                      std::span<const RowType> types) const;
-
-  /// Caps the restarts the full sweeps advance per block (0 = size
-  /// automatically from the scratch budget; exact matrices run restarts
-  /// one at a time regardless). Exists so tests can force multi-block
-  /// execution on small matrices.
-  void set_opt_restart_block_for_test(unsigned block) {
-    opt_block_override_ = block;
-  }
 
  private:
   EvalWorkspace() = default;
@@ -302,17 +294,6 @@ class EvalWorkspace {
                                 std::uint32_t shared_mask,
                                 std::uint32_t shared_values);
 
-  unsigned restart_block(std::size_t rows, std::size_t cols,
-                         unsigned restarts) const;
-  /// Fills sums0_/sums1_ (the AllZero/AllOne row costs).
-  void row_sums(const InterleavedCostMatrix& matrix);
-  /// One types step for the active restarts of the current block, whose
-  /// per-restart arrays have row stride `stride`. Writes each restart's
-  /// total into `totals`.
-  void types_sweep(const InterleavedCostMatrix& matrix, std::size_t stride,
-                   util::aligned_vector<double>& totals);
-  /// One pattern step for the active restarts of the current block.
-  void pattern_sweep(const InterleavedCostMatrix& matrix, std::size_t stride);
   /// The Z restarts of an exact matrix, one at a time, each drawing its
   /// pattern as the reference does. `Ops` picks the element type (double
   /// or int32) and the vector or forced-scalar kernels; `scale_bits`
@@ -357,24 +338,11 @@ class EvalWorkspace {
   std::vector<std::uint32_t> cond_cols_;  ///< reduced col -> full col
   util::aligned_vector<std::int32_t> col_diffs_;  ///< integer BTO
 
-  // Restart-blocked OptForPart scratch. Per-restart arrays are laid out
-  // restart-minor ([item * stride + restart], the stride padded to whole
-  // SIMD vectors) so the types sweep loads full vectors of restarts.
-  // patterns_ holds one full-width select mask per entry (0 or ~0), so the
-  // types sweep can blend {cost0, cost1} bitwise instead of branching per
-  // cell. The pattern sweep is restart-major instead (see pattern_sweep).
-  util::aligned_vector<double> sums0_, sums1_;    // rows_pad_
-  util::aligned_vector<std::uint64_t> patterns_;  // cols * stride
-  std::vector<std::uint8_t> types_;               // rows * stride
-  util::aligned_vector<double> error_, after_;    // stride
-  std::vector<std::uint32_t> active_, next_active_;
-  std::vector<std::uint32_t> groups_;  // first restart of each active vector
-  std::vector<const double*> pair_rows_;  // rows of one column-pair sum
-  // Matrix-sized scratch derived from the cells: the full sweeps'
-  // pair-swapped copy ({cost1, cost0} per cell), or the double exact
-  // path's cost differences (see ExactInput).
-  util::aligned_vector<double> derived_;
-  std::size_t rows_pad_ = 0;  // rows padded to whole VecD vectors
+  // The double exact path's cost differences (see ExactInput) and row
+  // sums, and the reference copy of a matrix without the certificate.
+  util::aligned_vector<double> diffs_;
+  util::aligned_vector<double> sums0_, sums1_;
+  CostMatrix reference_;
 
   // Per-restart state of the exact path (exact_restart). The type arrays
   // are padded to whole 64-row words for the changed-row compare.
@@ -384,7 +352,6 @@ class EvalWorkspace {
   std::vector<std::uint8_t> summed_types_;  // the T the balances reflect
   std::vector<std::uint64_t> pattern_;      // V, one bit per column
   std::vector<std::uint64_t> raised_, lowered_;  // columns flipped to 1 / 0
-  unsigned opt_block_override_ = 0;
 };
 
 }  // namespace dalut::core

@@ -56,23 +56,6 @@ MultiSharedSetting optimize_multi_shared(const Partition& partition,
                                          util::Rng& rng,
                                          util::RunControl* control = nullptr);
 
-inline MultiSharedSetting optimize_for_shared_set(
-    const Partition& partition, std::span<const unsigned> shared,
-    std::span<const double> c0, std::span<const double> c1,
-    const OptForPartParams& params, util::Rng& rng) {
-  return optimize_for_shared_set(partition, shared, CostView(c0, c1), params,
-                                 rng);
-}
-
-inline MultiSharedSetting optimize_multi_shared(
-    const Partition& partition, unsigned shared_count,
-    std::span<const double> c0, std::span<const double> c1,
-    const OptForPartParams& params, util::Rng& rng,
-    util::RunControl* control = nullptr) {
-  return optimize_multi_shared(partition, shared_count, CostView(c0, c1),
-                               params, rng, control);
-}
-
 /// Functional realization: bound table over B plus 2^|C| free tables.
 class MultiSharedBit {
  public:

@@ -105,7 +105,7 @@ void optimize_pattern(const CostMatrix& matrix,
 }  // namespace
 
 VtResult opt_for_part(const CostMatrix& matrix, const OptForPartParams& params,
-                      util::Rng& rng) {
+                      util::Rng& rng, std::uint64_t* alternations) {
   assert(params.init_patterns >= 1);
   const RowSums sums = row_sums(matrix);
 
@@ -123,6 +123,7 @@ VtResult opt_for_part(const CostMatrix& matrix, const OptForPartParams& params,
     // non-increasing; stop at the first iteration with no improvement.
     double error = optimize_types(matrix, sums, pattern, types);
     for (unsigned iter = 0; iter < params.max_iterations; ++iter) {
+      if (alternations != nullptr) ++*alternations;
       optimize_pattern(matrix, types, if_zero, if_one, pattern);
       const double after_types = optimize_types(matrix, sums, pattern, types);
       if (after_types >= error - 1e-15) {

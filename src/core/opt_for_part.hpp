@@ -9,6 +9,7 @@
 // which makes the optimum closed-form.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/setting.hpp"
@@ -29,8 +30,11 @@ struct OptForPartParams {
 };
 
 /// Best (V, T) for the matrix; alternating optimization from Z restarts.
+/// When `alternations` is given, the alternations run (one pattern step
+/// plus one types step of one restart, the stopping one included) are added
+/// to it.
 VtResult opt_for_part(const CostMatrix& matrix, const OptForPartParams& params,
-                      util::Rng& rng);
+                      util::Rng& rng, std::uint64_t* alternations = nullptr);
 
 /// BTO-restricted variant: T forced to all-Pattern (type 3); V is then the
 /// independent per-column minimum, so no restarts are needed.

@@ -3,14 +3,12 @@
 // returning a complete Setting. These are the units of work both DALTA's
 // random sampling and BS-SA's simulated annealing parallelize over.
 //
-// The primary overloads take a CostView and route through the thread-local
-// EvalWorkspace's prepare() (zero-allocation gathers; certified cost arrays
-// in the integer layout, others interleaved); the span overloads forward
-// with an unstamped, uncertified view, which gathers from the split arrays
-// but still uses the workspace kernels.
+// Each takes a CostView and routes through the thread-local EvalWorkspace's
+// prepare() (zero-allocation gathers; certified cost arrays in the integer
+// layout, others interleaved). Pass a BitCostArrays as it is: its view
+// carries the exactness certificate, while a raw CostView(c0, c1) carries
+// none and runs the reference OptForPart.
 #pragma once
-
-#include <span>
 
 #include "core/eval_workspace.hpp"
 #include "core/opt_for_part.hpp"
@@ -32,27 +30,5 @@ Setting optimize_bto(const Partition& partition, const CostView& costs);
 Setting optimize_nondisjoint(const Partition& partition,
                              const CostView& costs,
                              const OptForPartParams& params, util::Rng& rng);
-
-inline Setting optimize_normal(const Partition& partition,
-                               std::span<const double> c0,
-                               std::span<const double> c1,
-                               const OptForPartParams& params,
-                               util::Rng& rng) {
-  return optimize_normal(partition, CostView(c0, c1), params, rng);
-}
-
-inline Setting optimize_bto(const Partition& partition,
-                            std::span<const double> c0,
-                            std::span<const double> c1) {
-  return optimize_bto(partition, CostView(c0, c1));
-}
-
-inline Setting optimize_nondisjoint(const Partition& partition,
-                                    std::span<const double> c0,
-                                    std::span<const double> c1,
-                                    const OptForPartParams& params,
-                                    util::Rng& rng) {
-  return optimize_nondisjoint(partition, CostView(c0, c1), params, rng);
-}
 
 }  // namespace dalut::core

@@ -18,8 +18,6 @@
 // given seed at any worker count (see docs/parallelism.md).
 #pragma once
 
-#include <span>
-
 #include "core/partition_opt.hpp"
 #include "util/thread_pool.hpp"
 
@@ -68,19 +66,5 @@ SaSearchResult find_best_settings(unsigned num_inputs, unsigned bound_size,
                                   const SaParams& params, util::Rng& rng,
                                   util::ThreadPool* pool, bool track_bto,
                                   util::RunControl* control = nullptr);
-
-inline SaSearchResult find_best_settings(unsigned num_inputs,
-                                         unsigned bound_size,
-                                         std::span<const double> c0,
-                                         std::span<const double> c1,
-                                         unsigned n_beam,
-                                         const SaParams& params,
-                                         util::Rng& rng,
-                                         util::ThreadPool* pool,
-                                         bool track_bto,
-                                         util::RunControl* control = nullptr) {
-  return find_best_settings(num_inputs, bound_size, CostView(c0, c1), n_beam,
-                            params, rng, pool, track_bto, control);
-}
 
 }  // namespace dalut::core

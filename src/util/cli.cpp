@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <stdexcept>
 
 namespace dalut::util {
@@ -42,6 +45,21 @@ std::chrono::nanoseconds parse_duration(const std::string& text,
   }
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(seconds * scale));
+}
+
+bool write_text_artifact(const std::string& path, const char* what,
+                         const std::function<void(std::ostream&)>& body) {
+  std::ofstream out(path);
+  if (out) {
+    body(out);
+    out.flush();
+  }
+  if (!out) {
+    std::fprintf(stderr, "io error: cannot write %s to '%s': %s\n", what,
+                 path.c_str(), std::strerror(errno));
+    return false;
+  }
+  return true;
 }
 
 CliParser::CliParser(std::string program_description)

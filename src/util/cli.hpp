@@ -1,4 +1,5 @@
-// Tiny command-line argument parser for the bench/example executables.
+// Tiny command-line argument parser for the bench/example executables, and
+// the tools' checked artifact writer.
 //
 // Supports `--flag`, `--key value`, and `--key=value` forms. Unknown
 // arguments abort with a usage message listing the registered options.
@@ -6,6 +7,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,6 +21,13 @@ namespace dalut::util {
 /// e.g. "--deadline") for anything that is not a positive duration.
 std::chrono::nanoseconds parse_duration(const std::string& text,
                                         const std::string& what);
+
+/// Checked text-artifact write: opens `path`, streams `body(out)`, flushes,
+/// and reports any failure (open or write) on stderr as an I/O error naming
+/// `what` and the path. Returns false after printing the error; the tools
+/// then exit with their I/O status.
+bool write_text_artifact(const std::string& path, const char* what,
+                         const std::function<void(std::ostream&)>& body);
 
 class CliParser {
  public:

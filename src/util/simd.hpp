@@ -9,9 +9,9 @@
 // The wrapper exposes exactly the operations the kernels need, in three
 // granularities:
 //
-//  * Lane vectors (VecD / VecU / VecI, kLanes wide): elementwise double,
-//    u64-mask, and i32 arithmetic for the blend sweeps and the bit-cost /
-//    error kernels.
+//  * Lane vectors (VecD / VecI, kLanes wide): elementwise double and i32
+//    arithmetic for the double OptForPart kernels and the bit-cost / error
+//    kernels.
 //  * Full-register int32 lanes (Vec32, kLanes32 wide: twice kLanes on
 //    every vector backend) for the integer OptForPart kernels, with a
 //    widening 64-bit accumulator, an in-register transpose, a narrowing
@@ -122,7 +122,6 @@ inline void prefetch(const void* p) noexcept {
 #if defined(DALUT_SIMD_AVX2)
 
 using VecD = __m256d;  ///< kLanes doubles
-using VecU = __m256i;  ///< kLanes u64 select masks
 using VecI = __m128i;  ///< kLanes i32 values
 
 inline VecD dzero() noexcept { return _mm256_setzero_pd(); }
@@ -152,21 +151,6 @@ inline unsigned dmovemask(VecD mask) noexcept {
   return static_cast<unsigned>(_mm256_movemask_pd(mask));
 }
 
-inline VecU uloadu(const std::uint64_t* p) noexcept {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-inline VecU ubroadcast(std::uint64_t v) noexcept {
-  return _mm256_set1_epi64x(static_cast<long long>(v));
-}
-inline VecU uand(VecU a, VecU b) noexcept { return _mm256_and_si256(a, b); }
-inline VecU uor(VecU a, VecU b) noexcept { return _mm256_or_si256(a, b); }
-inline VecU uxor(VecU a, VecU b) noexcept { return _mm256_xor_si256(a, b); }
-/// ~a & b (intrinsic operand order).
-inline VecU uandnot(VecU a, VecU b) noexcept {
-  return _mm256_andnot_si256(a, b);
-}
-inline VecD as_double(VecU v) noexcept { return _mm256_castsi256_pd(v); }
-
 inline VecI iloadu(const std::uint32_t* p) noexcept {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
@@ -190,7 +174,6 @@ inline VecD i_to_d(VecI v) noexcept { return _mm256_cvtepi32_pd(v); }
 #elif defined(DALUT_SIMD_SSE2)
 
 using VecD = __m128d;
-using VecU = __m128i;
 using VecI = __m128i;  ///< low 2 lanes hold the values
 
 inline VecD dzero() noexcept { return _mm_setzero_pd(); }
@@ -212,20 +195,6 @@ inline unsigned dmovemask(VecD mask) noexcept {
   return static_cast<unsigned>(_mm_movemask_pd(mask));
 }
 
-inline VecU uloadu(const std::uint64_t* p) noexcept {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-inline VecU ubroadcast(std::uint64_t v) noexcept {
-  return _mm_set1_epi64x(static_cast<long long>(v));
-}
-inline VecU uand(VecU a, VecU b) noexcept { return _mm_and_si128(a, b); }
-inline VecU uor(VecU a, VecU b) noexcept { return _mm_or_si128(a, b); }
-inline VecU uxor(VecU a, VecU b) noexcept { return _mm_xor_si128(a, b); }
-inline VecU uandnot(VecU a, VecU b) noexcept {
-  return _mm_andnot_si128(a, b);
-}
-inline VecD as_double(VecU v) noexcept { return _mm_castsi128_pd(v); }
-
 inline VecI iloadu(const std::uint32_t* p) noexcept {
   return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
 }
@@ -246,7 +215,6 @@ inline VecD i_to_d(VecI v) noexcept { return _mm_cvtepi32_pd(v); }
 #elif defined(DALUT_SIMD_NEON)
 
 using VecD = float64x2_t;
-using VecU = uint64x2_t;
 using VecI = int32x2_t;
 
 inline VecD dzero() noexcept { return vdupq_n_f64(0.0); }
@@ -278,16 +246,6 @@ inline unsigned dmovemask(VecD mask) noexcept {
                                (vgetq_lane_u64(bits, 1) << 1));
 }
 
-inline VecU uloadu(const std::uint64_t* p) noexcept { return vld1q_u64(p); }
-inline VecU ubroadcast(std::uint64_t v) noexcept { return vdupq_n_u64(v); }
-inline VecU uand(VecU a, VecU b) noexcept { return vandq_u64(a, b); }
-inline VecU uor(VecU a, VecU b) noexcept { return vorrq_u64(a, b); }
-inline VecU uxor(VecU a, VecU b) noexcept { return veorq_u64(a, b); }
-inline VecU uandnot(VecU a, VecU b) noexcept {
-  return vbicq_u64(b, a);  // b & ~a
-}
-inline VecD as_double(VecU v) noexcept { return vreinterpretq_f64_u64(v); }
-
 inline VecI iloadu(const std::uint32_t* p) noexcept {
   return vreinterpret_s32_u32(vld1_u32(p));
 }
@@ -311,9 +269,6 @@ inline VecD i_to_d(VecI v) noexcept {
 
 struct VecD {
   double v;
-};
-struct VecU {
-  std::uint64_t v;
 };
 struct VecI {
   std::int32_t v;
@@ -345,16 +300,6 @@ inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
 }
 inline unsigned dmovemask(VecD mask) noexcept {
   return static_cast<unsigned>(std::bit_cast<std::uint64_t>(mask.v) >> 63);
-}
-
-inline VecU uloadu(const std::uint64_t* p) noexcept { return {*p}; }
-inline VecU ubroadcast(std::uint64_t v) noexcept { return {v}; }
-inline VecU uand(VecU a, VecU b) noexcept { return {a.v & b.v}; }
-inline VecU uor(VecU a, VecU b) noexcept { return {a.v | b.v}; }
-inline VecU uxor(VecU a, VecU b) noexcept { return {a.v ^ b.v}; }
-inline VecU uandnot(VecU a, VecU b) noexcept { return {~a.v & b.v}; }
-inline VecD as_double(VecU v) noexcept {
-  return {std::bit_cast<double>(v.v)};
 }
 
 inline VecI iloadu(const std::uint32_t* p) noexcept {

@@ -32,11 +32,10 @@ Fixture make_fixture(unsigned width) {
     const auto bit_costs =
         build_bit_costs(g, cache, k, LsbModel::kCurrentApprox, dist);
     const auto p = Partition::random(width, width / 2, rng);
-    candidates[k].by_level[0] = optimize_bto(p, bit_costs.c0, bit_costs.c1);
-    candidates[k].by_level[1] =
-        optimize_normal(p, bit_costs.c0, bit_costs.c1, {8, 64}, rng);
+    candidates[k].by_level[0] = optimize_bto(p, bit_costs);
+    candidates[k].by_level[1] = optimize_normal(p, bit_costs, {8, 64}, rng);
     candidates[k].by_level[2] = optimize_nondisjoint(
-        p, bit_costs.c0, bit_costs.c1, {8, 64}, rng);
+        p, bit_costs, {8, 64}, rng);
     costs[k] = {1.0, 2.0, 4.0};
   }
   return {std::move(g), std::move(dist), std::move(candidates),

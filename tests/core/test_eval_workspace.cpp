@@ -193,11 +193,10 @@ struct ScopedForceScalar {
   ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
 };
 
-/// Runs the workspace OptForPart under every forced restart-block size (0 =
-/// automatic) with SIMD on and forced-scalar, and requires the reference
-/// result and RNG end state each time.
-void expect_blocked_identical(const MatrixPair& m, unsigned restarts,
-                              std::uint64_t seed) {
+/// Runs the workspace OptForPart with SIMD on and forced-scalar, and
+/// requires the reference result and RNG end state each time.
+void expect_reference_identical(const MatrixPair& m, unsigned restarts,
+                                std::uint64_t seed) {
   const OptForPartParams params{restarts, 64};
   util::Rng ref_rng(seed);
   const auto expected = opt_for_part(m.reference, params, ref_rng);
@@ -206,19 +205,14 @@ void expect_blocked_identical(const MatrixPair& m, unsigned restarts,
   auto& workspace = EvalWorkspace::local();
   for (const bool scalar : {false, true}) {
     const ScopedForceScalar scoped(scalar);
-    for (const unsigned block : {0u, 1u, 3u, 5u}) {
-      SCOPED_TRACE(testing::Message()
-                   << m.reference.rows << "x" << m.reference.cols
-                   << " Z=" << restarts << " block=" << block
-                   << " scalar=" << scalar);
-      workspace.set_opt_restart_block_for_test(block);
-      util::Rng ws_rng(seed);
-      expect_same_result(workspace.opt_for_part(m.interleaved, params, ws_rng),
-                         expected);
-      EXPECT_EQ(ws_rng.next_double(), ref_next);
-    }
+    SCOPED_TRACE(testing::Message()
+                 << m.reference.rows << "x" << m.reference.cols
+                 << " Z=" << restarts << " scalar=" << scalar);
+    util::Rng ws_rng(seed);
+    expect_same_result(workspace.opt_for_part(m.interleaved, params, ws_rng),
+                       expected);
+    EXPECT_EQ(ws_rng.next_double(), ref_next);
   }
-  workspace.set_opt_restart_block_for_test(0);
 }
 
 /// Improving alternation rounds of each restart of the reference
@@ -242,11 +236,10 @@ std::vector<unsigned> improving_rounds(const CostMatrix& matrix,
   return rounds;
 }
 
-TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
-  // Each restart's arithmetic is independent of how restarts are grouped
-  // into blocks, padded to whole vectors, and tiled: every Z from one
-  // partial vector to several tiles, on matrices from one row and two
-  // columns up. Odd column counts cover the column-pair tail.
+TEST(EvalWorkspace, OptForPartBitIdenticalAcrossShapes) {
+  // A matrix without the certificate runs the reference on a de-interleaved
+  // copy: every Z on matrices from one row and one column up must leave the
+  // reference's result and RNG state.
   std::vector<unsigned> restart_counts;
   for (unsigned z = 1; z <= 17; ++z) restart_counts.push_back(z);
   restart_counts.push_back(30);
@@ -256,13 +249,13 @@ TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
     for (const std::size_t cols : {1u, 2u, 3u, 4u, 8u, 128u}) {
       const MatrixPair m(rows, cols, seed++);
       for (const unsigned z : restart_counts) {
-        expect_blocked_identical(m, z, seed++);
+        expect_reference_identical(m, z, seed++);
       }
     }
   }
 
   // Cost1 dominates every cell, so every row types AllZero from the first
-  // sweep on and the pattern sweep has no participating rows.
+  // types step on and no row takes part in a pattern step.
   const MatrixPair constant(32, 128, 7, 0.0, 0.1, 1.0, 2.0);
   for (const unsigned z : {1u, 12u, 33u}) {
     const auto result = [&] {
@@ -272,22 +265,8 @@ TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
     for (const RowType type : result.types) {
       ASSERT_EQ(type, RowType::kAllZero);
     }
-    expect_blocked_identical(constant, z, 8);
+    expect_reference_identical(constant, z, 8);
   }
-
-  // Stragglers: the active set thins below a quarter of the block (Z = 33
-  // restarts, one automatic block) before the last restart converges.
-  const MatrixPair wide(32, 128, 9);
-  const unsigned restarts = 33;
-  const auto rounds = improving_rounds(wide.reference, restarts, 10);
-  bool thinned = false;
-  for (unsigned i = 1; i <= 64; ++i) {
-    const auto active = std::count_if(rounds.begin(), rounds.end(),
-                                      [&](unsigned r) { return r >= i; });
-    thinned = thinned || (active > 0 && 4 * active < restarts);
-  }
-  ASSERT_TRUE(thinned);
-  expect_blocked_identical(wide, restarts, 10);
 }
 
 /// A matrix of dyadic costs, integers in [0, levels) times 2^-12, as
@@ -340,10 +319,9 @@ void expect_same_setting(const Setting& actual, const Setting& expected) {
 
 TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
   // Exact matrices take the incremental path; each must reproduce the
-  // reference, and so the full sweeps the same matrix gets with its
-  // certificate cleared. Row and column counts cover partial vectors, the
-  // 4 x 4 difference blocks' tails and more than one 64-column pattern
-  // word.
+  // reference, as the same matrix does with its certificate cleared. Row
+  // and column counts cover partial vectors, the 4 x 4 difference blocks'
+  // tails and more than one 64-column pattern word.
   std::uint64_t seed = 500;
   for (const std::size_t rows : {1u, 2u, 3u, 5u, 32u}) {
     for (const std::size_t cols : {1u, 2u, 3u, 4u, 5u, 64u, 65u, 130u}) {
@@ -352,8 +330,8 @@ TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
         MatrixPair cleared = exact;
         cleared.interleaved.exact = false;
         for (const unsigned z : {1u, 12u, 17u, 30u}) {
-          expect_blocked_identical(exact, z, seed);
-          expect_blocked_identical(cleared, z, seed++);
+          expect_reference_identical(exact, z, seed);
+          expect_reference_identical(cleared, z, seed++);
         }
       }
     }
@@ -396,8 +374,8 @@ TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
 
 TEST(EvalWorkspace, SearchesIdenticalWithAndWithoutExactCertificate) {
   // Cost arrays from build_bit_costs under a uniform distribution carry
-  // the certificate; the same arrays without it take the full sweeps. The
-  // searches must not tell them apart. (The cleared copy also drops the
+  // the certificate; the same arrays without it run the reference
+  // OptForPart. The searches must not tell them apart. (The cleared copy also drops the
   // epoch, so its gathers read the split arrays instead of the interleaved
   // source mirror.)
   util::Rng rng(5);
@@ -473,7 +451,7 @@ TEST(EvalWorkspace, EvaluateVtAgreesWithSettingErrorUnderCosts) {
   util::Rng rng(8);
   auto& workspace = EvalWorkspace::local();
   const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const auto setting = optimize_normal(p, fx.c0, fx.c1, {8, 64}, rng);
+  const auto setting = optimize_normal(p, fx.view(), {8, 64}, rng);
 
   // Different summation orders (realized 2^n domain vs row-major matrix),
   // so agreement is up to FP reassociation only.
@@ -495,7 +473,7 @@ TEST(EvalWorkspace, OptimizeNormalBitIdenticalToLegacyPath) {
       opt_for_part(CostMatrix::build(p, fx.c0, fx.c1), params, ref_rng);
 
   util::Rng rng(21);
-  const auto setting = optimize_normal(p, fx.c0, fx.c1, params, rng);
+  const auto setting = optimize_normal(p, fx.view(), params, rng);
   EXPECT_EQ(setting.error, expected.error);
   EXPECT_EQ(setting.pattern, expected.pattern);
   EXPECT_EQ(setting.types, expected.types);
@@ -544,7 +522,7 @@ TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
   util::Rng ref_rng(31);
   const Setting expected = legacy_nondisjoint(p, fx.c0, fx.c1, params, ref_rng);
   util::Rng rng(31);
-  expect_same_nondisjoint(optimize_nondisjoint(p, fx.c0, fx.c1, params, rng),
+  expect_same_nondisjoint(optimize_nondisjoint(p, fx.view(), params, rng),
                           expected);
 }
 
@@ -780,8 +758,8 @@ TEST(EvalWorkspace, IntegerAdmissionBoundary) {
 
 TEST(EvalWorkspace, BssaAndDaltaIdenticalWithoutCertificate) {
   // Equal weights give every input p = 2^-n, as the uniform distribution
-  // does, but a weight table carries no certificate: its searches take the
-  // uncertified full sweeps. Uniform searches run on the integer layout
+  // does, but a weight table carries no certificate: its searches run the
+  // reference OptForPart. Uniform searches run on the integer layout
   // (the ND mode on its conditioned slices). Settings and MED must agree.
   const unsigned n = 10;
   util::Rng rng(61);
@@ -827,6 +805,68 @@ TEST(EvalWorkspace, BssaAndDaltaIdenticalWithoutCertificate) {
   dp.seed = 63;
   dp.pool = &pool;
   expect_same_run(run_dalta(g, uniform, dp), run_dalta(g, weighted, dp));
+}
+
+TEST(EvalWorkspace, SearchesNeverTakeTheReferencePath) {
+  // Under uniform MED and ER costs every OptForPart of BS-SA (all three
+  // modes), DALTA and the harnesses' per-bit flow (find_best_settings, then
+  // the ND and multi-shared modes on its tops) runs on the integer layout:
+  // none reaches the reference.
+  const unsigned n = 10;
+  util::Rng rng(81);
+  const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
+    return static_cast<OutputWord>(rng.next_below(256));
+  });
+  const auto uniform = InputDistribution::uniform(n);
+  util::ThreadPool pool(2);
+  util::telemetry::reset_metrics_for_test();
+  util::telemetry::set_metrics_enabled(true);
+  for (const CostMetric metric : {CostMetric::kMed, CostMetric::kErrorRate}) {
+    BssaParams bp;
+    bp.bound_size = 5;
+    bp.rounds = 2;
+    bp.beam_width = 2;
+    bp.sa.partition_limit = 12;
+    bp.sa.init_patterns = 4;
+    bp.sa.chains = 2;
+    bp.modes = ModePolicy::bto_normal_nd();
+    bp.metric = metric;
+    bp.seed = 82;
+    bp.pool = &pool;
+    (void)run_bssa(g, uniform, bp);
+
+    DaltaParams dp;
+    dp.bound_size = 5;
+    dp.rounds = 2;
+    dp.partition_limit = 12;
+    dp.init_patterns = 4;
+    dp.metric = metric;
+    dp.seed = 83;
+    dp.pool = &pool;
+    (void)run_dalta(g, uniform, dp);
+
+    const BitCostArrays costs =
+        build_bit_costs(g, g.values(), g.num_outputs() - 1,
+                        LsbModel::kPredictive, uniform, metric);
+    SaParams sa;
+    sa.partition_limit = 12;
+    sa.init_patterns = 4;
+    sa.chains = 2;
+    util::Rng search_rng(84);
+    const auto found =
+        find_best_settings(n, 5, costs, 2, sa, search_rng, &pool, true);
+    for (const Setting& top : found.top) {
+      (void)optimize_nondisjoint(top.partition, costs, {4, 64}, search_rng);
+      (void)optimize_multi_shared(top.partition, 2, costs, {4, 64},
+                                  search_rng);
+    }
+  }
+  const auto snap = util::telemetry::snapshot_metrics();
+  const std::uint64_t calls = snap.counter_value("opt_for_part.calls");
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(snap.counter_value("opt_for_part.int_calls"), calls);
+  util::telemetry::set_metrics_enabled(false);
+  util::telemetry::reset_metrics_for_test();
 }
 
 TEST(EvalWorkspace, OptForPartWorkCounters) {

@@ -12,6 +12,7 @@ namespace {
 
 struct Costs {
   std::vector<double> c0, c1;
+  CostView view() const { return CostView(c0, c1); }
 };
 
 Costs random_costs(unsigned n, util::Rng& rng) {
@@ -41,8 +42,8 @@ TEST(MultiShared, ZeroSharedMatchesNormalMode) {
   const Partition p(6, 0b000111);
   util::Rng a(5), b(5);
   const auto multi =
-      optimize_for_shared_set(p, {}, costs.c0, costs.c1, {8, 64}, a);
-  const auto normal = optimize_normal(p, costs.c0, costs.c1, {8, 64}, b);
+      optimize_for_shared_set(p, {}, costs.view(), {8, 64}, a);
+  const auto normal = optimize_normal(p, costs.view(), {8, 64}, b);
   EXPECT_NEAR(multi.error, normal.error, 1e-12);
 }
 
@@ -54,7 +55,7 @@ TEST(MultiShared, OneSharedMatchesPaperNdMode) {
     util::Rng a(7), b(7);
     const unsigned set[1] = {shared};
     const auto multi =
-        optimize_for_shared_set(p, set, costs.c0, costs.c1, {16, 64}, a);
+        optimize_for_shared_set(p, set, costs.view(), {16, 64}, a);
     // Reference: the paper's two-half construction.
     const auto m0 =
         CostMatrix::build_conditioned(p, shared, false, costs.c0, costs.c1);
@@ -71,8 +72,8 @@ TEST(MultiShared, ClaimedErrorMatchesRealization) {
   for (unsigned shared_count = 0; shared_count <= 2; ++shared_count) {
     const auto costs = random_costs(7, rng);
     const auto p = Partition::random(7, 4, rng);
-    const auto setting = optimize_multi_shared(p, shared_count, costs.c0,
-                                               costs.c1, {12, 64}, rng);
+    const auto setting =
+        optimize_multi_shared(p, shared_count, costs.view(), {12, 64}, rng);
     EXPECT_TRUE(setting.valid());
     EXPECT_EQ(setting.shared_bits.size(), shared_count);
     EXPECT_NEAR(setting.error, realized_cost(setting, costs.c0, costs.c1),
@@ -88,8 +89,8 @@ TEST(MultiShared, LargerSharedSetNeverWorse) {
     const auto p = Partition::random(7, 4, rng);
     double previous = 1e300;
     for (unsigned shared_count = 0; shared_count <= 2; ++shared_count) {
-      const auto setting = optimize_multi_shared(p, shared_count, costs.c0,
-                                                 costs.c1, {16, 64}, rng);
+      const auto setting =
+          optimize_multi_shared(p, shared_count, costs.view(), {16, 64}, rng);
       EXPECT_LE(setting.error, previous + 1e-9)
           << "shared_count=" << shared_count;
       previous = setting.error;
@@ -102,8 +103,8 @@ TEST(MultiShared, StoredEntriesScaleWithSharedCount) {
   const auto costs = random_costs(7, rng);
   const Partition p(7, 0b0011110);
   for (unsigned shared_count = 0; shared_count <= 2; ++shared_count) {
-    const auto setting = optimize_multi_shared(p, shared_count, costs.c0,
-                                               costs.c1, {8, 64}, rng);
+    const auto setting =
+        optimize_multi_shared(p, shared_count, costs.view(), {8, 64}, rng);
     const auto bit = MultiSharedBit::realize(setting);
     const std::size_t expected =
         p.num_cols() + (std::size_t{1} << shared_count) * p.num_rows() * 2;
@@ -132,8 +133,8 @@ TEST(MultiShared, TwoSharedRecoversTwoBitDependentFunction) {
   util::Rng rng(6);
   const Partition p(n, 0b000111);  // B = {x1, x2, x3}
   const unsigned shared[2] = {0, 1};
-  const auto setting = optimize_for_shared_set(p, shared, costs.c0, costs.c1,
-                                               {24, 64}, rng);
+  const auto setting =
+      optimize_for_shared_set(p, shared, costs, {24, 64}, rng);
   EXPECT_NEAR(setting.error, 0.0, 1e-12);
   const auto bit = MultiSharedBit::realize(setting);
   for (InputWord x = 0; x < (1u << n); ++x) {
@@ -147,13 +148,12 @@ TEST(MultiShared, Validation) {
   const Partition p(5, 0b00011);
   // Shared bit outside B.
   const unsigned outside[1] = {4};
-  EXPECT_THROW(optimize_for_shared_set(p, outside, costs.c0, costs.c1,
-                                       {4, 64}, rng),
+  EXPECT_THROW(optimize_for_shared_set(p, outside, costs.view(), {4, 64}, rng),
                std::invalid_argument);
   // Shared set as large as B.
   const unsigned all[2] = {0, 1};
   EXPECT_THROW(
-      optimize_for_shared_set(p, all, costs.c0, costs.c1, {4, 64}, rng),
+      optimize_for_shared_set(p, all, costs.view(), {4, 64}, rng),
       std::invalid_argument);
   // Invalid setting cannot realize.
   EXPECT_THROW(MultiSharedBit::realize(MultiSharedSetting{}),

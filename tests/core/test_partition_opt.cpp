@@ -11,6 +11,7 @@ namespace {
 
 struct Costs {
   std::vector<double> c0, c1;
+  CostView view() const { return CostView(c0, c1); }
 };
 
 Costs random_costs(unsigned n, util::Rng& rng) {
@@ -28,7 +29,7 @@ TEST(PartitionOpt, NormalSettingFieldsPopulated) {
   util::Rng rng(1);
   const auto costs = random_costs(6, rng);
   const Partition p(6, 0b000111);
-  const auto s = optimize_normal(p, costs.c0, costs.c1, {8, 64}, rng);
+  const auto s = optimize_normal(p, costs.view(), {8, 64}, rng);
   EXPECT_TRUE(s.valid());
   EXPECT_EQ(s.mode, DecompMode::kNormal);
   EXPECT_EQ(s.partition, p);
@@ -42,14 +43,13 @@ TEST(PartitionOpt, SettingErrorsMatchRealizedError) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto costs = random_costs(6, rng);
     const auto p = Partition::random(6, 3, rng);
-    const auto normal = optimize_normal(p, costs.c0, costs.c1, {8, 64}, rng);
+    const auto normal = optimize_normal(p, costs.view(), {8, 64}, rng);
     EXPECT_NEAR(normal.error,
                 setting_error_under_costs(normal, costs.c0, costs.c1), 1e-12);
-    const auto bto = optimize_bto(p, costs.c0, costs.c1);
+    const auto bto = optimize_bto(p, costs.view());
     EXPECT_NEAR(bto.error, setting_error_under_costs(bto, costs.c0, costs.c1),
                 1e-12);
-    const auto nd =
-        optimize_nondisjoint(p, costs.c0, costs.c1, {8, 64}, rng);
+    const auto nd = optimize_nondisjoint(p, costs.view(), {8, 64}, rng);
     EXPECT_NEAR(nd.error, setting_error_under_costs(nd, costs.c0, costs.c1),
                 1e-12);
   }
@@ -61,11 +61,9 @@ TEST(PartitionOpt, ErrorOrderingBtoNormalNd) {
   for (int trial = 0; trial < 15; ++trial) {
     const auto costs = random_costs(7, rng);
     const auto p = Partition::random(7, 4, rng);
-    const auto bto = optimize_bto(p, costs.c0, costs.c1);
-    const auto normal =
-        optimize_normal(p, costs.c0, costs.c1, {16, 64}, rng);
-    const auto nd =
-        optimize_nondisjoint(p, costs.c0, costs.c1, {16, 64}, rng);
+    const auto bto = optimize_bto(p, costs.view());
+    const auto normal = optimize_normal(p, costs.view(), {16, 64}, rng);
+    const auto nd = optimize_nondisjoint(p, costs.view(), {16, 64}, rng);
     EXPECT_LE(normal.error, bto.error + 1e-9);
     EXPECT_LE(nd.error, normal.error + 1e-9);
   }
@@ -77,7 +75,7 @@ TEST(PartitionOpt, NdPicksBestSharedBit) {
   util::Rng rng(4);
   const auto costs = random_costs(6, rng);
   const Partition p(6, 0b011010);
-  const auto nd = optimize_nondisjoint(p, costs.c0, costs.c1, {16, 64}, rng);
+  const auto nd = optimize_nondisjoint(p, costs.view(), {16, 64}, rng);
   EXPECT_TRUE(p.in_bound_set(nd.shared_bit));
   for (const unsigned shared : p.bound_inputs()) {
     const auto m0 =
@@ -107,7 +105,7 @@ TEST(PartitionOpt, NdExactlyDecomposesXorWithSharedBit) {
       build_bit_costs(g, g.values(), 0, LsbModel::kCurrentApprox, dist);
   util::Rng rng(5);
   const Partition p(n, 0b00111);
-  const auto nd = optimize_nondisjoint(p, costs.c0, costs.c1, {24, 64}, rng);
+  const auto nd = optimize_nondisjoint(p, costs, {24, 64}, rng);
   EXPECT_NEAR(nd.error, 0.0, 1e-12);
   // Realized bit reproduces g exactly.
   const auto bit = DecomposedBit::realize(nd);

@@ -13,7 +13,7 @@ namespace dalut::core {
 namespace {
 
 struct Problem {
-  std::vector<double> c0, c1;
+  BitCostArrays costs;
   unsigned n;
 };
 
@@ -24,9 +24,9 @@ Problem cosine_problem(unsigned n) {
   const auto g = MultiOutputFunction::from_eval(spec.num_inputs,
                                                 spec.num_outputs, spec.eval);
   const auto dist = InputDistribution::uniform(n);
-  auto costs = build_bit_costs(g, g.values(), g.num_outputs() - 1,
-                               LsbModel::kPredictive, dist);
-  return {std::move(costs.c0), std::move(costs.c1), n};
+  return {build_bit_costs(g, g.values(), g.num_outputs() - 1,
+                          LsbModel::kPredictive, dist),
+          n};
 }
 
 TEST(SaSearch, RespectsPartitionLimit) {
@@ -36,7 +36,7 @@ TEST(SaSearch, RespectsPartitionLimit) {
   params.init_patterns = 4;
   params.chains = 2;
   util::Rng rng(1);
-  const auto result = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 4, problem.costs,
                                          3, params, rng, nullptr, false);
   EXPECT_LE(result.partitions_visited, 12u + params.num_neighbours);
   EXPECT_FALSE(result.top.empty());
@@ -48,7 +48,7 @@ TEST(SaSearch, TopSortedAscendingDistinctPartitions) {
   params.partition_limit = 30;
   params.init_patterns = 4;
   util::Rng rng(2);
-  const auto result = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 4, problem.costs,
                                          5, params, rng, nullptr, false);
   ASSERT_GE(result.top.size(), 2u);
   EXPECT_LE(result.top.size(), 5u);
@@ -68,14 +68,14 @@ TEST(SaSearch, FindsExhaustiveOptimumWhenBudgetCoversSpace) {
   params.init_patterns = 8;
   params.chains = 6;
   util::Rng rng(3);
-  const auto result = find_best_settings(problem.n, 3, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 3, problem.costs,
                                          1, params, rng, nullptr, false);
 
   // Exhaustive reference.
   util::Rng xrng(4);
   double best = std::numeric_limits<double>::infinity();
   for (const auto& p : sample_partitions(problem.n, 3, 100000, xrng)) {
-    const auto s = optimize_normal(p, problem.c0, problem.c1, {8, 64}, xrng);
+    const auto s = optimize_normal(p, problem.costs, {8, 64}, xrng);
     best = std::min(best, s.error);
   }
   // The SA may stop early on stagnation; allow it to be at most marginally
@@ -91,9 +91,9 @@ TEST(SaSearch, DeterministicForSeed) {
   params.init_patterns = 4;
   params.chains = 3;
   util::Rng a(7), b(7);
-  const auto ra = find_best_settings(problem.n, 4, problem.c0, problem.c1, 3,
+  const auto ra = find_best_settings(problem.n, 4, problem.costs, 3,
                                      params, a, nullptr, false);
-  const auto rb = find_best_settings(problem.n, 4, problem.c0, problem.c1, 3,
+  const auto rb = find_best_settings(problem.n, 4, problem.costs, 3,
                                      params, b, nullptr, false);
   ASSERT_EQ(ra.top.size(), rb.top.size());
   for (std::size_t i = 0; i < ra.top.size(); ++i) {
@@ -111,9 +111,9 @@ TEST(SaSearch, PoolAndSequentialAgree) {
   params.init_patterns = 4;
   util::ThreadPool pool(3);
   util::Rng a(9), b(9);
-  const auto seq = find_best_settings(problem.n, 4, problem.c0, problem.c1, 3,
+  const auto seq = find_best_settings(problem.n, 4, problem.costs, 3,
                                       params, a, nullptr, false);
-  const auto par = find_best_settings(problem.n, 4, problem.c0, problem.c1, 3,
+  const auto par = find_best_settings(problem.n, 4, problem.costs, 3,
                                       params, b, &pool, false);
   ASSERT_EQ(seq.top.size(), par.top.size());
   for (std::size_t i = 0; i < seq.top.size(); ++i) {
@@ -130,12 +130,12 @@ TEST(SaSearch, IdenticalAcrossWorkerCounts) {
   params.init_patterns = 4;
   params.chains = 4;
   util::Rng serial_rng(17);
-  const auto serial = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto serial = find_best_settings(problem.n, 4, problem.costs,
                                          3, params, serial_rng, nullptr, true);
   for (const std::size_t workers : {2u, 8u}) {
     util::ThreadPool pool(workers);
     util::Rng rng(17);
-    const auto par = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+    const auto par = find_best_settings(problem.n, 4, problem.costs,
                                         3, params, rng, &pool, true);
     EXPECT_EQ(serial.partitions_visited, par.partitions_visited);
     ASSERT_EQ(serial.top.size(), par.top.size());
@@ -164,7 +164,7 @@ TEST(SaSearch, NeverOvershootsPartitionLimit) {
   params.chains = 8;
   params.num_neighbours = 8;
   util::Rng rng(23);
-  const auto result = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 4, problem.costs,
                                          3, params, rng, nullptr, false);
   EXPECT_LE(result.partitions_visited, 12u);
 }
@@ -175,7 +175,7 @@ TEST(SaSearch, TrackBtoProducesBtoSettings) {
   params.partition_limit = 15;
   params.init_patterns = 4;
   util::Rng rng(11);
-  const auto result = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 4, problem.costs,
                                          3, params, rng, nullptr, true);
   ASSERT_FALSE(result.top_bto.empty());
   for (const auto& s : result.top_bto) {
@@ -193,7 +193,7 @@ TEST(SaSearch, SingleChainStillWorks) {
   params.init_patterns = 4;
   params.chains = 1;
   util::Rng rng(13);
-  const auto result = find_best_settings(problem.n, 4, problem.c0, problem.c1,
+  const auto result = find_best_settings(problem.n, 4, problem.costs,
                                          2, params, rng, nullptr, false);
   EXPECT_FALSE(result.top.empty());
   EXPECT_GT(result.partitions_visited, 0u);

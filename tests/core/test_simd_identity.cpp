@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -115,31 +116,56 @@ TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
   }
 }
 
-// The full per-partition optimizer: gather + types sweep + pattern sweep +
-// the restart-blocked accumulators, driven by identical RNG streams.
+/// Cost arrays as build_bit_costs produces them under a uniform
+/// distribution: 8-bit integer losses times 2^-n, with the exactness
+/// certificate.
+BitCostArrays certified_costs(unsigned n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const double unit = std::ldexp(1.0, -static_cast<int>(n));
+  BitCostArrays costs;
+  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
+    costs.c0.push_back(unit * static_cast<double>(rng.next_below(256)));
+    costs.c1.push_back(unit * static_cast<double>(rng.next_below(256)));
+  }
+  costs.exact = true;
+  costs.loss_bits = 8;
+  costs.epoch = next_cost_epoch();
+  return costs;
+}
+
+// The full per-partition optimizer on both exact routes, the interleaved
+// double matrix (full_matrix) and the integer layout (prepare), driven by
+// identical RNG streams; BTO's column-pair sums on raw doubles.
 TEST(SimdIdentity, OptForPartMatchesScalar) {
   auto& workspace = EvalWorkspace::local();
   util::Rng part_rng(43);
   for (const unsigned n : {8u, 11u, 13u, 14u}) {
     const CostFixture fx(n, 200 + n);
+    const BitCostArrays costs = certified_costs(n, 300 + n);
     for (const unsigned bound : {3u, 4u, 6u}) {
       const auto p = Partition::random(n, bound, part_rng);
       const OptForPartParams params{9, 64};
 
-      util::Rng scalar_rng(7);
-      VtResult expected;
-      {
-        ScopedForceScalar scoped(true);
-        expected = workspace.opt_for_part(workspace.full_matrix(p, fx.view()),
-                                          params, scalar_rng);
+      for (const bool integer : {false, true}) {
+        const auto run = [&] {
+          util::Rng rng(7);
+          return integer
+                     ? workspace.opt_for_part(workspace.prepare(p, costs),
+                                              params, rng)
+                     : workspace.opt_for_part(workspace.full_matrix(p, costs),
+                                              params, rng);
+        };
+        VtResult expected;
+        {
+          ScopedForceScalar scoped(true);
+          expected = run();
+        }
+        const VtResult actual = run();
+        EXPECT_EQ(actual.error, expected.error)
+            << "n=" << n << " b=" << bound << " integer=" << integer;
+        EXPECT_EQ(actual.pattern, expected.pattern);
+        EXPECT_EQ(actual.types, expected.types);
       }
-      util::Rng vec_rng(7);
-      const VtResult actual = workspace.opt_for_part(
-          workspace.full_matrix(p, fx.view()), params, vec_rng);
-
-      EXPECT_EQ(actual.error, expected.error) << "n=" << n << " b=" << bound;
-      EXPECT_EQ(actual.pattern, expected.pattern);
-      EXPECT_EQ(actual.types, expected.types);
 
       VtResult expected_bto;
       {

@@ -22,8 +22,8 @@ core::MultiSharedBit make_bit(unsigned shared_count, std::uint64_t seed) {
       g, g.values(), 0, core::LsbModel::kCurrentApprox, dist);
   util::Rng rng(seed + 1);
   const auto p = core::Partition::random(n, 4, rng);
-  const auto setting = core::optimize_multi_shared(p, shared_count, costs.c0,
-                                                   costs.c1, {8, 64}, rng);
+  const auto setting =
+      core::optimize_multi_shared(p, shared_count, costs, {8, 64}, rng);
   return core::MultiSharedBit::realize(setting);
 }
 

@@ -10,7 +10,9 @@
 # "hardware" and clamp huge ones). dalut_bench_report's `--runs -1` used to
 # wrap to 2^32 - 1 timed repetitions. dalut_opt's `--width 27` used to be
 # killed for memory and `--width -1` died in std::vector; `--checkpoint-every
-# -1` wrapped to 2^32 - 1 and silently never checkpointed.
+# -1` wrapped to 2^32 - 1 and silently never checkpointed. Last, the
+# telemetry artifacts of both search tools must fail with exit 6 when their
+# output cannot be written.
 set -uo pipefail
 
 if [[ $# -ne 3 ]]; then
@@ -117,6 +119,41 @@ if [[ $status -ne 0 ]]; then
   failures=$((failures + 1))
 else
   echo "ok: in-range knobs accepted"
+fi
+
+# An unwritable telemetry artifact exits 6 (I/O error) with a message naming
+# the path. /dev/full accepts the open and fails the flush, which these
+# writes used to ignore (exit 0, "wrote metrics").
+if [[ -w /dev/full ]]; then
+  cat > "$scratch/suite.manifest" <<'EOF'
+dalut-manifest v1
+default width=6 rounds=1 partitions=4 patterns=2
+job cos6 benchmark=cos algorithm=bssa seed=1
+end
+EOF
+  expect_io_error() {
+    local output status
+    output=$(timeout -s KILL 60 "$@" 2>&1)
+    status=$?
+    if [[ $status -ne 6 ]]; then
+      echo "FAIL: ${1##*/} ${*: -2} exited $status, want 6: $output" >&2
+      failures=$((failures + 1))
+    elif [[ $output != *"/dev/full"* ]]; then
+      echo "FAIL: ${1##*/} ${*: -2} error does not name the path: $output" >&2
+      failures=$((failures + 1))
+    else
+      echo "ok: ${1##*/} ${*: -2} failed with exit 6"
+    fi
+  }
+  opt_run=("$dalut_opt" --width 6 --partitions 4 --patterns 2 --threads 1)
+  expect_io_error "${opt_run[@]}" --metrics-out /dev/full
+  expect_io_error "${opt_run[@]}" --trace-out /dev/full
+  expect_io_error "$dalut_suite" --manifest "$scratch/suite.manifest" -j1 \
+    --csv-out "$scratch/suite.csv" --metrics-out /dev/full
+  expect_io_error "$dalut_suite" --manifest "$scratch/suite.manifest" -j1 \
+    --csv-out "$scratch/suite.csv" --trace-out /dev/full
+else
+  echo "skip: /dev/full is absent"
 fi
 
 exit $((failures > 0))

@@ -2,7 +2,7 @@
 //
 // Self-times the hot per-candidate kernels old vs. new — the reference
 // CostMatrix::build / opt_for_part path against the EvalWorkspace gather and
-// restart-blocked OptForPart (both return bit-identical results, so only
+// exact incremental OptForPart (both return bit-identical results, so only
 // the time differs) — plus steady-state heap allocations per call
 // (counted by a global operator new hook in this binary), an end-to-end
 // BS-SA / DALTA subset of the table-2 experiment with candidates/sec, and a
@@ -253,9 +253,8 @@ TelemetryOverheadResult bench_telemetry_overhead(unsigned width,
     // Fresh RNG per call: off and on time the exact same search, so the
     // delta is pure telemetry cost, not seed-dependent search variance.
     util::Rng rng(6);
-    auto found = core::find_best_settings(width, bound_size_for(width),
-                                          costs.c0, costs.c1, 3, params, rng,
-                                          nullptr, false);
+    auto found = core::find_best_settings(width, bound_size_for(width), costs,
+                                          3, params, rng, nullptr, false);
     volatile double sink = found.top.empty() ? 0.0 : found.top[0].error;
     (void)sink;
   };

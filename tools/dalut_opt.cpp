@@ -84,25 +84,6 @@ constexpr int kExitDeadline = 4;
 constexpr int kExitCancelled = 5;
 constexpr int kExitIo = 6;
 
-/// Checked text-artifact write: opens `path`, streams `body(out)`, flushes,
-/// and reports any failure (open or write) as an I/O error naming the path.
-/// Returns false after printing the error; the caller exits kExitIo.
-template <typename Body>
-bool write_text_artifact(const std::string& path, const char* what,
-                         Body&& body) {
-  std::ofstream out(path);
-  if (out) {
-    body(out);
-    out.flush();
-  }
-  if (!out) {
-    std::fprintf(stderr, "io error: cannot write %s to '%s': %s\n", what,
-                 path.c_str(), std::strerror(errno));
-    return false;
-  }
-  return true;
-}
-
 // The RunControl outlives main()'s locals so the signal handler can reach
 // it; request_cancel() is a relaxed atomic store, hence async-signal-safe.
 util::RunControl g_control;
@@ -583,16 +564,17 @@ int run(int argc, char** argv) {
 
   // --- Outputs. ---
   if (const auto path = cli.str("config-out"); !path.empty()) {
-    if (!write_text_artifact(path, "configuration", [&](std::ostream& out) {
-          core::write_config(
-              out, {g.num_inputs(), g.num_outputs(), result.settings});
-        })) {
+    if (!util::write_text_artifact(
+            path, "configuration", [&](std::ostream& out) {
+              core::write_config(
+                  out, {g.num_inputs(), g.num_outputs(), result.settings});
+            })) {
       return kExitIo;
     }
     std::printf("wrote configuration to %s\n", path.c_str());
   }
   if (const auto path = cli.str("verilog-out"); !path.empty()) {
-    if (!write_text_artifact(path, "Verilog", [&](std::ostream& out) {
+    if (!util::write_text_artifact(path, "Verilog", [&](std::ostream& out) {
           out << hw::emit_system_verilog(system, "dalut_top");
         })) {
       return kExitIo;
@@ -600,7 +582,7 @@ int run(int argc, char** argv) {
     std::printf("wrote Verilog to %s\n", path.c_str());
   }
   if (const auto path = cli.str("testbench-out"); !path.empty()) {
-    if (!write_text_artifact(path, "testbench", [&](std::ostream& out) {
+    if (!util::write_text_artifact(path, "testbench", [&](std::ostream& out) {
           out << hw::emit_system_testbench(
               system, "dalut_top",
               static_cast<std::size_t>(cli.integer("tb-vectors")),
@@ -616,48 +598,44 @@ int run(int argc, char** argv) {
   // the metrics snapshot below.
   events.close();
   if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write metrics to '%s': %s\n",
-                   metrics_out.c_str(), std::strerror(errno));
-      return kExitIo;
-    }
-    out << "{\n  \"schema\": \"dalut-metrics-v1\",\n  \"run\": {\n"
-        << "    \"algorithm\": \"" << cli.str("algorithm") << "\",\n"
-        << "    \"arch\": \"" << arch_name << "\",\n    \"function\": \""
-        << util::telemetry::json_escape(
-               cli.str("table").empty() ? cli.str("benchmark")
-                                        : cli.str("table"))
-        << "\",\n    \"num_inputs\": " << g.num_inputs()
-        << ",\n    \"num_outputs\": " << g.num_outputs()
-        << ",\n    \"threads\": " << knobs.threads
-        << ",\n    \"seed\": " << cli.integer("seed")
-        << ",\n    \"status\": \"" << util::to_string(result.status)
-        << "\",\n    \"med\": ";
-    // Exact 17-digit round-trip for finite MEDs; non-finite values (a run
-    // stopped before any result) must land as null, not bare inf/nan.
-    char med_buf[64] = "null";
-    if (std::isfinite(result.med)) {
-      std::snprintf(med_buf, sizeof med_buf, "%.17g", result.med);
-    }
-    out << med_buf << ",\n    \"runtime_seconds\": "
-        << result.runtime_seconds << ",\n    \"partitions_evaluated\": "
-        << result.partitions_evaluated << "\n  },\n  \"metrics\":\n";
-    util::telemetry::write_metrics_json(out, util::telemetry::snapshot_metrics(),
-                                        2);
-    out << ",\n  \"trajectory\":\n";
-    pump.write_trajectory_json(out, 2);
-    out << "\n}\n";
+    const bool written = util::write_text_artifact(
+        metrics_out, "metrics", [&](std::ostream& out) {
+          out << "{\n  \"schema\": \"dalut-metrics-v1\",\n  \"run\": {\n"
+              << "    \"algorithm\": \"" << cli.str("algorithm") << "\",\n"
+              << "    \"arch\": \"" << arch_name << "\",\n    \"function\": \""
+              << util::telemetry::json_escape(
+                     cli.str("table").empty() ? cli.str("benchmark")
+                                              : cli.str("table"))
+              << "\",\n    \"num_inputs\": " << g.num_inputs()
+              << ",\n    \"num_outputs\": " << g.num_outputs()
+              << ",\n    \"threads\": " << knobs.threads
+              << ",\n    \"seed\": " << cli.integer("seed")
+              << ",\n    \"status\": \"" << util::to_string(result.status)
+              << "\",\n    \"med\": ";
+          // Exact 17-digit round-trip for finite MEDs; non-finite values (a
+          // run stopped before any result) must land as null, not bare
+          // inf/nan.
+          char med_buf[64] = "null";
+          if (std::isfinite(result.med)) {
+            std::snprintf(med_buf, sizeof med_buf, "%.17g", result.med);
+          }
+          out << med_buf << ",\n    \"runtime_seconds\": "
+              << result.runtime_seconds << ",\n    \"partitions_evaluated\": "
+              << result.partitions_evaluated << "\n  },\n  \"metrics\":\n";
+          util::telemetry::write_metrics_json(
+              out, util::telemetry::snapshot_metrics(), 2);
+          out << ",\n  \"trajectory\":\n";
+          pump.write_trajectory_json(out, 2);
+          out << "\n}\n";
+        });
+    if (!written) return kExitIo;
     std::printf("wrote metrics to %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write trace to '%s': %s\n",
-                   trace_out.c_str(), std::strerror(errno));
+    if (!util::write_text_artifact(trace_out, "trace",
+                                   util::telemetry::write_chrome_trace)) {
       return kExitIo;
     }
-    util::telemetry::write_chrome_trace(out);
     std::printf("wrote trace to %s\n", trace_out.c_str());
   }
 

@@ -325,46 +325,35 @@ int run(int argc, char** argv) {
 
   // --- Metrics artifact. ---
   if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write metrics to '%s': %s\n",
-                   metrics_out.c_str(), std::strerror(errno));
-      return kExitIo;
-    }
-    out << "{\n  \"schema\": \"dalut-metrics-v1\",\n  \"suite\": {\n"
-        << "    \"manifest\": \""
-        << util::telemetry::json_escape(manifest_path)
-        << "\",\n    \"jobs\": " << manifest.jobs.size()
-        << ",\n    \"threads\": " << pool.worker_count()
-        << ",\n    \"status\": \"" << util::to_string(report.status)
-        << "\",\n    \"cache_hits\": " << report.cache_hits
-        << ",\n    \"cache_misses\": " << report.cache_misses
-        << ",\n    \"runtime_seconds\": "
-        << util::telemetry::json_number(report.runtime_seconds)
-        << "\n  },\n  \"jobs\":\n";
-    suite::write_suite_jobs_json(out, report, 2);
-    out << ",\n  \"metrics\":\n";
-    util::telemetry::write_metrics_json(
-        out, util::telemetry::snapshot_metrics(), 2);
-    out << ",\n  \"trajectory\":\n";
-    suite::write_suite_trajectory_json(out, report, 2);
-    out << "\n}\n";
+    const bool written = util::write_text_artifact(
+        metrics_out, "metrics", [&](std::ostream& out) {
+          out << "{\n  \"schema\": \"dalut-metrics-v1\",\n  \"suite\": {\n"
+              << "    \"manifest\": \""
+              << util::telemetry::json_escape(manifest_path)
+              << "\",\n    \"jobs\": " << manifest.jobs.size()
+              << ",\n    \"threads\": " << pool.worker_count()
+              << ",\n    \"status\": \"" << util::to_string(report.status)
+              << "\",\n    \"cache_hits\": " << report.cache_hits
+              << ",\n    \"cache_misses\": " << report.cache_misses
+              << ",\n    \"runtime_seconds\": "
+              << util::telemetry::json_number(report.runtime_seconds)
+              << "\n  },\n  \"jobs\":\n";
+          suite::write_suite_jobs_json(out, report, 2);
+          out << ",\n  \"metrics\":\n";
+          util::telemetry::write_metrics_json(
+              out, util::telemetry::snapshot_metrics(), 2);
+          out << ",\n  \"trajectory\":\n";
+          suite::write_suite_trajectory_json(out, report, 2);
+          out << "\n}\n";
+        });
+    if (!written) return kExitIo;
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
   }
 
   // --- Trace artifact (one suite.job span per attempt, arg = job name). ---
   if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write trace to '%s': %s\n",
-                   trace_out.c_str(), std::strerror(errno));
-      return kExitIo;
-    }
-    util::telemetry::write_chrome_trace(out);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write trace to '%s': %s\n",
-                   trace_out.c_str(), std::strerror(errno));
+    if (!util::write_text_artifact(trace_out, "trace",
+                                   util::telemetry::write_chrome_trace)) {
       return kExitIo;
     }
     std::fprintf(stderr, "wrote trace to %s\n", trace_out.c_str());
