@@ -11,6 +11,8 @@
 
 namespace dalut::hw {
 
+namespace simd = util::simd;
+
 namespace {
 
 /// Copies a unit table into the arena at `off` (shape already validated),
@@ -23,30 +25,56 @@ void copy_table(util::aligned_vector<std::uint8_t>& arena, std::size_t off,
   }
 }
 
-/// Sample-major kernel over byte-sliced index tables: for each sample, every
-/// unit sums one slice entry per input byte into its two table addresses,
-/// reads phi from the bound table and its output bit from the free region.
-/// The output word stays in a register and is stored once per sample.
-template <unsigned kSlices>
-void eval_sliced(const std::uint64_t* slices, std::size_t num_units,
-                 const std::uint8_t* bytes, const core::InputWord* x,
-                 core::OutputWord* y, std::size_t count) noexcept {
-  constexpr std::size_t kUnitStride = std::size_t{256} * kSlices;
-  for (std::size_t i = 0; i < count; ++i) {
-    const core::InputWord xi = x[i];
-    core::OutputWord out = 0;
-    const std::uint64_t* table = slices;
-    for (std::size_t k = 0; k < num_units; ++k, table += kUnitStride) {
-      std::uint64_t entry = table[xi & 0xffu];
-      for (unsigned j = 1; j < kSlices; ++j) {
-        entry += table[256 * j + ((xi >> (8 * j)) & 0xffu)];
-      }
-      const unsigned phi = bytes[static_cast<std::uint32_t>(entry)] != 0;
-      out |= static_cast<core::OutputWord>(bytes[(entry >> 32) + phi]) << k;
-    }
-    y[i] = out;
+/// Bytes after the last table in an approx arena: a byte gather reads the
+/// 4 bytes at its index (util/simd.hpp, i32gather_bytes).
+constexpr std::size_t kGatherPad = 3;
+
+/// The read kernels' operations on one sample: the batch tails, and every
+/// batch when SIMD is off or force-scalar is set.
+struct ReadScalarOps {
+  using D = std::uint32_t;
+  using Scalar = ReadScalarOps;
+  static constexpr unsigned kWidth = 1;
+  static D load(const std::uint32_t* p) noexcept { return *p; }
+  static void store(std::uint32_t* p, D v) noexcept { *p = v; }
+  static D splat(std::uint32_t v) noexcept { return v; }
+  static D band(D a, D b) noexcept { return a & b; }
+  static D bor(D a, D b) noexcept { return a | b; }
+  static D srl(D v, unsigned count) noexcept { return v >> count; }
+  static D sll(D v, unsigned count) noexcept { return v << count; }
+  static D gather(const std::uint32_t* base, D idx) noexcept {
+    return base[idx];
   }
-}
+  static D gather_bytes(const std::uint8_t* base, D idx) noexcept {
+    return base[idx];
+  }
+};
+
+/// The same operations on simd::kLanes32 samples.
+struct ReadVectorOps {
+  using D = simd::Vec32;
+  using Scalar = ReadScalarOps;
+  static constexpr unsigned kWidth = simd::kLanes32;
+  static D load(const std::uint32_t* p) noexcept {
+    return simd::i32load(reinterpret_cast<const std::int32_t*>(p));
+  }
+  static void store(std::uint32_t* p, D v) noexcept {
+    simd::i32store(reinterpret_cast<std::int32_t*>(p), v);
+  }
+  static D splat(std::uint32_t v) noexcept {
+    return simd::i32broadcast(static_cast<std::int32_t>(v));
+  }
+  static D band(D a, D b) noexcept { return simd::i32and(a, b); }
+  static D bor(D a, D b) noexcept { return simd::i32or(a, b); }
+  static D srl(D v, unsigned count) noexcept { return simd::i32srl(v, count); }
+  static D sll(D v, unsigned count) noexcept { return simd::i32sll(v, count); }
+  static D gather(const std::uint32_t* base, D idx) noexcept {
+    return simd::i32gather(base, idx);
+  }
+  static D gather_bytes(const std::uint8_t* base, D idx) noexcept {
+    return simd::i32gather_bytes(base, idx);
+  }
+};
 
 }  // namespace
 
@@ -59,6 +87,7 @@ StreamTarget::StreamTarget(StreamTarget&& other) noexcept
       units_(std::move(other.units_)),
       slices_(std::move(other.slices_)),
       slice_count_(other.slice_count_),
+      slice_bits_(other.slice_bits_),
       monolithic_(other.monolithic_),
       mono_addr_bits_(other.mono_addr_bits_),
       mono_width_(other.mono_width_),
@@ -75,10 +104,16 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
   target.num_outputs_ = system.num_outputs();
   target.static_read_energy_ = system.cost().read_energy;
   target.monolithic_ = false;
+  // The Partition limit: the kernel holds at most ceil(26 / 8) = 4 slice
+  // indices, and an entry's num_inputs + 2 bits fit a signed gather index.
+  if (target.num_inputs_ > 26) {
+    throw std::invalid_argument(
+        "StreamTarget::compile: more than 26 inputs");
+  }
 
   // The constant {0, 1} table BTO units read their phi through sits first.
-  constexpr std::uint32_t kConstOff = 0;
-  std::uint64_t arena_size = 2;
+  constexpr std::size_t kConstOff = 0;
+  std::size_t arena_size = 2;
   target.units_.reserve(system.units().size());
   for (const auto& unit : system.units()) {
     const core::DecomposedBit& bit = unit.decomposition();
@@ -86,33 +121,36 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
     compiled.mode = bit.mode();
     compiled.bound_mask = bit.partition().bound_mask();
     compiled.shared_bit = bit.shared_bit();
+    compiled.col_bits = util::popcount(compiled.bound_mask);
     compiled.bound_size = bit.bound_table().size();
     compiled.free_size = bit.free_table0().size();
-    compiled.bound_off = static_cast<std::uint32_t>(arena_size);
+    compiled.bound_off = arena_size;
     arena_size += compiled.bound_size;
-    compiled.free0_off = static_cast<std::uint32_t>(arena_size);
+    compiled.free0_off = arena_size;
+    compiled.read_off = compiled.mode == core::DecompMode::kBto
+                            ? kConstOff
+                            : compiled.free0_off;
     arena_size += bit.free_table0().size() + bit.free_table1().size();
     target.units_.push_back(compiled);
   }
-  // Both halves of a slice entry are 32-bit arena indices.
-  if (arena_size > std::uint64_t{1} << 32) {
-    throw std::invalid_argument("StreamTarget::compile: tables exceed 4 GiB");
-  }
 
   target.slice_count_ = std::max(1u, (target.num_inputs_ + 7) / 8);
+  target.slice_bits_ = (target.num_inputs_ + target.slice_count_ - 1) /
+                       target.slice_count_;
+  const std::uint64_t slice_entries = std::uint64_t{1} << target.slice_bits_;
   target.slices_.assign(
-      target.units_.size() * target.slice_count_ * 256, 0);
-  std::uint64_t* entry = target.slices_.data();
+      target.units_.size() * target.slice_count_ * slice_entries, 0);
+  std::uint32_t* entry = target.slices_.data();
   for (std::size_t k = 0; k < target.units_.size(); ++k) {
     const CompiledUnit& compiled = target.units_[k];
     const core::Partition& p = system.units()[k].decomposition().partition();
     const bool nd = compiled.mode == core::DecompMode::kNonDisjoint;
     const bool bto = compiled.mode == core::DecompMode::kBto;
-    const std::uint32_t free_off = bto ? kConstOff : compiled.free0_off;
     for (unsigned j = 0; j < target.slice_count_; ++j) {
-      for (std::uint64_t b = 0; b < 256; ++b, ++entry) {
-        const std::uint64_t bits = b << (8 * j);
-        std::uint64_t col = util::extract_bits(bits, compiled.bound_mask);
+      for (std::uint64_t b = 0; b < slice_entries; ++b, ++entry) {
+        const std::uint64_t bits = b << (target.slice_bits_ * j);
+        const std::uint64_t col =
+            util::extract_bits(bits, compiled.bound_mask);
         std::uint64_t row = 0;
         if (!bto) {
           const std::uint64_t xs = nd ? (bits >> compiled.shared_bit) & 1u : 0;
@@ -120,17 +158,13 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
                  xs << p.free_size())
                 << 1;
         }
-        if (j == 0) {
-          col += compiled.bound_off;
-          row += free_off;
-        }
-        *entry = col | row << 32;
+        *entry = static_cast<std::uint32_t>(col | row << compiled.col_bits);
       }
     }
   }
 
   for (TableImage& image : target.images_) {
-    image.bytes_.assign(arena_size, 0);
+    image.bytes_.assign(arena_size + kGatherPad, 0);
     image.bytes_[kConstOff + 1] = 1;
   }
   target.fill_image(target.images_[0], system);
@@ -241,35 +275,79 @@ std::uint64_t StreamTarget::reconfigure(const MonolithicLut& lut) {
 
 // ---- Batch kernels ------------------------------------------------------
 
+template <class Ops>
+void StreamTarget::eval_approx(const TableImage& image,
+                               const core::InputWord* x, core::OutputWord* y,
+                               std::size_t count) const noexcept {
+  // Samples outer, units inner: each step splits Ops::kWidth input words
+  // into their slice indices once, then every unit ORs one gathered entry
+  // per slice into its two table indices, gathers phi from its bound table
+  // and its output bit from its free region. No mode branch (BTO units
+  // read phi through the constant {0, 1} table) and one store per step.
+  using D = typename Ops::D;
+  constexpr unsigned kMaxSlices = 4;  // ceil(26 / 8)
+  const std::uint8_t* bytes = image.bytes_.data();
+  const std::size_t slice_entries = std::size_t{1} << slice_bits_;
+  const D slice_mask =
+      Ops::splat(static_cast<std::uint32_t>(slice_entries - 1));
+  std::size_t i = 0;
+  for (; i + Ops::kWidth <= count; i += Ops::kWidth) {
+    const D xi = Ops::load(x + i);
+    D index[kMaxSlices];
+    for (unsigned j = 0; j < slice_count_; ++j) {
+      index[j] = Ops::band(Ops::srl(xi, slice_bits_ * j), slice_mask);
+    }
+    D out = Ops::splat(0);
+    const std::uint32_t* table = slices_.data();
+    for (std::size_t k = 0; k < units_.size(); ++k) {
+      const CompiledUnit& unit = units_[k];
+      D entry = Ops::gather(table, index[0]);
+      table += slice_entries;
+      for (unsigned j = 1; j < slice_count_; ++j, table += slice_entries) {
+        entry = Ops::bor(entry, Ops::gather(table, index[j]));
+      }
+      const D col =
+          Ops::band(entry, Ops::splat((std::uint32_t{1} << unit.col_bits) - 1));
+      const D phi = Ops::gather_bytes(bytes + unit.bound_off, col);
+      // row' is even, so OR-ing phi in selects the {phi = 0, 1} byte.
+      const D row = Ops::bor(Ops::srl(entry, unit.col_bits), phi);
+      const D bit = Ops::gather_bytes(bytes + unit.read_off, row);
+      out = Ops::bor(out, Ops::sll(bit, static_cast<unsigned>(k)));
+    }
+    Ops::store(y + i, out);
+  }
+  if constexpr (Ops::kWidth > 1) {
+    eval_approx<typename Ops::Scalar>(image, x + i, y + i, count - i);
+  }
+}
+
+template <class Ops>
+void StreamTarget::eval_mono(const TableImage& image,
+                             const core::InputWord* x, core::OutputWord* y,
+                             std::size_t count) const noexcept {
+  using D = typename Ops::D;
+  const std::uint32_t* words = image.words_.data();
+  const D mask = Ops::splat(mono_addr_mask_);
+  std::size_t i = 0;
+  for (; i + Ops::kWidth <= count; i += Ops::kWidth) {
+    const D addr =
+        Ops::band(Ops::srl(Ops::load(x + i), mono_addr_shift_), mask);
+    Ops::store(y + i, Ops::sll(Ops::gather(words, addr), mono_out_shift_));
+  }
+  if constexpr (Ops::kWidth > 1) {
+    eval_mono<typename Ops::Scalar>(image, x + i, y + i, count - i);
+  }
+}
+
 void StreamTarget::eval_batch(const TableImage& image,
                               const core::InputWord* x, core::OutputWord* y,
                               std::size_t count) const noexcept {
-  if (monolithic_) {
-    const std::uint32_t* words = image.words_.data();
-    const unsigned addr_shift = mono_addr_shift_;
-    const unsigned out_shift = mono_out_shift_;
-    const std::uint32_t mask = mono_addr_mask_;
-    for (std::size_t i = 0; i < count; ++i) {
-      y[i] = static_cast<core::OutputWord>(words[(x[i] >> addr_shift) & mask]
-                                           << out_shift);
-    }
-    return;
-  }
-
-  // Samples outer, units inner: each unit's slice tables and arena offsets
-  // are folded into a few table loads per input byte, with no mode
-  // branch (BTO units read phi through the constant {0, 1} table) and one
-  // store per sample. The table reads are data-dependent gathers, so the
-  // kernel stays scalar (util/simd.hpp has no gather granule); templating
-  // on the slice count unrolls the per-byte sums.
-  const std::uint8_t* bytes = image.bytes_.data();
-  const std::uint64_t* slices = slices_.data();
-  const std::size_t units = units_.size();
-  switch (slice_count_) {
-    case 1: eval_sliced<1>(slices, units, bytes, x, y, count); break;
-    case 2: eval_sliced<2>(slices, units, bytes, x, y, count); break;
-    case 3: eval_sliced<3>(slices, units, bytes, x, y, count); break;
-    default: eval_sliced<4>(slices, units, bytes, x, y, count); break;
+  if (simd::enabled()) {
+    monolithic_ ? eval_mono<ReadVectorOps>(image, x, y, count)
+                : eval_approx<ReadVectorOps>(image, x, y, count);
+  } else {
+    monolithic_ ? eval_mono<ReadScalarOps>(image, x, y, count)
+                : eval_approx<ReadScalarOps>(image, x, y, count);
   }
 }
 

@@ -4,13 +4,14 @@
 // The cycle-accurate simulator (hw/simulator) verifies one read at a time
 // through a std::function hop. This layer is its throughput backend: a
 // StreamTarget *compiles* a programmed ApproxLutSystem / MonolithicLut into
-// flat table arenas plus per-unit byte-sliced index tables, so a whole
-// batch of sample words is evaluated by one devirtualized kernel — no
-// indirect call, no virtual dispatch, no per-mode branch, tables hot in
-// cache across the batch. Accounting (reads, energy, output toggles,
-// mismatches) replays the exact per-sample arithmetic of simulate(), in
-// the same order, so a StreamEngine report is bit-identical to the scalar
-// loop on the same sequence: a drop-in faster backend, not a fork.
+// flat table arenas plus per-unit sliced index tables, so a whole batch of
+// sample words is evaluated by one devirtualized kernel, simd::kLanes32
+// samples per step over gathers — no indirect call, no virtual dispatch, no
+// per-mode branch, tables hot in cache across the batch. Accounting (reads,
+// energy, output toggles, mismatches) replays the exact per-sample
+// arithmetic of simulate(), in the same order, so a StreamEngine report is
+// bit-identical to the scalar loop on the same sequence: a drop-in faster
+// backend, not a fork.
 //
 // Runtime reconfiguration follows the dynamic-reconfiguration approximate-
 // multiplier scheme (PAPERS.md): LUT contents are double-buffered in two
@@ -44,8 +45,9 @@ namespace dalut::hw {
 
 /// One generation of LUT contents in compiled form: a byte arena holding
 /// every unit's bound/free tables back to back plus a constant {0, 1} table
-/// (approx targets) or a packed word array (monolithic targets). Pure data
-/// — layout and interpretation belong to the StreamTarget that built it.
+/// and 3 bytes of padding for the 4-byte byte gathers (approx targets), or
+/// a packed word array (monolithic targets). Pure data — layout and
+/// interpretation belong to the StreamTarget that built it.
 class TableImage {
  public:
   const std::uint8_t* unit_bytes() const noexcept { return bytes_.data(); }
@@ -68,8 +70,9 @@ class TableImage {
 /// re-programming the DFF arrays of the physical LUTs.
 class StreamTarget {
  public:
-  /// Compiles the system's units (modes, table offsets, byte-sliced index
-  /// tables) and snapshots its contents into epoch 0's image.
+  /// Compiles the system's units (modes, table offsets, sliced index
+  /// tables) and snapshots its contents into epoch 0's image. Throws
+  /// std::invalid_argument past 26 inputs (the Partition limit).
   static StreamTarget compile(const ApproxLutSystem& system);
   static StreamTarget compile(const MonolithicLut& lut, unsigned num_outputs);
 
@@ -135,11 +138,22 @@ class StreamTarget {
     core::DecompMode mode = core::DecompMode::kNormal;
     std::uint32_t bound_mask = 0;  ///< partition bound set (col packing)
     unsigned shared_bit = 0;       ///< ND x_s input index
-    std::uint32_t bound_off = 0;   ///< offsets into TableImage::bytes_
-    std::uint32_t free0_off = 0;   ///< free1 follows free0 directly
+    unsigned col_bits = 0;         ///< |bound|: entry = col | row' << col_bits
+    std::size_t bound_off = 0;     ///< offsets into TableImage::bytes_
+    std::size_t free0_off = 0;     ///< free1 follows free0 directly
+    std::size_t read_off = 0;      ///< free region read: free0, or {0, 1}
     std::size_t bound_size = 0;    ///< table byte counts (shape check)
     std::size_t free_size = 0;
   };
+
+  /// The read kernels, written once against an op set (stream_engine.cpp):
+  /// Ops::kWidth samples per step, batch tails on the one-lane Ops::Scalar.
+  template <class Ops>
+  void eval_approx(const TableImage& image, const core::InputWord* x,
+                   core::OutputWord* y, std::size_t count) const noexcept;
+  template <class Ops>
+  void eval_mono(const TableImage& image, const core::InputWord* x,
+                 core::OutputWord* y, std::size_t count) const noexcept;
 
   /// Waits until the consumer has retired the published epoch and returns
   /// the inactive image, contents untouched.
@@ -156,20 +170,24 @@ class StreamTarget {
   double static_read_energy_ = 0.0;
 
   // Approx form: one CompiledUnit per output bit, tables in bytes_, and
-  // slice_count_ = ceil(num_inputs / 8) byte-sliced index tables of 256
-  // entries per unit (unit-major). Entry [j][b] describes input byte j
-  // holding b: its low word is the byte's share of the bound-table column,
-  // pext(b << 8j, bound_mask); its high word is its share of the free-region
-  // index, row' = (pext(b << 8j, free_mask) | x_s << |free|) << 1, where
-  // x_s is set only for an ND unit whose shared bit lies in byte j (free1
-  // follows free0, so x_s selects it). BTO units have row' = 0 and index
-  // the constant {0, 1} table. Slice 0 also carries the unit's two arena
-  // offsets, so summing one entry per input byte yields both table
-  // addresses of a read. Structural: shared by both images and never
-  // touched by reconfiguration.
+  // slice_count_ = ceil(num_inputs / 8) index tables of 2^slice_bits_
+  // entries per unit (unit-major), slice_bits_ = ceil(num_inputs /
+  // slice_count_). Entry [j][b] describes input slice j (bits
+  // [j * slice_bits_, (j + 1) * slice_bits_)) holding b, as one 32-bit
+  // unit-relative word col | row' << |bound|: col = pext(b << j*slice_bits_,
+  // bound_mask) is the slice's share of the bound-table column, and row' =
+  // (pext(b << j*slice_bits_, free_mask) | x_s << |free|) << 1 its share of
+  // the free-region index, where x_s is set only for an ND unit whose shared
+  // bit lies in slice j (free1 follows free0, so x_s selects it). BTO units
+  // have row' = 0 and read the constant {0, 1} table. The shares are
+  // disjoint bits, so OR-ing one entry per slice yields both table indices
+  // of a read, relative to the unit's bound_off and read_off; every index
+  // stays below 2^(num_inputs + 2). Structural: shared by both images and
+  // never touched by reconfiguration.
   std::vector<CompiledUnit> units_;
-  util::aligned_vector<std::uint64_t> slices_;
+  util::aligned_vector<std::uint32_t> slices_;
   unsigned slice_count_ = 1;
+  unsigned slice_bits_ = 0;
   // Monolithic form: packed words plus the read transform.
   bool monolithic_ = false;
   unsigned mono_addr_bits_ = 0;

@@ -62,6 +62,21 @@ bool write_text_artifact(const std::string& path, const char* what,
   return true;
 }
 
+bool close_text_artifact(std::FILE* out, const std::string& path,
+                         const char* what) {
+  bool ok = std::fflush(out) == 0 && std::ferror(out) == 0;
+  int error = errno;
+  if (out != stdout && std::fclose(out) != 0 && ok) {
+    ok = false;
+    error = errno;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "io error: cannot write %s to '%s': %s\n", what,
+                 path.c_str(), std::strerror(error));
+  }
+  return ok;
+}
+
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {
   add_flag("help", "Show this help message");

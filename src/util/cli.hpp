@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -28,6 +29,13 @@ std::chrono::nanoseconds parse_duration(const std::string& text,
 /// then exit with their I/O status.
 bool write_text_artifact(const std::string& path, const char* what,
                          const std::function<void(std::ostream&)>& body);
+
+/// Checked end of a text artifact written through C stdio: `out` is
+/// fopen(path) or, for path "-", stdout. Flushes, closes unless stdout, and
+/// reports a failed write, flush or close (a full disk surfaces only there)
+/// like write_text_artifact. Returns false after printing the error.
+bool close_text_artifact(std::FILE* out, const std::string& path,
+                         const char* what);
 
 class CliParser {
  public:

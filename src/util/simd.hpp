@@ -15,7 +15,10 @@
 //  * Full-register int32 lanes (Vec32, kLanes32 wide: twice kLanes on
 //    every vector backend) for the integer OptForPart kernels, with a
 //    widening 64-bit accumulator, an in-register transpose, a narrowing
-//    byte store and 64-byte compares.
+//    byte store and 64-byte compares; and for the serve read kernels, with
+//    and/or, run-time-count shifts and a gather granule (4-byte elements,
+//    and bytes as a 4-byte gather masked to 0xff). The gather is one
+//    vpgatherdd on AVX2 and lane-by-lane loads on the other backends.
 //  * Fixed granules (D2 = one interleaved {cost0, cost1} cell, D4 = two
 //    cells): the building blocks of the cost-matrix gather, defined for
 //    every backend so the blocked gather kernel is backend-generic.
@@ -126,9 +129,7 @@ using VecI = __m128i;  ///< kLanes i32 values
 
 inline VecD dzero() noexcept { return _mm256_setzero_pd(); }
 inline VecD dbroadcast(double v) noexcept { return _mm256_set1_pd(v); }
-inline VecD dload(const double* p) noexcept { return _mm256_load_pd(p); }
 inline VecD dloadu(const double* p) noexcept { return _mm256_loadu_pd(p); }
-inline void dstore(double* p, VecD v) noexcept { _mm256_store_pd(p, v); }
 inline void dstoreu(double* p, VecD v) noexcept { _mm256_storeu_pd(p, v); }
 inline VecD dadd(VecD a, VecD b) noexcept { return _mm256_add_pd(a, b); }
 inline VecD dsub(VecD a, VecD b) noexcept { return _mm256_sub_pd(a, b); }
@@ -155,7 +156,6 @@ inline VecI iloadu(const std::uint32_t* p) noexcept {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 inline VecI ibroadcast(std::int32_t v) noexcept { return _mm_set1_epi32(v); }
-inline VecI iadd(VecI a, VecI b) noexcept { return _mm_add_epi32(a, b); }
 inline VecI isub(VecI a, VecI b) noexcept { return _mm_sub_epi32(a, b); }
 inline VecI iand(VecI a, VecI b) noexcept { return _mm_and_si128(a, b); }
 inline VecI ior(VecI a, VecI b) noexcept { return _mm_or_si128(a, b); }
@@ -178,9 +178,7 @@ using VecI = __m128i;  ///< low 2 lanes hold the values
 
 inline VecD dzero() noexcept { return _mm_setzero_pd(); }
 inline VecD dbroadcast(double v) noexcept { return _mm_set1_pd(v); }
-inline VecD dload(const double* p) noexcept { return _mm_load_pd(p); }
 inline VecD dloadu(const double* p) noexcept { return _mm_loadu_pd(p); }
-inline void dstore(double* p, VecD v) noexcept { _mm_store_pd(p, v); }
 inline void dstoreu(double* p, VecD v) noexcept { _mm_storeu_pd(p, v); }
 inline VecD dadd(VecD a, VecD b) noexcept { return _mm_add_pd(a, b); }
 inline VecD dsub(VecD a, VecD b) noexcept { return _mm_sub_pd(a, b); }
@@ -199,7 +197,6 @@ inline VecI iloadu(const std::uint32_t* p) noexcept {
   return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
 }
 inline VecI ibroadcast(std::int32_t v) noexcept { return _mm_set1_epi32(v); }
-inline VecI iadd(VecI a, VecI b) noexcept { return _mm_add_epi32(a, b); }
 inline VecI isub(VecI a, VecI b) noexcept { return _mm_sub_epi32(a, b); }
 inline VecI iand(VecI a, VecI b) noexcept { return _mm_and_si128(a, b); }
 inline VecI ior(VecI a, VecI b) noexcept { return _mm_or_si128(a, b); }
@@ -219,9 +216,7 @@ using VecI = int32x2_t;
 
 inline VecD dzero() noexcept { return vdupq_n_f64(0.0); }
 inline VecD dbroadcast(double v) noexcept { return vdupq_n_f64(v); }
-inline VecD dload(const double* p) noexcept { return vld1q_f64(p); }
 inline VecD dloadu(const double* p) noexcept { return vld1q_f64(p); }
-inline void dstore(double* p, VecD v) noexcept { vst1q_f64(p, v); }
 inline void dstoreu(double* p, VecD v) noexcept { vst1q_f64(p, v); }
 inline VecD dadd(VecD a, VecD b) noexcept { return vaddq_f64(a, b); }
 inline VecD dsub(VecD a, VecD b) noexcept { return vsubq_f64(a, b); }
@@ -250,7 +245,6 @@ inline VecI iloadu(const std::uint32_t* p) noexcept {
   return vreinterpret_s32_u32(vld1_u32(p));
 }
 inline VecI ibroadcast(std::int32_t v) noexcept { return vdup_n_s32(v); }
-inline VecI iadd(VecI a, VecI b) noexcept { return vadd_s32(a, b); }
 inline VecI isub(VecI a, VecI b) noexcept { return vsub_s32(a, b); }
 inline VecI iand(VecI a, VecI b) noexcept { return vand_s32(a, b); }
 inline VecI ior(VecI a, VecI b) noexcept { return vorr_s32(a, b); }
@@ -276,9 +270,7 @@ struct VecI {
 
 inline VecD dzero() noexcept { return {0.0}; }
 inline VecD dbroadcast(double v) noexcept { return {v}; }
-inline VecD dload(const double* p) noexcept { return {*p}; }
 inline VecD dloadu(const double* p) noexcept { return {*p}; }
-inline void dstore(double* p, VecD v) noexcept { *p = v.v; }
 inline void dstoreu(double* p, VecD v) noexcept { *p = v.v; }
 inline VecD dadd(VecD a, VecD b) noexcept { return {a.v + b.v}; }
 inline VecD dsub(VecD a, VecD b) noexcept { return {a.v - b.v}; }
@@ -306,7 +298,6 @@ inline VecI iloadu(const std::uint32_t* p) noexcept {
   return {static_cast<std::int32_t>(*p)};
 }
 inline VecI ibroadcast(std::int32_t v) noexcept { return {v}; }
-inline VecI iadd(VecI a, VecI b) noexcept { return {a.v + b.v}; }
 inline VecI isub(VecI a, VecI b) noexcept { return {a.v - b.v}; }
 inline VecI iand(VecI a, VecI b) noexcept { return {a.v & b.v}; }
 inline VecI ior(VecI a, VecI b) noexcept { return {a.v | b.v}; }
@@ -324,9 +315,10 @@ inline VecD i_to_d(VecI v) noexcept { return {static_cast<double>(v.v)}; }
 // ---- Full-register int32 lanes ------------------------------------------
 // Vec32 fills a whole register with i32 lanes (kLanes32: 8 on AVX2, 4 on
 // SSE2 and NEON, 1 on the scalar backend), for the integer OptForPart
-// kernels. Integer adds are exact and associative, so these kernels may
-// sum in any order; the callers guarantee that no lane overflows. Acc64
-// widens lanes into 64-bit running sums for totals that can pass 2^31.
+// kernels and the serve read kernels (hw/stream_engine.cpp). Integer adds
+// are exact and associative, so these kernels may sum in any order; the
+// callers guarantee that no lane overflows. Acc64 widens lanes into 64-bit
+// running sums for totals that can pass 2^31.
 
 #if defined(DALUT_SIMD_AVX2)
 
@@ -367,6 +359,41 @@ inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
                                         _mm256_extracti128_si256(v, 1));
   _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
                    _mm_packus_epi16(words, words));
+}
+inline Vec32 i32and(Vec32 a, Vec32 b) noexcept {
+  return _mm256_and_si256(a, b);
+}
+inline Vec32 i32or(Vec32 a, Vec32 b) noexcept {
+  return _mm256_or_si256(a, b);
+}
+/// Logical shifts of every lane by one run-time count (< 32).
+inline Vec32 i32srl(Vec32 v, unsigned count) noexcept {
+  return _mm256_srl_epi32(v, _mm_cvtsi32_si128(static_cast<int>(count)));
+}
+inline Vec32 i32sll(Vec32 v, unsigned count) noexcept {
+  return _mm256_sll_epi32(v, _mm_cvtsi32_si128(static_cast<int>(count)));
+}
+/// vpgatherdd merges into its destination, so the CPU reads that register.
+/// Given a constant all-ones mask, GCC drops the zero merge source and
+/// leaves whatever the register last held, which chains every gather to
+/// an unrelated earlier result (in a loop, across iterations). An opaque
+/// mask keeps the zeroed destination, a dependency-breaking idiom.
+template <int kScale>
+inline Vec32 gatherdd_(const void* base, Vec32 idx) noexcept {
+  __m256i mask = _mm256_set1_epi32(-1);
+  asm("" : "+x"(mask));
+  return _mm256_mask_i32gather_epi32(_mm256_setzero_si256(),
+                                     static_cast<const int*>(base), idx,
+                                     mask, kScale);
+}
+/// base[idx[l]] per lane, 4-byte elements; every idx lane is non-negative.
+inline Vec32 i32gather(const std::uint32_t* base, Vec32 idx) noexcept {
+  return gatherdd_<4>(base, idx);
+}
+/// base[idx[l]] per lane, zero-extended: a 4-byte gather masked to 0xff,
+/// so the 3 bytes after every indexed byte must be readable.
+inline Vec32 i32gather_bytes(const std::uint8_t* base, Vec32 idx) noexcept {
+  return _mm256_and_si256(gatherdd_<1>(base, idx), _mm256_set1_epi32(0xff));
 }
 /// Transposes the kLanes32 x kLanes32 block whose row i is rows[i].
 inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
@@ -469,6 +496,27 @@ inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
   const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
   std::memcpy(p, &bytes, 4);
 }
+inline Vec32 i32and(Vec32 a, Vec32 b) noexcept { return _mm_and_si128(a, b); }
+inline Vec32 i32or(Vec32 a, Vec32 b) noexcept { return _mm_or_si128(a, b); }
+inline Vec32 i32srl(Vec32 v, unsigned count) noexcept {
+  return _mm_srl_epi32(v, _mm_cvtsi32_si128(static_cast<int>(count)));
+}
+inline Vec32 i32sll(Vec32 v, unsigned count) noexcept {
+  return _mm_sll_epi32(v, _mm_cvtsi32_si128(static_cast<int>(count)));
+}
+/// SSE2 has no gather: the lanes load one by one.
+inline Vec32 i32gather(const std::uint32_t* base, Vec32 idx) noexcept {
+  alignas(16) std::uint32_t at[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(at), idx);
+  return _mm_setr_epi32(
+      static_cast<int>(base[at[0]]), static_cast<int>(base[at[1]]),
+      static_cast<int>(base[at[2]]), static_cast<int>(base[at[3]]));
+}
+inline Vec32 i32gather_bytes(const std::uint8_t* base, Vec32 idx) noexcept {
+  alignas(16) std::uint32_t at[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(at), idx);
+  return _mm_setr_epi32(base[at[0]], base[at[1]], base[at[2]], base[at[3]]);
+}
 inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
   const Vec32 t0 = _mm_unpacklo_epi32(rows[0], rows[1]);
   const Vec32 t1 = _mm_unpacklo_epi32(rows[2], rows[3]);
@@ -549,6 +597,32 @@ inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
   const std::uint32_t low = vget_lane_u32(vreinterpret_u32_u8(bytes), 0);
   std::memcpy(p, &low, 4);
 }
+inline Vec32 i32and(Vec32 a, Vec32 b) noexcept { return vandq_s32(a, b); }
+inline Vec32 i32or(Vec32 a, Vec32 b) noexcept { return vorrq_s32(a, b); }
+/// NEON shifts by a signed per-lane count: negative shifts right.
+inline Vec32 i32srl(Vec32 v, unsigned count) noexcept {
+  const int32x4_t right = vdupq_n_s32(-static_cast<int>(count));
+  return vreinterpretq_s32_u32(vshlq_u32(vreinterpretq_u32_s32(v), right));
+}
+inline Vec32 i32sll(Vec32 v, unsigned count) noexcept {
+  const int32x4_t left = vdupq_n_s32(static_cast<int>(count));
+  return vreinterpretq_s32_u32(vshlq_u32(vreinterpretq_u32_s32(v), left));
+}
+/// NEON has no gather: the lanes load one by one.
+inline Vec32 i32gather(const std::uint32_t* base, Vec32 idx) noexcept {
+  alignas(16) std::uint32_t at[4];
+  vst1q_u32(at, vreinterpretq_u32_s32(idx));
+  const std::uint32_t lanes[4] = {base[at[0]], base[at[1]], base[at[2]],
+                                  base[at[3]]};
+  return vreinterpretq_s32_u32(vld1q_u32(lanes));
+}
+inline Vec32 i32gather_bytes(const std::uint8_t* base, Vec32 idx) noexcept {
+  alignas(16) std::uint32_t at[4];
+  vst1q_u32(at, vreinterpretq_u32_s32(idx));
+  const std::uint32_t lanes[4] = {base[at[0]], base[at[1]], base[at[2]],
+                                  base[at[3]]};
+  return vreinterpretq_s32_u32(vld1q_u32(lanes));
+}
 inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
   const int32x4x2_t t01 = vtrnq_s32(rows[0], rows[1]);
   const int32x4x2_t t23 = vtrnq_s32(rows[2], rows[3]);
@@ -596,6 +670,20 @@ inline unsigned i32movemask(Vec32 mask) noexcept {
 }
 inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
   *p = static_cast<std::uint8_t>(v.v);
+}
+inline Vec32 i32and(Vec32 a, Vec32 b) noexcept { return {a.v & b.v}; }
+inline Vec32 i32or(Vec32 a, Vec32 b) noexcept { return {a.v | b.v}; }
+inline Vec32 i32srl(Vec32 v, unsigned count) noexcept {
+  return {static_cast<std::int32_t>(static_cast<std::uint32_t>(v.v) >> count)};
+}
+inline Vec32 i32sll(Vec32 v, unsigned count) noexcept {
+  return {static_cast<std::int32_t>(static_cast<std::uint32_t>(v.v) << count)};
+}
+inline Vec32 i32gather(const std::uint32_t* base, Vec32 idx) noexcept {
+  return {static_cast<std::int32_t>(base[static_cast<std::uint32_t>(idx.v)])};
+}
+inline Vec32 i32gather_bytes(const std::uint8_t* base, Vec32 idx) noexcept {
+  return {base[static_cast<std::uint32_t>(idx.v)]};
 }
 inline void i32transpose(Vec32 (&)[kLanes32]) noexcept {}
 

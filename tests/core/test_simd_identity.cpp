@@ -259,9 +259,10 @@ TEST(SimdIdentity, MeanErrorDistanceMatchesScalar) {
   }
 }
 
-// The full-register int32 lanes of the integer OptForPart path, against
-// plain loops over the same values on whichever backend this build
-// compiled (AVX2, SSE2, NEON or the one-lane scalar struct).
+// The full-register int32 lanes of the integer OptForPart path and the
+// serve read kernels, against plain loops over the same values on whichever
+// backend this build compiled (AVX2, SSE2, NEON or the one-lane scalar
+// struct).
 TEST(SimdIdentity, Int32LanesMatchScalarLoops) {
   constexpr unsigned W = simd::kLanes32;
   util::Rng rng(8);
@@ -301,6 +302,46 @@ TEST(SimdIdentity, Int32LanesMatchScalarLoops) {
     for (unsigned l = 0; l < W; ++l) codes[l] = a[l] & 0xff;
     simd::i32store_bytes(bytes, simd::i32load(codes));
     for (unsigned l = 0; l < W; ++l) EXPECT_EQ(bytes[l], codes[l]);
+
+    const auto u32 = [](std::int32_t v) {
+      return static_cast<std::uint32_t>(v);
+    };
+    simd::i32store(out, simd::i32and(va, vb));
+    for (unsigned l = 0; l < W; ++l) {
+      EXPECT_EQ(u32(out[l]), u32(a[l]) & u32(b[l]));
+    }
+    simd::i32store(out, simd::i32or(va, vb));
+    for (unsigned l = 0; l < W; ++l) {
+      EXPECT_EQ(u32(out[l]), u32(a[l]) | u32(b[l]));
+    }
+    const unsigned count = static_cast<unsigned>(trial) % 32;
+    simd::i32store(out, simd::i32srl(va, count));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(u32(out[l]), u32(a[l]) >> count);
+    simd::i32store(out, simd::i32sll(va, count));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(u32(out[l]), u32(a[l]) << count);
+  }
+
+  // Gathers: 4-byte elements, and bytes (whose 4-byte AVX2 load needs the
+  // 3 bytes after the last indexed one).
+  std::uint32_t words[256];
+  std::uint8_t table[256 + 3] = {};
+  for (unsigned i = 0; i < 256; ++i) {
+    words[i] = static_cast<std::uint32_t>(rng.next_below(1u << 31)) * 2u + 1;
+    table[i] = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  for (int trial = 0; trial < 50; ++trial) {
+    std::int32_t idx[W];
+    for (unsigned l = 0; l < W; ++l) {
+      idx[l] = trial == 0 ? 255
+                          : static_cast<std::int32_t>(rng.next_below(256));
+    }
+    std::int32_t out[W];
+    simd::i32store(out, simd::i32gather(words, simd::i32load(idx)));
+    for (unsigned l = 0; l < W; ++l) {
+      EXPECT_EQ(static_cast<std::uint32_t>(out[l]), words[idx[l]]);
+    }
+    simd::i32store(out, simd::i32gather_bytes(table, simd::i32load(idx)));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], table[idx[l]]);
   }
 
   std::int32_t block[W][W];

@@ -101,10 +101,12 @@ std::vector<core::RowType> random_types(std::size_t count, util::Rng& rng) {
   return types;
 }
 
-/// A hand-built 3-output n-input system, one unit per operating mode, with
-/// random contents. Every bound and free set takes inputs from each input
-/// byte, and the ND shared bit is input n - 1, in the top byte.
-core::ApproxLut wide_all_modes_lut(unsigned n, std::uint64_t seed) {
+/// The settings of a hand-built 3-output n-input system, one unit per
+/// operating mode (normal, BTO, ND), with random contents. Every bound and
+/// free set takes inputs from each input byte, and the ND shared bit is
+/// input n - 1, in the top byte.
+std::vector<core::Setting> wide_all_modes_settings(unsigned n,
+                                                   std::uint64_t seed) {
   util::Rng rng(seed);
   core::Setting normal;
   normal.error = 0.0;
@@ -130,7 +132,11 @@ core::ApproxLut wide_all_modes_lut(unsigned n, std::uint64_t seed) {
   nd.types0 = random_types(nd.partition.num_rows(), rng);
   nd.types1 = random_types(nd.partition.num_rows(), rng);
 
-  return core::ApproxLut::realize(n, {normal, bto, nd});
+  return {normal, bto, nd};
+}
+
+core::ApproxLut wide_all_modes_lut(unsigned n, std::uint64_t seed) {
+  return core::ApproxLut::realize(n, wide_all_modes_settings(n, seed));
 }
 
 // ---- Bit identity: batched kernels vs the scalar simulate() loop --------
@@ -538,6 +544,88 @@ TEST(StreamEngine, MidStreamReconfigurationObservedByEngine) {
   EXPECT_EQ(report.reconfigs_observed, static_cast<std::uint64_t>(kSwaps));
   EXPECT_EQ(target.applied_epoch(), target.published_epoch());
   EXPECT_GT(report.reads_per_sec, 0.0);
+}
+
+// ---- SIMD read kernels vs their one-lane instantiation -----------------
+
+/// Forces the scalar paths for one scope and always restores SIMD after,
+/// even when an assertion throws out of the scope.
+struct ScopedForceScalar {
+  ScopedForceScalar() { util::simd::set_force_scalar(true); }
+  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
+};
+
+/// eval_batch on the first `count` samples, SIMD (when built) and forced
+/// one-lane; the two must agree exactly.
+void expect_kernels_agree(const StreamTarget& target,
+                          const std::vector<core::InputWord>& sequence,
+                          std::size_t count, const std::string& what) {
+  std::uint64_t epoch = 0;
+  const TableImage& image = target.acquire(epoch);
+  std::vector<core::OutputWord> simd(count);
+  std::vector<core::OutputWord> scalar(count);
+  target.eval_batch(image, sequence.data(), simd.data(), count);
+  {
+    const ScopedForceScalar force;
+    target.eval_batch(image, sequence.data(), scalar.data(), count);
+  }
+  EXPECT_EQ(simd, scalar) << what << " count " << count;
+}
+
+// Widths 7 and 9..26 give 1 to 4 index slices of 7, 5, 6, 8, 6, 8 and 7
+// bits; batch lengths 1..17 and 4099 leave every tail length of the
+// kLanes32-wide steps.
+TEST(SimdIdentity, StreamKernelsMatchScalar) {
+  for (const unsigned n : {7u, 9u, 12u, 16u, 17u, 24u, 26u}) {
+    const auto sequence = random_sequence(4099, n, 80 + n);
+    const std::string approx_what = "approx n " + std::to_string(n);
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd,
+                                 wide_all_modes_lut(n, 70 + n), kTech);
+    const auto approx = StreamTarget::compile(system);
+    for (std::size_t count = 1; count <= 17; ++count) {
+      expect_kernels_agree(approx, sequence, count, approx_what);
+    }
+    expect_kernels_agree(approx, sequence, sequence.size(), approx_what);
+
+    // A monolithic LUT with a dropped address LSB and an output shift; past
+    // 20 inputs its word table grows large for a unit test.
+    if (n > 20) continue;
+    const std::string mono_what = "mono n " + std::to_string(n);
+    util::Rng rng(90 + n);
+    std::vector<std::uint32_t> contents(std::size_t{1} << (n - 1));
+    for (auto& v : contents) {
+      v = static_cast<std::uint32_t>(rng.next_below(1u << 11));
+    }
+    const MonolithicLut lut(n - 1, 11, contents, kTech, /*addr_shift=*/1,
+                            /*out_shift=*/1);
+    const auto mono = StreamTarget::compile(lut, 12);
+    for (std::size_t count = 1; count <= 17; ++count) {
+      expect_kernels_agree(mono, sequence, count, mono_what);
+    }
+    expect_kernels_agree(mono, sequence, sequence.size(), mono_what);
+  }
+
+  // The last unit is ND and its F_1 table holds ones, so x = all ones
+  // (every free bit and x_s set, phi = 1) reads the last table byte of the
+  // arena, and the AVX2 byte gather the 3 padding bytes after it.
+  const unsigned n = 12;
+  auto settings = wide_all_modes_settings(n, 5);
+  core::Setting& nd = settings.back();
+  ASSERT_EQ(nd.mode, core::DecompMode::kNonDisjoint);
+  std::fill(nd.pattern1.begin(), nd.pattern1.end(), 1);
+  std::fill(nd.types1.begin(), nd.types1.end(), core::RowType::kAllOne);
+  const ApproxLutSystem system(ArchKind::kBtoNormalNd,
+                               core::ApproxLut::realize(n, settings), kTech);
+  const auto target = StreamTarget::compile(system);
+  const core::InputWord top = (core::InputWord{1} << n) - 1;
+  const std::vector<core::InputWord> sequence(4099, top);
+  expect_kernels_agree(target, sequence, sequence.size(), "last byte");
+  std::vector<core::OutputWord> y(sequence.size());
+  std::uint64_t epoch = 0;
+  target.eval_batch(target.acquire(epoch), sequence.data(), y.data(),
+                    y.size());
+  EXPECT_EQ((y.front() >> 2) & 1u, 1u);
+  for (const core::OutputWord v : y) ASSERT_EQ(v, system.read(top));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 // docs/performance.md to regenerate).
 //
 // CI runs `dalut_bench_report --micro-only --runs 1` as a smoke check.
+// Exits 6 when `--out` cannot be written.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -106,6 +107,8 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace {
 
 using namespace dalut;
+
+constexpr int kExitIo = 6;
 
 core::MultiOutputFunction make_function(const std::string& name,
                                         unsigned width) {
@@ -507,9 +510,9 @@ int main(int argc, char** argv) {
   }
   write_json(out, micro, telemetry, stream, table2, runs, micro_only,
              workers);
-  if (out != stdout) {
-    std::fclose(out);
-    std::fprintf(stderr, "wrote %s\n", out_path.c_str());
+  if (!util::close_text_artifact(out, out_path, "bench report")) {
+    return kExitIo;
   }
+  if (out != stdout) std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
 }

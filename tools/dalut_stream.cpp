@@ -18,6 +18,8 @@
 // (BENCH_PR10.json in the repo records a reference run; CI validates a
 // smoke run with scripts/check_stream_smoke.py). `--listen` exposes the
 // stream.* counters on a live /metrics endpoint while the tool runs.
+// Exits 1 on bad flags or a bit-identity failure, 6 when `--out` cannot be
+// written.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -38,6 +40,8 @@
 namespace {
 
 using namespace dalut;
+
+constexpr int kExitIo = 6;
 
 core::MultiOutputFunction make_function(const std::string& name,
                                         unsigned width) {
@@ -386,10 +390,10 @@ int main(int argc, char** argv) {
     }
     write_json(out, rows, benchmark, width, producers, config, reads,
                reconfigs, seed);
-    if (out != stdout) {
-      std::fclose(out);
-      std::fprintf(stderr, "wrote %s\n", out_path.c_str());
+    if (!util::close_text_artifact(out, out_path, "stream report")) {
+      return kExitIo;
     }
+    if (out != stdout) std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
