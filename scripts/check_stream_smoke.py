@@ -15,7 +15,7 @@ Asserts that:
      the committed BENCH_PR10.json records reference numbers), and
   4. every requested mid-stream reconfiguration was observed by the
      consumer and its measured latency fields are sane
-     (0 < min <= mean <= max).
+     (0 < min <= mean <= max and min <= median <= max).
 """
 
 import json
@@ -55,8 +55,10 @@ def main() -> int:
             f"{reconfig['count']} reconfigurations")
         lat_min = reconfig["latency_us_min"]
         lat_mean = reconfig["latency_us_mean"]
+        lat_median = reconfig["latency_us_median"]
         lat_max = reconfig["latency_us_max"]
         assert 0 < lat_min <= lat_mean <= lat_max, reconfig
+        assert lat_min <= lat_median <= lat_max, reconfig
 
     mono = rows["monolithic"]
     print(f"ok: {len(rows)} stream targets bit-identical; monolithic "

@@ -199,15 +199,21 @@ OutputWord ApproxLut::eval(InputWord x) const noexcept {
   return y;
 }
 
+void or_bit_plane(const DecomposedBit& bit, unsigned k,
+                  std::span<OutputWord> words, std::span<std::uint8_t> plane) {
+  assert(words.size() == plane.size());
+  bit.eval_all(plane);
+  for (std::size_t x = 0; x < words.size(); ++x) {
+    words[x] |= OutputWord{plane[x]} << k;
+  }
+}
+
 std::vector<OutputWord> ApproxLut::values() const {
   const std::size_t domain = std::size_t{1} << num_inputs_;
   std::vector<OutputWord> table(domain, 0);
-  std::vector<std::uint8_t> bit_values(domain);
+  std::vector<std::uint8_t> plane(domain);
   for (unsigned k = 0; k < bits_.size(); ++k) {
-    bits_[k].eval_all(bit_values);
-    for (std::size_t x = 0; x < domain; ++x) {
-      table[x] |= OutputWord{bit_values[x]} << k;
-    }
+    or_bit_plane(bits_[k], k, table, plane);
   }
   return table;
 }

@@ -62,6 +62,14 @@ class DecomposedBit {
   std::vector<std::uint8_t> free_table1_;
 };
 
+/// ORs `bit`'s whole-domain read into bit k of `words`: words[x] |=
+/// bit.eval(x) << k for every x in [0, 2^n). `plane` is caller-owned scratch
+/// of 2^n bytes, so a loop over a system's bits reuses one plane. The one
+/// realization loop behind ApproxLut::values() and the stream engine's
+/// table fill.
+void or_bit_plane(const DecomposedBit& bit, unsigned k,
+                  std::span<OutputWord> words, std::span<std::uint8_t> plane);
+
 /// A complete m-bit approximate LUT: one DecomposedBit per output bit
 /// (bit k of the output comes from bits_[k]).
 class ApproxLut {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/bits.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
@@ -15,21 +14,7 @@ namespace simd = util::simd;
 
 namespace {
 
-/// Copies a unit table into the arena at `off` (shape already validated),
-/// normalized to 0/1 so the kernel can shift a free-table byte straight
-/// into its output bit.
-void copy_table(util::aligned_vector<std::uint8_t>& arena, std::size_t off,
-                const std::vector<std::uint8_t>& table) {
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    arena[off + i] = table[i] != 0 ? 1 : 0;
-  }
-}
-
-/// Bytes after the last table in an approx arena: a byte gather reads the
-/// 4 bytes at its index (util/simd.hpp, i32gather_bytes).
-constexpr std::size_t kGatherPad = 3;
-
-/// The read kernels' operations on one sample: the batch tails, and every
+/// The read kernel's operations on one sample: the batch tails, and every
 /// batch when SIMD is off or force-scalar is set.
 struct ReadScalarOps {
   using D = std::uint32_t;
@@ -39,13 +24,9 @@ struct ReadScalarOps {
   static void store(std::uint32_t* p, D v) noexcept { *p = v; }
   static D splat(std::uint32_t v) noexcept { return v; }
   static D band(D a, D b) noexcept { return a & b; }
-  static D bor(D a, D b) noexcept { return a | b; }
   static D srl(D v, unsigned count) noexcept { return v >> count; }
   static D sll(D v, unsigned count) noexcept { return v << count; }
   static D gather(const std::uint32_t* base, D idx) noexcept {
-    return base[idx];
-  }
-  static D gather_bytes(const std::uint8_t* base, D idx) noexcept {
     return base[idx];
   }
 };
@@ -65,14 +46,10 @@ struct ReadVectorOps {
     return simd::i32broadcast(static_cast<std::int32_t>(v));
   }
   static D band(D a, D b) noexcept { return simd::i32and(a, b); }
-  static D bor(D a, D b) noexcept { return simd::i32or(a, b); }
   static D srl(D v, unsigned count) noexcept { return simd::i32srl(v, count); }
   static D sll(D v, unsigned count) noexcept { return simd::i32sll(v, count); }
   static D gather(const std::uint32_t* base, D idx) noexcept {
     return simd::i32gather(base, idx);
-  }
-  static D gather_bytes(const std::uint8_t* base, D idx) noexcept {
-    return simd::i32gather_bytes(base, idx);
   }
 };
 
@@ -84,16 +61,13 @@ StreamTarget::StreamTarget(StreamTarget&& other) noexcept
     : num_inputs_(other.num_inputs_),
       num_outputs_(other.num_outputs_),
       static_read_energy_(other.static_read_energy_),
-      units_(std::move(other.units_)),
-      slices_(std::move(other.slices_)),
-      slice_count_(other.slice_count_),
-      slice_bits_(other.slice_bits_),
+      addr_mask_(other.addr_mask_),
+      addr_shift_(other.addr_shift_),
+      out_shift_(other.out_shift_),
       monolithic_(other.monolithic_),
+      units_(std::move(other.units_)),
       mono_addr_bits_(other.mono_addr_bits_),
       mono_width_(other.mono_width_),
-      mono_addr_mask_(other.mono_addr_mask_),
-      mono_addr_shift_(other.mono_addr_shift_),
-      mono_out_shift_(other.mono_out_shift_),
       images_{std::move(other.images_[0]), std::move(other.images_[1])},
       published_(other.published_.load(std::memory_order_relaxed)),
       applied_(other.applied_.load(std::memory_order_relaxed)) {}
@@ -103,70 +77,23 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
   target.num_inputs_ = system.num_inputs();
   target.num_outputs_ = system.num_outputs();
   target.static_read_energy_ = system.cost().read_energy;
-  target.monolithic_ = false;
-  // The Partition limit: the kernel holds at most ceil(26 / 8) = 4 slice
-  // indices, and an entry's num_inputs + 2 bits fit a signed gather index.
-  if (target.num_inputs_ > 26) {
+  if (target.num_inputs_ > kMaxApproxInputs) {
     throw std::invalid_argument(
-        "StreamTarget::compile: more than 26 inputs");
+        "StreamTarget::compile: approximate target has more than " +
+        std::to_string(kMaxApproxInputs) + " inputs");
   }
+  const std::size_t domain = std::size_t{1} << target.num_inputs_;
+  target.addr_mask_ = static_cast<std::uint32_t>(domain - 1);
 
-  // The constant {0, 1} table BTO units read their phi through sits first.
-  constexpr std::size_t kConstOff = 0;
-  std::size_t arena_size = 2;
   target.units_.reserve(system.units().size());
   for (const auto& unit : system.units()) {
     const core::DecomposedBit& bit = unit.decomposition();
-    CompiledUnit compiled;
-    compiled.mode = bit.mode();
-    compiled.bound_mask = bit.partition().bound_mask();
-    compiled.shared_bit = bit.shared_bit();
-    compiled.col_bits = util::popcount(compiled.bound_mask);
-    compiled.bound_size = bit.bound_table().size();
-    compiled.free_size = bit.free_table0().size();
-    compiled.bound_off = arena_size;
-    arena_size += compiled.bound_size;
-    compiled.free0_off = arena_size;
-    compiled.read_off = compiled.mode == core::DecompMode::kBto
-                            ? kConstOff
-                            : compiled.free0_off;
-    arena_size += bit.free_table0().size() + bit.free_table1().size();
-    target.units_.push_back(compiled);
+    target.units_.push_back({bit.mode(), bit.partition().bound_mask(),
+                             bit.shared_bit(), bit.bound_table().size(),
+                             bit.free_table0().size()});
   }
 
-  target.slice_count_ = std::max(1u, (target.num_inputs_ + 7) / 8);
-  target.slice_bits_ = (target.num_inputs_ + target.slice_count_ - 1) /
-                       target.slice_count_;
-  const std::uint64_t slice_entries = std::uint64_t{1} << target.slice_bits_;
-  target.slices_.assign(
-      target.units_.size() * target.slice_count_ * slice_entries, 0);
-  std::uint32_t* entry = target.slices_.data();
-  for (std::size_t k = 0; k < target.units_.size(); ++k) {
-    const CompiledUnit& compiled = target.units_[k];
-    const core::Partition& p = system.units()[k].decomposition().partition();
-    const bool nd = compiled.mode == core::DecompMode::kNonDisjoint;
-    const bool bto = compiled.mode == core::DecompMode::kBto;
-    for (unsigned j = 0; j < target.slice_count_; ++j) {
-      for (std::uint64_t b = 0; b < slice_entries; ++b, ++entry) {
-        const std::uint64_t bits = b << (target.slice_bits_ * j);
-        const std::uint64_t col =
-            util::extract_bits(bits, compiled.bound_mask);
-        std::uint64_t row = 0;
-        if (!bto) {
-          const std::uint64_t xs = nd ? (bits >> compiled.shared_bit) & 1u : 0;
-          row = (util::extract_bits(bits, p.free_mask()) |
-                 xs << p.free_size())
-                << 1;
-        }
-        *entry = static_cast<std::uint32_t>(col | row << compiled.col_bits);
-      }
-    }
-  }
-
-  for (TableImage& image : target.images_) {
-    image.bytes_.assign(arena_size + kGatherPad, 0);
-    image.bytes_[kConstOff + 1] = 1;
-  }
+  for (TableImage& image : target.images_) image.words_.assign(domain, 0);
   target.fill_image(target.images_[0], system);
   return target;
 }
@@ -177,12 +104,12 @@ StreamTarget StreamTarget::compile(const MonolithicLut& lut,
   target.num_inputs_ = lut.ram().addr_bits() + lut.addr_shift();
   target.num_outputs_ = num_outputs;
   target.static_read_energy_ = lut.cost().read_energy;
+  target.addr_mask_ = lut.ram().addr_mask();
+  target.addr_shift_ = lut.addr_shift();
+  target.out_shift_ = lut.out_shift();
   target.monolithic_ = true;
   target.mono_addr_bits_ = lut.ram().addr_bits();
   target.mono_width_ = lut.ram().width();
-  target.mono_addr_mask_ = lut.ram().addr_mask();
-  target.mono_addr_shift_ = lut.addr_shift();
-  target.mono_out_shift_ = lut.out_shift();
 
   for (TableImage& image : target.images_) {
     image.words_.assign(lut.ram().entries(), 0);
@@ -193,14 +120,13 @@ StreamTarget StreamTarget::compile(const MonolithicLut& lut,
 
 void StreamTarget::fill_image(TableImage& image,
                               const ApproxLutSystem& system) const {
+  // One byte plane per unit, OR-ed into that unit's output bit: the same
+  // whole-domain realization ApproxLut::values() runs.
+  std::fill(image.words_.begin(), image.words_.end(), 0);
+  std::vector<std::uint8_t> plane(image.words_.size());
   for (std::size_t k = 0; k < units_.size(); ++k) {
-    const CompiledUnit& compiled = units_[k];
-    const core::DecomposedBit& bit =
-        system.units()[k].decomposition();
-    copy_table(image.bytes_, compiled.bound_off, bit.bound_table());
-    copy_table(image.bytes_, compiled.free0_off, bit.free_table0());
-    copy_table(image.bytes_, compiled.free0_off + compiled.free_size,
-               bit.free_table1());
+    core::or_bit_plane(system.units()[k].decomposition(),
+                       static_cast<unsigned>(k), image.words_, plane);
   }
 }
 
@@ -219,13 +145,13 @@ void StreamTarget::check_shape(const ApproxLutSystem& system) const {
         "StreamTarget::reconfigure: system shape mismatch");
   }
   for (std::size_t k = 0; k < units_.size(); ++k) {
-    const CompiledUnit& compiled = units_[k];
+    const UnitShape& shape = units_[k];
     const core::DecomposedBit& bit = system.units()[k].decomposition();
-    if (bit.mode() != compiled.mode ||
-        bit.partition().bound_mask() != compiled.bound_mask ||
-        bit.shared_bit() != compiled.shared_bit ||
-        bit.bound_table().size() != compiled.bound_size ||
-        bit.free_table0().size() != compiled.free_size) {
+    if (bit.mode() != shape.mode ||
+        bit.partition().bound_mask() != shape.bound_mask ||
+        bit.shared_bit() != shape.shared_bit ||
+        bit.bound_table().size() != shape.bound_size ||
+        bit.free_table0().size() != shape.free_size) {
       throw std::invalid_argument(
           "StreamTarget::reconfigure: unit " + std::to_string(k) +
           " structure differs (reconfiguration swaps contents only)");
@@ -236,8 +162,7 @@ void StreamTarget::check_shape(const ApproxLutSystem& system) const {
 void StreamTarget::check_shape(const MonolithicLut& lut) const {
   if (!monolithic_ || lut.ram().addr_bits() != mono_addr_bits_ ||
       lut.ram().width() != mono_width_ ||
-      lut.addr_shift() != mono_addr_shift_ ||
-      lut.out_shift() != mono_out_shift_) {
+      lut.addr_shift() != addr_shift_ || lut.out_shift() != out_shift_) {
     throw std::invalid_argument(
         "StreamTarget::reconfigure: LUT geometry mismatch "
         "(reconfiguration swaps contents only)");
@@ -262,7 +187,6 @@ std::uint64_t StreamTarget::commit_update() noexcept {
 
 std::uint64_t StreamTarget::reconfigure(const ApproxLutSystem& system) {
   check_shape(system);
-  // fill_image rewrites every unit table; the {0, 1} table is constant.
   fill_image(begin_update(), system);
   return commit_update();
 }
@@ -276,66 +200,19 @@ std::uint64_t StreamTarget::reconfigure(const MonolithicLut& lut) {
 // ---- Batch kernels ------------------------------------------------------
 
 template <class Ops>
-void StreamTarget::eval_approx(const TableImage& image,
-                               const core::InputWord* x, core::OutputWord* y,
-                               std::size_t count) const noexcept {
-  // Samples outer, units inner: each step splits Ops::kWidth input words
-  // into their slice indices once, then every unit ORs one gathered entry
-  // per slice into its two table indices, gathers phi from its bound table
-  // and its output bit from its free region. No mode branch (BTO units
-  // read phi through the constant {0, 1} table) and one store per step.
-  using D = typename Ops::D;
-  constexpr unsigned kMaxSlices = 4;  // ceil(26 / 8)
-  const std::uint8_t* bytes = image.bytes_.data();
-  const std::size_t slice_entries = std::size_t{1} << slice_bits_;
-  const D slice_mask =
-      Ops::splat(static_cast<std::uint32_t>(slice_entries - 1));
-  std::size_t i = 0;
-  for (; i + Ops::kWidth <= count; i += Ops::kWidth) {
-    const D xi = Ops::load(x + i);
-    D index[kMaxSlices];
-    for (unsigned j = 0; j < slice_count_; ++j) {
-      index[j] = Ops::band(Ops::srl(xi, slice_bits_ * j), slice_mask);
-    }
-    D out = Ops::splat(0);
-    const std::uint32_t* table = slices_.data();
-    for (std::size_t k = 0; k < units_.size(); ++k) {
-      const CompiledUnit& unit = units_[k];
-      D entry = Ops::gather(table, index[0]);
-      table += slice_entries;
-      for (unsigned j = 1; j < slice_count_; ++j, table += slice_entries) {
-        entry = Ops::bor(entry, Ops::gather(table, index[j]));
-      }
-      const D col =
-          Ops::band(entry, Ops::splat((std::uint32_t{1} << unit.col_bits) - 1));
-      const D phi = Ops::gather_bytes(bytes + unit.bound_off, col);
-      // row' is even, so OR-ing phi in selects the {phi = 0, 1} byte.
-      const D row = Ops::bor(Ops::srl(entry, unit.col_bits), phi);
-      const D bit = Ops::gather_bytes(bytes + unit.read_off, row);
-      out = Ops::bor(out, Ops::sll(bit, static_cast<unsigned>(k)));
-    }
-    Ops::store(y + i, out);
-  }
-  if constexpr (Ops::kWidth > 1) {
-    eval_approx<typename Ops::Scalar>(image, x + i, y + i, count - i);
-  }
-}
-
-template <class Ops>
-void StreamTarget::eval_mono(const TableImage& image,
-                             const core::InputWord* x, core::OutputWord* y,
-                             std::size_t count) const noexcept {
+void StreamTarget::eval_words(const TableImage& image,
+                              const core::InputWord* x, core::OutputWord* y,
+                              std::size_t count) const noexcept {
   using D = typename Ops::D;
   const std::uint32_t* words = image.words_.data();
-  const D mask = Ops::splat(mono_addr_mask_);
+  const D mask = Ops::splat(addr_mask_);
   std::size_t i = 0;
   for (; i + Ops::kWidth <= count; i += Ops::kWidth) {
-    const D addr =
-        Ops::band(Ops::srl(Ops::load(x + i), mono_addr_shift_), mask);
-    Ops::store(y + i, Ops::sll(Ops::gather(words, addr), mono_out_shift_));
+    const D addr = Ops::band(Ops::srl(Ops::load(x + i), addr_shift_), mask);
+    Ops::store(y + i, Ops::sll(Ops::gather(words, addr), out_shift_));
   }
   if constexpr (Ops::kWidth > 1) {
-    eval_mono<typename Ops::Scalar>(image, x + i, y + i, count - i);
+    eval_words<typename Ops::Scalar>(image, x + i, y + i, count - i);
   }
 }
 
@@ -343,11 +220,9 @@ void StreamTarget::eval_batch(const TableImage& image,
                               const core::InputWord* x, core::OutputWord* y,
                               std::size_t count) const noexcept {
   if (simd::enabled()) {
-    monolithic_ ? eval_mono<ReadVectorOps>(image, x, y, count)
-                : eval_approx<ReadVectorOps>(image, x, y, count);
+    eval_words<ReadVectorOps>(image, x, y, count);
   } else {
-    monolithic_ ? eval_mono<ReadScalarOps>(image, x, y, count)
-                : eval_approx<ReadScalarOps>(image, x, y, count);
+    eval_words<ReadScalarOps>(image, x, y, count);
   }
 }
 

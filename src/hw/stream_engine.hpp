@@ -4,14 +4,14 @@
 // The cycle-accurate simulator (hw/simulator) verifies one read at a time
 // through a std::function hop. This layer is its throughput backend: a
 // StreamTarget *compiles* a programmed ApproxLutSystem / MonolithicLut into
-// flat table arenas plus per-unit sliced index tables, so a whole batch of
-// sample words is evaluated by one devirtualized kernel, simd::kLanes32
-// samples per step over gathers — no indirect call, no virtual dispatch, no
-// per-mode branch, tables hot in cache across the batch. Accounting (reads,
-// energy, output toggles, mismatches) replays the exact per-sample
-// arithmetic of simulate(), in the same order, so a StreamEngine report is
-// bit-identical to the scalar loop on the same sequence: a drop-in faster
-// backend, not a fork.
+// one flat word table (an approximate system is materialized into its 2^n
+// output words), so a whole batch of sample words is evaluated by one
+// devirtualized kernel, simd::kLanes32 samples per step over one gather —
+// no indirect call, no virtual dispatch, no per-mode branch, the table hot
+// in cache across the batch. Accounting (reads, energy, output toggles,
+// mismatches) replays the exact per-sample arithmetic of simulate(), in
+// the same order, so a StreamEngine report is bit-identical to the scalar
+// loop on the same sequence: a drop-in faster backend, not a fork.
 //
 // Runtime reconfiguration follows the dynamic-reconfiguration approximate-
 // multiplier scheme (PAPERS.md): LUT contents are double-buffered in two
@@ -43,20 +43,17 @@
 
 namespace dalut::hw {
 
-/// One generation of LUT contents in compiled form: a byte arena holding
-/// every unit's bound/free tables back to back plus a constant {0, 1} table
-/// and 3 bytes of padding for the 4-byte byte gathers (approx targets), or
-/// a packed word array (monolithic targets). Pure data — layout and
-/// interpretation belong to the StreamTarget that built it.
+/// One generation of LUT contents in compiled form: a packed word array —
+/// an approximate system's 2^n output words, or a monolithic LUT's stored
+/// words. Pure data — the read transform belongs to the StreamTarget that
+/// built it.
 class TableImage {
  public:
-  const std::uint8_t* unit_bytes() const noexcept { return bytes_.data(); }
   const std::uint32_t* words() const noexcept { return words_.data(); }
 
  private:
   friend class StreamTarget;
-  util::aligned_vector<std::uint8_t> bytes_;   ///< approx-unit tables
-  util::aligned_vector<std::uint32_t> words_;  ///< monolithic contents
+  util::aligned_vector<std::uint32_t> words_;
 };
 
 /// A compiled, devirtualized simulation target with double-buffered,
@@ -70,11 +67,15 @@ class TableImage {
 /// re-programming the DFF arrays of the physical LUTs.
 class StreamTarget {
  public:
-  /// Compiles the system's units (modes, table offsets, sliced index
-  /// tables) and snapshots its contents into epoch 0's image. Throws
-  /// std::invalid_argument past 26 inputs (the Partition limit).
+  /// Records the system's unit shapes and materializes its 2^n output
+  /// words into epoch 0's image. Throws std::invalid_argument past
+  /// kMaxApproxInputs inputs.
   static StreamTarget compile(const ApproxLutSystem& system);
   static StreamTarget compile(const MonolithicLut& lut, unsigned num_outputs);
+
+  /// Widest approximate target compile() accepts: 2^20 words are 4 MiB per
+  /// image, and every swap rewrites all of them.
+  static constexpr unsigned kMaxApproxInputs = 20;
 
   /// Movable only before writer/consumer threads attach (the epoch atomics
   /// are transferred non-atomically).
@@ -108,7 +109,8 @@ class StreamTarget {
   /// same geometry and shifts); throws std::invalid_argument otherwise.
   /// Blocks until the consumer has retired the previous epoch
   /// (applied_epoch() >= published_epoch()), so it never scribbles over an
-  /// image a batch is still reading, then rewrites the inactive image and
+  /// image a batch is still reading, then rewrites the inactive image (an
+  /// approximate system is re-materialized: m * 2^n plane writes) and
   /// publishes it. In-flight batches finish on the old image. With no
   /// consumer attached, call mark_applied(published_epoch()) first.
   /// Returns the new epoch.
@@ -133,27 +135,20 @@ class StreamTarget {
  private:
   StreamTarget() = default;
 
-  /// Per-output-bit compiled form of a DecomposedBit (approx targets).
-  struct CompiledUnit {
+  /// The structure of one approximate unit that reconfiguration must keep.
+  struct UnitShape {
     core::DecompMode mode = core::DecompMode::kNormal;
-    std::uint32_t bound_mask = 0;  ///< partition bound set (col packing)
-    unsigned shared_bit = 0;       ///< ND x_s input index
-    unsigned col_bits = 0;         ///< |bound|: entry = col | row' << col_bits
-    std::size_t bound_off = 0;     ///< offsets into TableImage::bytes_
-    std::size_t free0_off = 0;     ///< free1 follows free0 directly
-    std::size_t read_off = 0;      ///< free region read: free0, or {0, 1}
-    std::size_t bound_size = 0;    ///< table byte counts (shape check)
+    std::uint32_t bound_mask = 0;
+    unsigned shared_bit = 0;
+    std::size_t bound_size = 0;
     std::size_t free_size = 0;
   };
 
-  /// The read kernels, written once against an op set (stream_engine.cpp):
+  /// The read kernel, written once against an op set (stream_engine.cpp):
   /// Ops::kWidth samples per step, batch tails on the one-lane Ops::Scalar.
   template <class Ops>
-  void eval_approx(const TableImage& image, const core::InputWord* x,
-                   core::OutputWord* y, std::size_t count) const noexcept;
-  template <class Ops>
-  void eval_mono(const TableImage& image, const core::InputWord* x,
-                 core::OutputWord* y, std::size_t count) const noexcept;
+  void eval_words(const TableImage& image, const core::InputWord* x,
+                  core::OutputWord* y, std::size_t count) const noexcept;
 
   /// Waits until the consumer has retired the published epoch and returns
   /// the inactive image, contents untouched.
@@ -169,32 +164,18 @@ class StreamTarget {
   unsigned num_outputs_ = 0;
   double static_read_energy_ = 0.0;
 
-  // Approx form: one CompiledUnit per output bit, tables in bytes_, and
-  // slice_count_ = ceil(num_inputs / 8) index tables of 2^slice_bits_
-  // entries per unit (unit-major), slice_bits_ = ceil(num_inputs /
-  // slice_count_). Entry [j][b] describes input slice j (bits
-  // [j * slice_bits_, (j + 1) * slice_bits_)) holding b, as one 32-bit
-  // unit-relative word col | row' << |bound|: col = pext(b << j*slice_bits_,
-  // bound_mask) is the slice's share of the bound-table column, and row' =
-  // (pext(b << j*slice_bits_, free_mask) | x_s << |free|) << 1 its share of
-  // the free-region index, where x_s is set only for an ND unit whose shared
-  // bit lies in slice j (free1 follows free0, so x_s selects it). BTO units
-  // have row' = 0 and read the constant {0, 1} table. The shares are
-  // disjoint bits, so OR-ing one entry per slice yields both table indices
-  // of a read, relative to the unit's bound_off and read_off; every index
-  // stays below 2^(num_inputs + 2). Structural: shared by both images and
-  // never touched by reconfiguration.
-  std::vector<CompiledUnit> units_;
-  util::aligned_vector<std::uint32_t> slices_;
-  unsigned slice_count_ = 1;
-  unsigned slice_bits_ = 0;
-  // Monolithic form: packed words plus the read transform.
+  // The read transform, y = words[(x >> addr_shift_) & addr_mask_] <<
+  // out_shift_: the identity on x for an approximate target (its image
+  // holds y for every x), the LUT's geometry for a monolithic one.
+  std::uint32_t addr_mask_ = 0;
+  unsigned addr_shift_ = 0;
+  unsigned out_shift_ = 0;
+  // Shape records for check_shape: one UnitShape per output bit of an
+  // approximate target, the RAM geometry of a monolithic one.
   bool monolithic_ = false;
+  std::vector<UnitShape> units_;
   unsigned mono_addr_bits_ = 0;
   unsigned mono_width_ = 0;
-  std::uint32_t mono_addr_mask_ = 0;
-  unsigned mono_addr_shift_ = 0;
-  unsigned mono_out_shift_ = 0;
 
   TableImage images_[2];  ///< double buffer; active = published_ & 1
   std::atomic<std::uint64_t> published_{0};

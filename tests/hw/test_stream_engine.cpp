@@ -103,8 +103,8 @@ std::vector<core::RowType> random_types(std::size_t count, util::Rng& rng) {
 
 /// The settings of a hand-built 3-output n-input system, one unit per
 /// operating mode (normal, BTO, ND), with random contents. Every bound and
-/// free set takes inputs from each input byte, and the ND shared bit is
-/// input n - 1, in the top byte.
+/// free set spreads over the whole input word, and the ND shared bit is
+/// the top input, n - 1.
 std::vector<core::Setting> wide_all_modes_settings(unsigned n,
                                                    std::uint64_t seed) {
   util::Rng rng(seed);
@@ -208,11 +208,10 @@ TEST(StreamEngine, AllThreeModesBitIdenticalOverFullDomain) {
   EXPECT_EQ(stream_simulate(target, domain, &reference, kTech, 5), scalar);
 }
 
-TEST(StreamEngine, AllThreeModesBitIdenticalAcrossSliceCounts) {
-  // Widths on both sides of each input-byte boundary: 2, 3 and 4 index
-  // slices. Partition caps the input width at 26, so 25 and 26 stand in for
-  // the 32-input edge of the top slice.
-  for (const unsigned n : {9u, 16u, 17u, 24u, 25u, 26u}) {
+TEST(StreamEngine, AllThreeModesBitIdenticalAcrossWidths) {
+  // From 3 inputs, whose whole domain is one 8-lane step, to the 20-input
+  // limit, whose 2^20-word image is sampled at random.
+  for (const unsigned n : {3u, 5u, 6u, 9u, 16u, 17u, 20u}) {
     const auto lut = wide_all_modes_lut(n, 40 + n);
     const ApproxLutSystem system(ArchKind::kBtoNormalNd, lut, kTech);
     auto target = StreamTarget::compile(system);
@@ -233,7 +232,10 @@ TEST(StreamEngine, AllThreeModesBitIdenticalAcrossSliceCounts) {
     const core::MultiOutputFunction* ref = reference ? &*reference : nullptr;
     const auto scalar = simulate(make_target(system), sequence, ref, kTech);
     EXPECT_EQ(scalar.mismatches, 0u) << "n " << n;
-    EXPECT_EQ(stream_simulate(target, sequence, ref, kTech, 1000), scalar)
+    // Below 8 inputs the batches are shorter than one 8-lane step, so
+    // every read runs on the one-lane tail.
+    const std::size_t batch = n < 8 ? 5 : 1000;
+    EXPECT_EQ(stream_simulate(target, sequence, ref, kTech, batch), scalar)
         << "n " << n;
 
     std::vector<core::OutputWord> y(sequence.size());
@@ -245,12 +247,20 @@ TEST(StreamEngine, AllThreeModesBitIdenticalAcrossSliceCounts) {
           << "n " << n << " x " << sequence[i];
     }
   }
+
+  // Past 20 inputs an image would outgrow 4 MiB: compile() refuses.
+  for (const unsigned n : {21u, 24u, 25u, 26u}) {
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd,
+                                 wide_all_modes_lut(n, 40 + n), kTech);
+    EXPECT_THROW(StreamTarget::compile(system), std::invalid_argument)
+        << "n " << n;
+  }
 }
 
 TEST(StreamEngine, BtoOutputsSurviveReconfiguration) {
   // Same structure, different contents: every swap lands on the other
-  // image, whose BTO units read phi through the constant {0, 1} table the
-  // contents swap never rewrites.
+  // image and re-materializes it whole, so the BTO unit's output bit is
+  // rewritten like every other.
   const unsigned n = 12;
   const auto lut_a = wide_all_modes_lut(n, 1);
   const auto lut_b = wide_all_modes_lut(n, 2);
@@ -269,6 +279,41 @@ TEST(StreamEngine, BtoOutputsSurviveReconfiguration) {
                       sequence.size());
     for (std::size_t i = 0; i < sequence.size(); ++i) {
       ASSERT_EQ(y[i], next.read(sequence[i])) << "swap " << swap;
+    }
+  }
+}
+
+TEST(StreamEngine, NdSwapsRewriteEveryWordOfBothImages) {
+  // Swaps to b, b, a, a after compiling a: image 1 goes from empty to b,
+  // image 0 from a to b, image 1 from b to a and image 0 from b to a, so
+  // each image is rewritten over different contents. After every swap,
+  // every input of the domain must read the new system.
+  const unsigned n = 12;
+  const ApproxLutSystem sys_a(ArchKind::kBtoNormalNd,
+                              wide_all_modes_lut(n, 61), kTech);
+  const ApproxLutSystem sys_b(ArchKind::kBtoNormalNd,
+                              wide_all_modes_lut(n, 62), kTech);
+  std::vector<core::InputWord> domain(std::size_t{1} << n);
+  for (std::size_t x = 0; x < domain.size(); ++x) {
+    domain[x] = static_cast<core::InputWord>(x);
+  }
+  std::size_t differing = 0;
+  for (const core::InputWord x : domain) {
+    differing += sys_a.read(x) != sys_b.read(x) ? 1 : 0;
+  }
+  ASSERT_GT(differing, 0u);  // every swap is visible somewhere
+
+  auto target = StreamTarget::compile(sys_a);
+  target.mark_applied(target.published_epoch());
+  std::vector<core::OutputWord> y(domain.size());
+  for (int swap = 0; swap < 4; ++swap) {
+    const ApproxLutSystem& next = swap < 2 ? sys_b : sys_a;
+    target.mark_applied(target.reconfigure(next));
+    std::uint64_t epoch = 0;
+    target.eval_batch(target.acquire(epoch), domain.data(), y.data(),
+                      domain.size());
+    for (const core::InputWord x : domain) {
+      ASSERT_EQ(y[x], next.read(x)) << "swap " << swap << " x " << x;
     }
   }
 }
@@ -572,11 +617,10 @@ void expect_kernels_agree(const StreamTarget& target,
   EXPECT_EQ(simd, scalar) << what << " count " << count;
 }
 
-// Widths 7 and 9..26 give 1 to 4 index slices of 7, 5, 6, 8, 6, 8 and 7
-// bits; batch lengths 1..17 and 4099 leave every tail length of the
-// kLanes32-wide steps.
+// Widths 7 to 20, the approximate-target limit; batch lengths 1..17 and
+// 4099 leave every tail length of the kLanes32-wide steps.
 TEST(SimdIdentity, StreamKernelsMatchScalar) {
-  for (const unsigned n : {7u, 9u, 12u, 16u, 17u, 24u, 26u}) {
+  for (const unsigned n : {7u, 9u, 12u, 16u, 17u, 20u}) {
     const auto sequence = random_sequence(4099, n, 80 + n);
     const std::string approx_what = "approx n " + std::to_string(n);
     const ApproxLutSystem system(ArchKind::kBtoNormalNd,
@@ -587,9 +631,7 @@ TEST(SimdIdentity, StreamKernelsMatchScalar) {
     }
     expect_kernels_agree(approx, sequence, sequence.size(), approx_what);
 
-    // A monolithic LUT with a dropped address LSB and an output shift; past
-    // 20 inputs its word table grows large for a unit test.
-    if (n > 20) continue;
+    // A monolithic LUT with a dropped address LSB and an output shift.
     const std::string mono_what = "mono n " + std::to_string(n);
     util::Rng rng(90 + n);
     std::vector<std::uint32_t> contents(std::size_t{1} << (n - 1));
@@ -605,26 +647,45 @@ TEST(SimdIdentity, StreamKernelsMatchScalar) {
     expect_kernels_agree(mono, sequence, sequence.size(), mono_what);
   }
 
-  // The last unit is ND and its F_1 table holds ones, so x = all ones
-  // (every free bit and x_s set, phi = 1) reads the last table byte of the
-  // arena, and the AVX2 byte gather the 3 padding bytes after it.
+  // Past 20 inputs there is no approximate image to compare kernels on.
+  for (const unsigned n : {24u, 26u}) {
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd,
+                                 wide_all_modes_lut(n, 70 + n), kTech);
+    EXPECT_THROW(StreamTarget::compile(system), std::invalid_argument)
+        << "n " << n;
+  }
+
+  // The top address x = 2^n - 1 reads the image's last word. Its
+  // neighbours with input 0 or input n - 1 cleared read different words:
+  // the normal unit (input 0 bound, lowest column bit) outputs phi, which
+  // is 1 only in the top column of the two, and the ND unit (shared bit
+  // n - 1) reads an all-ones F_1 against an all-zeros F_0.
   const unsigned n = 12;
   auto settings = wide_all_modes_settings(n, 5);
+  core::Setting& normal = settings.front();
+  ASSERT_EQ(normal.mode, core::DecompMode::kNormal);
+  std::fill(normal.types.begin(), normal.types.end(),
+            core::RowType::kPattern);
+  normal.pattern[normal.pattern.size() - 1] = 1;
+  normal.pattern[normal.pattern.size() - 2] = 0;
   core::Setting& nd = settings.back();
   ASSERT_EQ(nd.mode, core::DecompMode::kNonDisjoint);
-  std::fill(nd.pattern1.begin(), nd.pattern1.end(), 1);
+  std::fill(nd.types0.begin(), nd.types0.end(), core::RowType::kAllZero);
   std::fill(nd.types1.begin(), nd.types1.end(), core::RowType::kAllOne);
   const ApproxLutSystem system(ArchKind::kBtoNormalNd,
                                core::ApproxLut::realize(n, settings), kTech);
   const auto target = StreamTarget::compile(system);
   const core::InputWord top = (core::InputWord{1} << n) - 1;
+  ASSERT_NE(system.read(top), system.read(top - 1));
+  ASSERT_NE(system.read(top), system.read(top >> 1));
   const std::vector<core::InputWord> sequence(4099, top);
-  expect_kernels_agree(target, sequence, sequence.size(), "last byte");
+  expect_kernels_agree(target, sequence, sequence.size(), "top address");
   std::vector<core::OutputWord> y(sequence.size());
   std::uint64_t epoch = 0;
-  target.eval_batch(target.acquire(epoch), sequence.data(), y.data(),
-                    y.size());
-  EXPECT_EQ((y.front() >> 2) & 1u, 1u);
+  const TableImage& image = target.acquire(epoch);
+  target.eval_batch(image, sequence.data(), y.data(), y.size());
+  EXPECT_EQ(image.words()[top], system.read(top));
+  EXPECT_EQ(y.front() & 0b101u, 0b101u);
   for (const core::OutputWord v : y) ASSERT_EQ(v, system.read(top));
 }
 

@@ -37,6 +37,7 @@ expect_rejected ring 0
 expect_rejected reads 0
 expect_rejected reads -5
 expect_rejected width 0
+expect_rejected width 21
 expect_rejected width 40
 expect_rejected reconfigs -1
 expect_rejected batch 12abc

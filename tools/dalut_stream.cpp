@@ -34,6 +34,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/stats.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
@@ -69,6 +70,7 @@ struct ReconfigStats {
   std::uint64_t observed = 0;  ///< epoch advances the consumer saw
   double min_us = 0.0;
   double mean_us = 0.0;
+  double median_us = 0.0;  ///< robust to a cold first swap, unlike the mean
   double max_us = 0.0;
 };
 
@@ -138,17 +140,20 @@ ReconfigStats measure_reconfig(hw::StreamTarget& target, unsigned reconfigs,
 
   ReconfigStats stats;
   stats.count = reconfigs;
-  double total = 0.0;
+  std::vector<double> latencies;
+  latencies.reserve(reconfigs);
   for (unsigned i = 0; i < reconfigs; ++i) {
     util::WallTimer timer;
     const std::uint64_t epoch = swap(i);
     while (target.applied_epoch() < epoch) std::this_thread::yield();
-    const double us = timer.seconds() * 1e6;
-    total += us;
-    stats.min_us = i == 0 ? us : std::min(stats.min_us, us);
-    stats.max_us = std::max(stats.max_us, us);
+    latencies.push_back(timer.seconds() * 1e6);
   }
-  stats.mean_us = reconfigs > 0 ? total / reconfigs : 0.0;
+  if (!latencies.empty()) {
+    stats.min_us = util::min_of(latencies);
+    stats.mean_us = util::mean(latencies);
+    stats.median_us = util::median(latencies);
+    stats.max_us = util::max_of(latencies);
+  }
   stop.store(true, std::memory_order_release);
   consumer.join();
   stats.observed = observed.load(std::memory_order_relaxed);
@@ -218,13 +223,14 @@ void write_json(std::FILE* out, const std::vector<StreamRow>& rows,
         "\"batches\": %zu, \"wait_spins\": %llu,\n"
         "     \"reconfig\": {\"count\": %zu, \"observed\": %llu, "
         "\"latency_us_min\": %.2f, \"latency_us_mean\": %.2f, "
-        "\"latency_us_max\": %.2f}}%s\n",
+        "\"latency_us_median\": %.2f, \"latency_us_max\": %.2f}}%s\n",
         r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
         r.scalar_rps > 0 ? r.stream_rps / r.scalar_rps : 0.0,
         r.bit_identical ? "true" : "false", r.batches,
         static_cast<unsigned long long>(r.wait_spins), r.reconfig.count,
         static_cast<unsigned long long>(r.reconfig.observed),
-        r.reconfig.min_us, r.reconfig.mean_us, r.reconfig.max_us,
+        r.reconfig.min_us, r.reconfig.mean_us, r.reconfig.median_us,
+        r.reconfig.max_us,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n");
@@ -370,9 +376,11 @@ int main(int argc, char** argv) {
     for (const auto& r : rows) {
       std::fprintf(stderr,
                    "%-14s scalar %12.0f r/s  stream %12.0f r/s  engine "
-                   "%12.0f r/s  identical=%s  reconfig %.1f us mean\n",
+                   "%12.0f r/s  identical=%s  reconfig %.1f us mean, "
+                   "%.1f us median\n",
                    r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
-                   r.bit_identical ? "yes" : "NO", r.reconfig.mean_us);
+                   r.bit_identical ? "yes" : "NO", r.reconfig.mean_us,
+                   r.reconfig.median_us);
       if (!r.bit_identical) {
         std::fprintf(stderr,
                      "error: %s batched report diverged from simulate()\n",
