@@ -61,24 +61,31 @@ void BM_CostMatrixScatter(benchmark::State& state) {
 BENCHMARK(BM_CostMatrixScatter)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_CostMatrixGather(benchmark::State& state) {
-  // The EvalWorkspace replacement for BM_CostMatrixScatter: interleaved
-  // source + thread-local scratch; every iteration pays the full gather.
+  // The EvalWorkspace replacement for BM_CostMatrixScatter: prepare() of
+  // the certified arrays into thread-local scratch (int32 losses under MED,
+  // int64 under MSE from width 12 on); every iteration pays the full
+  // gather.
   const auto width = static_cast<unsigned>(state.range(0));
+  const auto metric = state.range(1) != 0 ? core::CostMetric::kMse
+                                          : core::CostMetric::kMed;
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);
   const auto costs = core::build_bit_costs(
-      g, g.values(), width - 1, core::LsbModel::kPredictive, dist);
+      g, g.values(), width - 1, core::LsbModel::kPredictive, dist, metric);
   util::Rng rng(1);
   const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
   auto& workspace = core::EvalWorkspace::local();
   for (auto _ : state) {
-    const core::MatrixRef matrix = workspace.full_matrix(p, costs);
-    benchmark::DoNotOptimize(matrix.get().cells.data());
+    const core::CandidateRef matrix = workspace.prepare(p, costs);
+    benchmark::DoNotOptimize(&matrix);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.domain_size()));
 }
-BENCHMARK(BM_CostMatrixGather)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK(BM_CostMatrixGather)
+    ->ArgNames({"width", "mse"})
+    ->ArgsProduct({{10, 12, 14, 16}, {0, 1}});
 
 void BM_OptForPart(benchmark::State& state) {
   const auto width = static_cast<unsigned>(state.range(0));
@@ -104,10 +111,13 @@ void BM_OptForPartWorkspace(benchmark::State& state) {
   // refinement-round (kCurrentApprox) costs around a coarse approximation
   // (constant over groups of four inputs); its restarts alternate about
   // five times, as inside the searches, so it times the incremental
-  // updates of exact matrices.
+  // updates. mse=1 takes MSE costs, whose 2m-bit losses put widths 12 and
+  // up on int64 lanes; MED stays on int32 lanes.
   const auto width = static_cast<unsigned>(state.range(0));
   const auto restarts = static_cast<unsigned>(state.range(1));
   const bool refine = state.range(2) != 0;
+  const auto metric = state.range(3) != 0 ? core::CostMetric::kMse
+                                          : core::CostMetric::kMed;
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);
   std::vector<core::OutputWord> approx(g.domain_size());
@@ -116,21 +126,23 @@ void BM_OptForPartWorkspace(benchmark::State& state) {
   }
   const auto costs =
       refine ? core::build_bit_costs(g, approx, width / 2,
-                                     core::LsbModel::kCurrentApprox, dist)
+                                     core::LsbModel::kCurrentApprox, dist,
+                                     metric)
              : core::build_bit_costs(g, g.values(), width - 1,
-                                     core::LsbModel::kPredictive, dist);
+                                     core::LsbModel::kPredictive, dist,
+                                     metric);
   util::Rng rng(2);
   const auto p = core::Partition::random(width, (9 * width + 8) / 16, rng);
   auto& workspace = core::EvalWorkspace::local();
-  const core::MatrixRef matrix = workspace.full_matrix(p, costs);
+  const core::CandidateRef matrix = workspace.prepare(p, costs);
   for (auto _ : state) {
     auto result = workspace.opt_for_part(matrix, {restarts, 64}, rng);
     benchmark::DoNotOptimize(result.error);
   }
 }
 BENCHMARK(BM_OptForPartWorkspace)
-    ->ArgNames({"width", "Z", "refine"})
-    ->ArgsProduct({{10, 12, 14}, {12, 30}, {0, 1}});
+    ->ArgNames({"width", "Z", "refine", "mse"})
+    ->ArgsProduct({{10, 12, 14}, {12, 30}, {0, 1}, {0, 1}});
 
 void BM_OptForPartBto(benchmark::State& state) {
   const auto width = static_cast<unsigned>(state.range(0));

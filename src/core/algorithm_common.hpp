@@ -47,7 +47,8 @@ void write_bit_to_cache(std::vector<OutputWord>& cache, unsigned k,
 /// Deliberately evaluates over the realized 2^n domain rather than a
 /// gathered matrix: it also covers ND settings, and keeping the summation
 /// order fixed preserves historical error values bit-for-bit
-/// (EvalWorkspace::evaluate_vt agrees with it only up to FP reassociation).
+/// (evaluate_vt on a gathered matrix agrees with it only up to FP
+/// reassociation).
 double setting_error_under_costs(const Setting& setting,
                                  std::span<const double> c0,
                                  std::span<const double> c1);

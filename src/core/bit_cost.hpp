@@ -55,8 +55,9 @@ struct BitCostArrays {
   /// sums are independent of the order they are taken in. Holds for a
   /// uniform distribution when n + loss_bits + 2 <= 52 (loss_bits is m for
   /// kMed, 2m for kMse, 1 for kErrorRate). The evaluation engine runs
-  /// certified arrays on integer losses cost * 2^n when every sum fits an
-  /// int32 (core/eval_workspace.hpp), and on exact double sums otherwise.
+  /// certified arrays on integer losses cost * 2^n, in int32 lanes when
+  /// every sum fits one and in int64 lanes otherwise
+  /// (core/eval_workspace.hpp).
   /// Like `epoch`, the certificate describes the contents. Whoever edits
   /// the arrays must re-stamp `epoch` (or clear it), since a thread's source
   /// mirror would otherwise keep serving the old contents, and must keep

@@ -5,9 +5,9 @@
 //
 // Each takes a CostView and routes through the thread-local EvalWorkspace's
 // prepare() (zero-allocation gathers; certified cost arrays in the integer
-// layout, others interleaved). Pass a BitCostArrays as it is: its view
-// carries the exactness certificate, while a raw CostView(c0, c1) carries
-// none and runs the reference OptForPart.
+// layout, others in a reference CostMatrix). Pass a BitCostArrays as it is:
+// its view carries the exactness certificate, while a raw CostView(c0, c1)
+// carries none and runs the reference OptForPart.
 #pragma once
 
 #include "core/eval_workspace.hpp"

@@ -10,7 +10,7 @@ namespace dalut::core {
 namespace {
 
 /// Precomputed deposit table: packed index -> scattered input-code bits.
-std::vector<InputWord> deposit_table(std::uint32_t mask) {
+std::vector<InputWord> deposit_indices(std::uint32_t mask) {
   const std::size_t size = std::size_t{1} << util::popcount(mask);
   std::vector<InputWord> table(size);
   for (std::size_t i = 0; i < size; ++i) {
@@ -33,8 +33,8 @@ CostMatrix CostMatrix::build(const Partition& partition,
   matrix.cost0.resize(matrix.rows * matrix.cols);
   matrix.cost1.resize(matrix.rows * matrix.cols);
 
-  const auto row_x = deposit_table(partition.free_mask());
-  const auto col_x = deposit_table(partition.bound_mask());
+  const auto row_x = deposit_indices(partition.free_mask());
+  const auto col_x = deposit_indices(partition.bound_mask());
   std::size_t cell = 0;
   for (std::size_t r = 0; r < matrix.rows; ++r) {
     const InputWord rx = row_x[r];
@@ -67,8 +67,8 @@ CostMatrix CostMatrix::build_conditioned(const Partition& partition,
   matrix.cost0.resize(matrix.rows * matrix.cols);
   matrix.cost1.resize(matrix.rows * matrix.cols);
 
-  const auto row_x = deposit_table(partition.free_mask());
-  const auto col_x = deposit_table(reduced_bound);
+  const auto row_x = deposit_indices(partition.free_mask());
+  const auto col_x = deposit_indices(reduced_bound);
   std::size_t cell = 0;
   for (std::size_t r = 0; r < matrix.rows; ++r) {
     const InputWord rx = row_x[r] | shared_mask;
@@ -102,8 +102,8 @@ CostMatrix CostMatrix::build_conditioned_set(const Partition& partition,
   matrix.cost0.resize(matrix.rows * matrix.cols);
   matrix.cost1.resize(matrix.rows * matrix.cols);
 
-  const auto row_x = deposit_table(partition.free_mask());
-  const auto col_x = deposit_table(reduced_bound);
+  const auto row_x = deposit_indices(partition.free_mask());
+  const auto col_x = deposit_indices(reduced_bound);
   std::size_t cell = 0;
   for (std::size_t r = 0; r < matrix.rows; ++r) {
     const InputWord rx = row_x[r] | fixed_bits;
@@ -124,8 +124,8 @@ TwoDimTruthTable TwoDimTruthTable::build(const TruthTable& f,
   table.cols = partition.num_cols();
   table.cells.resize(table.rows * table.cols);
 
-  const auto row_x = deposit_table(partition.free_mask());
-  const auto col_x = deposit_table(partition.bound_mask());
+  const auto row_x = deposit_indices(partition.free_mask());
+  const auto col_x = deposit_indices(partition.bound_mask());
   std::size_t cell = 0;
   for (std::size_t r = 0; r < table.rows; ++r) {
     for (std::size_t c = 0; c < table.cols; ++c, ++cell) {

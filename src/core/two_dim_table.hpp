@@ -6,9 +6,10 @@
 // turns OptForPart into a weighted row-typing problem on this matrix.
 //
 // CostMatrix is the allocating *reference* representation. The production
-// search paths route through the zero-allocation, interleaved-layout engine
-// in core/eval_workspace.hpp, which is tested bit-for-bit against the
-// builders here.
+// search paths route through the zero-allocation engine in
+// core/eval_workspace.hpp, which gathers certified cost arrays into integer
+// losses and every other candidate into a CostMatrix of its own scratch;
+// it is tested bit-for-bit against the builders here.
 #pragma once
 
 #include <cstdint>

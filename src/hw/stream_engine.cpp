@@ -32,7 +32,7 @@ struct ReadScalarOps {
 };
 
 /// The same operations on simd::kLanes32 samples.
-struct ReadVectorOps {
+struct ReadLaneOps {
   using D = simd::Vec32;
   using Scalar = ReadScalarOps;
   static constexpr unsigned kWidth = simd::kLanes32;
@@ -220,7 +220,7 @@ void StreamTarget::eval_batch(const TableImage& image,
                               const core::InputWord* x, core::OutputWord* y,
                               std::size_t count) const noexcept {
   if (simd::enabled()) {
-    eval_words<ReadVectorOps>(image, x, y, count);
+    eval_words<ReadLaneOps>(image, x, y, count);
   } else {
     eval_words<ReadScalarOps>(image, x, y, count);
   }

@@ -10,8 +10,7 @@
 // granularities:
 //
 //  * Lane vectors (VecD / VecI, kLanes wide): elementwise double and i32
-//    arithmetic for the double OptForPart kernels and the bit-cost / error
-//    kernels.
+//    arithmetic for the bit-cost and error kernels.
 //  * Full-register int32 lanes (Vec32, kLanes32 wide: twice kLanes on
 //    every vector backend) for the integer OptForPart kernels, with a
 //    widening 64-bit accumulator, an in-register transpose, a narrowing
@@ -19,9 +18,11 @@
 //    and, run-time-count shifts and a gather of 4-byte elements. The
 //    gather is one vpgatherdd on AVX2 and lane-by-lane loads on the other
 //    backends.
-//  * Fixed granules (D2 = one interleaved {cost0, cost1} cell, D4 = two
-//    cells): the building blocks of the cost-matrix gather, defined for
-//    every backend so the blocked gather kernel is backend-generic.
+//  * Full-register int64 lanes (Vec64, kLanes64 = kLanes wide) for the
+//    same OptForPart kernels on losses past the int32 bound: add, subtract,
+//    signed compare (vpcmpgtq on AVX2, vcgtq_s64 on NEON, emulated with
+//    32-bit compares on SSE2), select, the narrowing byte store and the
+//    in-register transpose.
 //
 // Bit-identity contract: no operation here reassociates floating-point
 // arithmetic. Vector adds are elementwise onto independent accumulators,
@@ -131,25 +132,11 @@ inline VecD dzero() noexcept { return _mm256_setzero_pd(); }
 inline VecD dbroadcast(double v) noexcept { return _mm256_set1_pd(v); }
 inline VecD dloadu(const double* p) noexcept { return _mm256_loadu_pd(p); }
 inline void dstoreu(double* p, VecD v) noexcept { _mm256_storeu_pd(p, v); }
-inline VecD dadd(VecD a, VecD b) noexcept { return _mm256_add_pd(a, b); }
-inline VecD dsub(VecD a, VecD b) noexcept { return _mm256_sub_pd(a, b); }
 inline VecD dmul(VecD a, VecD b) noexcept { return _mm256_mul_pd(a, b); }
 inline VecD dand(VecD a, VecD b) noexcept { return _mm256_and_pd(a, b); }
 /// Lane mask (all-ones / all-zeros) of a != b, ordered non-signalling.
 inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return _mm256_cmp_pd(a, b, _CMP_NEQ_OQ);
-}
-/// Lane mask of a < b, ordered (false when either is NaN, like C++ `<`).
-inline VecD dcmplt(VecD a, VecD b) noexcept {
-  return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
-}
-/// mask ? a : b, per lane; every mask lane is all-ones or all-zeros.
-inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
-  return _mm256_blendv_pd(b, a, mask);
-}
-/// One bit per lane of a lane mask (bit l set iff lane l is all-ones).
-inline unsigned dmovemask(VecD mask) noexcept {
-  return static_cast<unsigned>(_mm256_movemask_pd(mask));
 }
 
 inline VecI iloadu(const std::uint32_t* p) noexcept {
@@ -180,18 +167,9 @@ inline VecD dzero() noexcept { return _mm_setzero_pd(); }
 inline VecD dbroadcast(double v) noexcept { return _mm_set1_pd(v); }
 inline VecD dloadu(const double* p) noexcept { return _mm_loadu_pd(p); }
 inline void dstoreu(double* p, VecD v) noexcept { _mm_storeu_pd(p, v); }
-inline VecD dadd(VecD a, VecD b) noexcept { return _mm_add_pd(a, b); }
-inline VecD dsub(VecD a, VecD b) noexcept { return _mm_sub_pd(a, b); }
 inline VecD dmul(VecD a, VecD b) noexcept { return _mm_mul_pd(a, b); }
 inline VecD dand(VecD a, VecD b) noexcept { return _mm_and_pd(a, b); }
 inline VecD dcmpneq(VecD a, VecD b) noexcept { return _mm_cmpneq_pd(a, b); }
-inline VecD dcmplt(VecD a, VecD b) noexcept { return _mm_cmplt_pd(a, b); }
-inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
-  return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
-}
-inline unsigned dmovemask(VecD mask) noexcept {
-  return static_cast<unsigned>(_mm_movemask_pd(mask));
-}
 
 inline VecI iloadu(const std::uint32_t* p) noexcept {
   return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
@@ -218,8 +196,6 @@ inline VecD dzero() noexcept { return vdupq_n_f64(0.0); }
 inline VecD dbroadcast(double v) noexcept { return vdupq_n_f64(v); }
 inline VecD dloadu(const double* p) noexcept { return vld1q_f64(p); }
 inline void dstoreu(double* p, VecD v) noexcept { vst1q_f64(p, v); }
-inline VecD dadd(VecD a, VecD b) noexcept { return vaddq_f64(a, b); }
-inline VecD dsub(VecD a, VecD b) noexcept { return vsubq_f64(a, b); }
 inline VecD dmul(VecD a, VecD b) noexcept { return vmulq_f64(a, b); }
 inline VecD dand(VecD a, VecD b) noexcept {
   return vreinterpretq_f64_u64(
@@ -228,17 +204,6 @@ inline VecD dand(VecD a, VecD b) noexcept {
 inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return vreinterpretq_f64_u64(
       veorq_u64(vceqq_f64(a, b), vdupq_n_u64(~std::uint64_t{0})));
-}
-inline VecD dcmplt(VecD a, VecD b) noexcept {
-  return vreinterpretq_f64_u64(vcltq_f64(a, b));
-}
-inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
-  return vbslq_f64(vreinterpretq_u64_f64(mask), a, b);
-}
-inline unsigned dmovemask(VecD mask) noexcept {
-  const uint64x2_t bits = vshrq_n_u64(vreinterpretq_u64_f64(mask), 63);
-  return static_cast<unsigned>(vgetq_lane_u64(bits, 0) |
-                               (vgetq_lane_u64(bits, 1) << 1));
 }
 
 inline VecI iloadu(const std::uint32_t* p) noexcept {
@@ -272,8 +237,6 @@ inline VecD dzero() noexcept { return {0.0}; }
 inline VecD dbroadcast(double v) noexcept { return {v}; }
 inline VecD dloadu(const double* p) noexcept { return {*p}; }
 inline void dstoreu(double* p, VecD v) noexcept { *p = v.v; }
-inline VecD dadd(VecD a, VecD b) noexcept { return {a.v + b.v}; }
-inline VecD dsub(VecD a, VecD b) noexcept { return {a.v - b.v}; }
 inline VecD dmul(VecD a, VecD b) noexcept { return {a.v * b.v}; }
 inline VecD dand(VecD a, VecD b) noexcept {
   return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) &
@@ -282,16 +245,6 @@ inline VecD dand(VecD a, VecD b) noexcept {
 inline VecD dcmpneq(VecD a, VecD b) noexcept {
   return {std::bit_cast<double>(a.v != b.v ? ~std::uint64_t{0}
                                            : std::uint64_t{0})};
-}
-inline VecD dcmplt(VecD a, VecD b) noexcept {
-  return {std::bit_cast<double>(a.v < b.v ? ~std::uint64_t{0}
-                                          : std::uint64_t{0})};
-}
-inline VecD dselect(VecD mask, VecD a, VecD b) noexcept {
-  return std::bit_cast<std::uint64_t>(mask.v) != 0 ? a : b;
-}
-inline unsigned dmovemask(VecD mask) noexcept {
-  return static_cast<unsigned>(std::bit_cast<std::uint64_t>(mask.v) >> 63);
 }
 
 inline VecI iloadu(const std::uint32_t* p) noexcept {
@@ -685,113 +638,171 @@ inline std::uint64_t bytes_eq64(const std::uint8_t* a,
 }
 #endif
 
-// ---- Fixed granules for the interleaved gather --------------------------
-// D2 is one {cost0, cost1} cell (16 bytes), D4 two adjacent cells. Both are
-// defined for every backend so the blocked gather and the OptForPart row
-// and column sums are backend-generic; on the scalar backend they compile
-// to plain double moves.
+// ---- Full-register int64 lanes ------------------------------------------
+// Vec64 fills a whole register with i64 lanes (kLanes64: 4 on AVX2, 2 on
+// SSE2 and NEON, 1 on the scalar backend), for the integer OptForPart
+// kernels on losses past the int32 bound. The callers guarantee that no
+// lane overflows.
 
 #if defined(DALUT_SIMD_AVX2)
 
-using D2 = __m128d;
-using D4 = __m256d;
+inline constexpr unsigned kLanes64 = 4;
+using Vec64 = __m256i;
 
-inline D2 loadu2(const double* p) noexcept { return _mm_loadu_pd(p); }
-inline void storeu2(double* p, D2 v) noexcept { _mm_storeu_pd(p, v); }
-inline D4 loadu4(const double* p) noexcept { return _mm256_loadu_pd(p); }
-inline void storeu4(double* p, D4 v) noexcept { _mm256_storeu_pd(p, v); }
-inline D2 low2(D4 v) noexcept { return _mm256_castpd256_pd128(v); }
-inline D2 high2(D4 v) noexcept { return _mm256_extractf128_pd(v, 1); }
-inline D4 join2(D2 lo, D2 hi) noexcept { return _mm256_set_m128d(hi, lo); }
-inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
-inline D4 add4(D4 a, D4 b) noexcept { return _mm256_add_pd(a, b); }
-inline D4 sub4(D4 a, D4 b) noexcept { return _mm256_sub_pd(a, b); }
-
-/// a = [a0 a1 a2 a3], b = [b0 b1 b2 b3] ->
-/// lo = [a0 b0 a1 b1], hi = [a2 b2 a3 b3].
-inline void interleave4(D4 a, D4 b, D4& lo, D4& hi) noexcept {
-  const D4 t0 = _mm256_unpacklo_pd(a, b);  // [a0 b0 a2 b2]
-  const D4 t1 = _mm256_unpackhi_pd(a, b);  // [a1 b1 a3 b3]
-  lo = _mm256_permute2f128_pd(t0, t1, 0x20);
-  hi = _mm256_permute2f128_pd(t0, t1, 0x31);
+inline Vec64 i64zero() noexcept { return _mm256_setzero_si256(); }
+inline Vec64 i64broadcast(std::int64_t v) noexcept {
+  return _mm256_set1_epi64x(v);
+}
+inline Vec64 i64load(const std::int64_t* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void i64store(std::int64_t* p, Vec64 v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline Vec64 i64add(Vec64 a, Vec64 b) noexcept {
+  return _mm256_add_epi64(a, b);
+}
+inline Vec64 i64sub(Vec64 a, Vec64 b) noexcept {
+  return _mm256_sub_epi64(a, b);
+}
+/// Signed per-lane a > b as an all-ones/all-zeros lane mask.
+inline Vec64 i64cmpgt(Vec64 a, Vec64 b) noexcept {
+  return _mm256_cmpgt_epi64(a, b);
+}
+/// mask ? a : b, per lane; every mask lane is all-ones or all-zeros.
+inline Vec64 i64select(Vec64 mask, Vec64 a, Vec64 b) noexcept {
+  return _mm256_blendv_epi8(b, a, mask);
+}
+/// One bit per lane of a lane mask (bit l set iff lane l is all-ones).
+inline unsigned i64movemask(Vec64 mask) noexcept {
+  return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(mask)));
+}
+/// Stores the low byte of each lane (every lane must hold 0..255).
+inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
+  const __m128i dwords = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      v, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+  const __m128i words = _mm_packs_epi32(dwords, dwords);
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+  std::memcpy(p, &bytes, 4);
+}
+/// Transposes the kLanes64 x kLanes64 block whose row i is rows[i].
+inline void i64transpose(Vec64 (&rows)[kLanes64]) noexcept {
+  const Vec64 t0 = _mm256_unpacklo_epi64(rows[0], rows[1]);
+  const Vec64 t1 = _mm256_unpackhi_epi64(rows[0], rows[1]);
+  const Vec64 t2 = _mm256_unpacklo_epi64(rows[2], rows[3]);
+  const Vec64 t3 = _mm256_unpackhi_epi64(rows[2], rows[3]);
+  rows[0] = _mm256_permute2x128_si256(t0, t2, 0x20);
+  rows[1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+  rows[2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+  rows[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
 }
 
-/// Inverse of interleave4: a = [e0 o0 e1 o1], b = [e2 o2 e3 o3] ->
-/// evens = [e0 e1 e2 e3], odds = [o0 o1 o2 o3].
-inline void deinterleave4(D4 a, D4 b, D4& evens, D4& odds) noexcept {
-  const D4 t0 = _mm256_permute2f128_pd(a, b, 0x20);  // [e0 o0 e2 o2]
-  const D4 t1 = _mm256_permute2f128_pd(a, b, 0x31);  // [e1 o1 e3 o3]
-  evens = _mm256_unpacklo_pd(t0, t1);
-  odds = _mm256_unpackhi_pd(t0, t1);
+#elif defined(DALUT_SIMD_SSE2)
+
+inline constexpr unsigned kLanes64 = 2;
+using Vec64 = __m128i;
+
+inline Vec64 i64zero() noexcept { return _mm_setzero_si128(); }
+inline Vec64 i64broadcast(std::int64_t v) noexcept {
+  return _mm_set1_epi64x(v);
+}
+inline Vec64 i64load(const std::int64_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void i64store(std::int64_t* p, Vec64 v) noexcept {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+inline Vec64 i64add(Vec64 a, Vec64 b) noexcept { return _mm_add_epi64(a, b); }
+inline Vec64 i64sub(Vec64 a, Vec64 b) noexcept { return _mm_sub_epi64(a, b); }
+/// SSE2 has no 64-bit compare (pcmpgtq is SSE4.2). The high dwords compare
+/// signed and the low dwords unsigned (their sign bits flipped); a lane is
+/// greater when its high dword is, or when the high dwords tie and its low
+/// dword is. The verdict lands in the high dword, then fills the lane.
+inline Vec64 i64cmpgt(Vec64 a, Vec64 b) noexcept {
+  const __m128i flip = _mm_set_epi32(0, INT32_MIN, 0, INT32_MIN);
+  const __m128i gt =
+      _mm_cmpgt_epi32(_mm_xor_si128(a, flip), _mm_xor_si128(b, flip));
+  const __m128i eq = _mm_cmpeq_epi32(a, b);
+  const __m128i low_gt = _mm_shuffle_epi32(gt, _MM_SHUFFLE(2, 2, 0, 0));
+  const __m128i high = _mm_or_si128(gt, _mm_and_si128(eq, low_gt));
+  return _mm_shuffle_epi32(high, _MM_SHUFFLE(3, 3, 1, 1));
+}
+inline Vec64 i64select(Vec64 mask, Vec64 a, Vec64 b) noexcept {
+  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
+}
+inline unsigned i64movemask(Vec64 mask) noexcept {
+  return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(mask)));
+}
+inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
+  const __m128i dwords = _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m128i words = _mm_packs_epi32(dwords, dwords);
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+  std::memcpy(p, &bytes, 2);
+}
+inline void i64transpose(Vec64 (&rows)[kLanes64]) noexcept {
+  const Vec64 first = _mm_unpacklo_epi64(rows[0], rows[1]);
+  rows[1] = _mm_unpackhi_epi64(rows[0], rows[1]);
+  rows[0] = first;
 }
 
-#else  // SSE2 / NEON / scalar: D4 as a pair of D2 halves
-
-#if defined(DALUT_SIMD_SSE2)
-using D2 = __m128d;
-inline D2 loadu2(const double* p) noexcept { return _mm_loadu_pd(p); }
-inline void storeu2(double* p, D2 v) noexcept { _mm_storeu_pd(p, v); }
-inline D2 add2(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
-inline D2 sub2_(D2 a, D2 b) noexcept { return _mm_sub_pd(a, b); }
-inline D2 unpacklo2_(D2 a, D2 b) noexcept { return _mm_unpacklo_pd(a, b); }
-inline D2 unpackhi2_(D2 a, D2 b) noexcept { return _mm_unpackhi_pd(a, b); }
 #elif defined(DALUT_SIMD_NEON)
-using D2 = float64x2_t;
-inline D2 loadu2(const double* p) noexcept { return vld1q_f64(p); }
-inline void storeu2(double* p, D2 v) noexcept { vst1q_f64(p, v); }
-inline D2 add2(D2 a, D2 b) noexcept { return vaddq_f64(a, b); }
-inline D2 sub2_(D2 a, D2 b) noexcept { return vsubq_f64(a, b); }
-inline D2 unpacklo2_(D2 a, D2 b) noexcept { return vzip1q_f64(a, b); }
-inline D2 unpackhi2_(D2 a, D2 b) noexcept { return vzip2q_f64(a, b); }
-#else
-struct D2 {
-  double v[2];
+
+inline constexpr unsigned kLanes64 = 2;
+using Vec64 = int64x2_t;
+
+inline Vec64 i64zero() noexcept { return vdupq_n_s64(0); }
+inline Vec64 i64broadcast(std::int64_t v) noexcept { return vdupq_n_s64(v); }
+inline Vec64 i64load(const std::int64_t* p) noexcept { return vld1q_s64(p); }
+inline void i64store(std::int64_t* p, Vec64 v) noexcept { vst1q_s64(p, v); }
+inline Vec64 i64add(Vec64 a, Vec64 b) noexcept { return vaddq_s64(a, b); }
+inline Vec64 i64sub(Vec64 a, Vec64 b) noexcept { return vsubq_s64(a, b); }
+inline Vec64 i64cmpgt(Vec64 a, Vec64 b) noexcept {
+  return vreinterpretq_s64_u64(vcgtq_s64(a, b));
+}
+inline Vec64 i64select(Vec64 mask, Vec64 a, Vec64 b) noexcept {
+  return vbslq_s64(vreinterpretq_u64_s64(mask), a, b);
+}
+inline unsigned i64movemask(Vec64 mask) noexcept {
+  const uint64x2_t bits = vshrq_n_u64(vreinterpretq_u64_s64(mask), 63);
+  return static_cast<unsigned>(vgetq_lane_u64(bits, 0) |
+                               (vgetq_lane_u64(bits, 1) << 1));
+}
+inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
+  p[0] = static_cast<std::uint8_t>(vgetq_lane_s64(v, 0));
+  p[1] = static_cast<std::uint8_t>(vgetq_lane_s64(v, 1));
+}
+inline void i64transpose(Vec64 (&rows)[kLanes64]) noexcept {
+  const Vec64 first = vzip1q_s64(rows[0], rows[1]);
+  rows[1] = vzip2q_s64(rows[0], rows[1]);
+  rows[0] = first;
+}
+
+#else  // scalar backend
+
+inline constexpr unsigned kLanes64 = 1;
+struct Vec64 {
+  std::int64_t v;
 };
-inline D2 loadu2(const double* p) noexcept { return {{p[0], p[1]}}; }
-inline void storeu2(double* p, D2 v) noexcept {
-  p[0] = v.v[0];
-  p[1] = v.v[1];
-}
-inline D2 add2(D2 a, D2 b) noexcept {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
-}
-inline D2 sub2_(D2 a, D2 b) noexcept {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1]}};
-}
-inline D2 unpacklo2_(D2 a, D2 b) noexcept { return {{a.v[0], b.v[0]}}; }
-inline D2 unpackhi2_(D2 a, D2 b) noexcept { return {{a.v[1], b.v[1]}}; }
-#endif
 
-struct D4 {
-  D2 lo, hi;
-};
-
-inline D4 loadu4(const double* p) noexcept {
-  return {loadu2(p), loadu2(p + 2)};
+inline Vec64 i64zero() noexcept { return {0}; }
+inline Vec64 i64broadcast(std::int64_t v) noexcept { return {v}; }
+inline Vec64 i64load(const std::int64_t* p) noexcept { return {*p}; }
+inline void i64store(std::int64_t* p, Vec64 v) noexcept { *p = v.v; }
+inline Vec64 i64add(Vec64 a, Vec64 b) noexcept { return {a.v + b.v}; }
+inline Vec64 i64sub(Vec64 a, Vec64 b) noexcept { return {a.v - b.v}; }
+inline Vec64 i64cmpgt(Vec64 a, Vec64 b) noexcept {
+  return {a.v > b.v ? std::int64_t{-1} : std::int64_t{0}};
 }
-inline void storeu4(double* p, D4 v) noexcept {
-  storeu2(p, v.lo);
-  storeu2(p + 2, v.hi);
+inline Vec64 i64select(Vec64 mask, Vec64 a, Vec64 b) noexcept {
+  return mask.v != 0 ? a : b;
 }
-inline D2 low2(D4 v) noexcept { return v.lo; }
-inline D2 high2(D4 v) noexcept { return v.hi; }
-inline D4 join2(D2 lo, D2 hi) noexcept { return {lo, hi}; }
-inline D4 add4(D4 a, D4 b) noexcept {
-  return {add2(a.lo, b.lo), add2(a.hi, b.hi)};
+inline unsigned i64movemask(Vec64 mask) noexcept {
+  return static_cast<unsigned>(static_cast<std::uint64_t>(mask.v) >> 63);
 }
-inline D4 sub4(D4 a, D4 b) noexcept {
-  return {sub2_(a.lo, b.lo), sub2_(a.hi, b.hi)};
+inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
+  *p = static_cast<std::uint8_t>(v.v);
 }
-
-inline void interleave4(D4 a, D4 b, D4& lo, D4& hi) noexcept {
-  lo = {unpacklo2_(a.lo, b.lo), unpackhi2_(a.lo, b.lo)};
-  hi = {unpacklo2_(a.hi, b.hi), unpackhi2_(a.hi, b.hi)};
-}
-
-inline void deinterleave4(D4 a, D4 b, D4& evens, D4& odds) noexcept {
-  evens = {unpacklo2_(a.lo, a.hi), unpacklo2_(b.lo, b.hi)};
-  odds = {unpackhi2_(a.lo, a.hi), unpackhi2_(b.lo, b.hi)};
-}
+inline void i64transpose(Vec64 (&)[kLanes64]) noexcept {}
 
 #endif
 

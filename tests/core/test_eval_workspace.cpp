@@ -1,6 +1,7 @@
-// Equivalence tests for the EvalWorkspace evaluation engine: every kernel
+// Equivalence tests for the EvalWorkspace evaluation engine: both routes
+// (the integer layout in int32 or int64 lanes, and the reference matrix)
 // must reproduce the reference CostMatrix / opt_for_part path bit-for-bit,
-// and every full_matrix() call must gather the arrays' current contents.
+// and every prepare() call must gather the arrays' current contents.
 #include "core/eval_workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +9,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "core/algorithm_common.hpp"
@@ -46,15 +46,95 @@ struct CostFixture {
   CostView stamped() const { return CostView(c0, c1, next_cost_epoch()); }
 };
 
-void expect_same_matrix(const InterleavedCostMatrix& actual,
-                        const CostMatrix& expected) {
+/// Certified cost arrays over 2^n inputs as build_bit_costs produces them
+/// under a uniform distribution: losses in [0, levels) times 2^-n, with the
+/// exactness certificate and loss_bits. Rows of `p` whose index is 1 mod 5
+/// cost 0 throughout, so all four row types tie there; few levels make
+/// other ties common. `epoch` 0 leaves the arrays unstamped.
+BitCostArrays certified_costs(const Partition& p, std::uint64_t seed,
+                              std::uint64_t levels, unsigned loss_bits,
+                              bool stamped) {
+  util::Rng rng(seed);
+  const unsigned n = p.num_inputs();
+  const double unit = std::ldexp(1.0, -static_cast<int>(n));
+  BitCostArrays costs;
+  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
+    const bool zero_row =
+        util::extract_bits(static_cast<InputWord>(x), p.free_mask()) % 5 == 1;
+    costs.c0.push_back(
+        zero_row ? 0.0 : unit * static_cast<double>(rng.next_below(levels)));
+    costs.c1.push_back(
+        zero_row ? 0.0 : unit * static_cast<double>(rng.next_below(levels)));
+  }
+  costs.exact = true;
+  costs.loss_bits = loss_bits;
+  costs.epoch = stamped ? next_cost_epoch() : 0;
+  return costs;
+}
+
+/// The arrays without their certificate (and unstamped): the reference
+/// route's input for the same costs.
+CostView uncertified(const BitCostArrays& costs) {
+  return CostView(costs.c0, costs.c1);
+}
+
+void expect_same_matrix(const CostMatrix& actual, const CostMatrix& expected) {
   ASSERT_EQ(actual.rows, expected.rows);
   ASSERT_EQ(actual.cols, expected.cols);
-  for (std::size_t r = 0; r < expected.rows; ++r) {
-    for (std::size_t c = 0; c < expected.cols; ++c) {
-      EXPECT_EQ(actual.at0(r, c), expected.at0(r, c)) << r << "," << c;
-      EXPECT_EQ(actual.at1(r, c), expected.at1(r, c)) << r << "," << c;
+  EXPECT_EQ(actual.cost0, expected.cost0);
+  EXPECT_EQ(actual.cost1, expected.cost1);
+}
+
+void expect_same_matrix(const CandidateRef& actual,
+                        const CostMatrix& expected) {
+  ASSERT_EQ(actual.route(), CandidateRoute::kReference);
+  expect_same_matrix(*actual.reference(), expected);
+}
+
+/// The integer layout of `actual` against the losses of the reference
+/// matrix `expected` (costs times 2^scale_bits): differences by row and by
+/// column (zero in padding rows), row sums, and loss0 when kept.
+template <class T>
+void expect_integer_layout(const IntegerCostMatrix<T>& actual,
+                           const CostMatrix& expected, unsigned scale_bits) {
+  ASSERT_EQ(actual.rows, expected.rows);
+  ASSERT_EQ(actual.cols, expected.cols);
+  ASSERT_EQ(actual.scale_bits, scale_bits);
+  ASSERT_GE(actual.rows_pad, actual.rows);
+  const double scale = std::ldexp(1.0, static_cast<int>(scale_bits));
+  const std::size_t rows = expected.rows;
+  const std::size_t cols = expected.cols;
+  for (std::size_t r = 0; r < actual.rows_pad; ++r) {
+    T s0 = 0;
+    T s1 = 0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (r >= rows) {
+        EXPECT_EQ(actual.diff_cols[c * actual.rows_pad + r], 0);
+        continue;
+      }
+      const auto loss0 = static_cast<T>(expected.at0(r, c) * scale);
+      const auto loss1 = static_cast<T>(expected.at1(r, c) * scale);
+      EXPECT_EQ(actual.diff_rows[r * cols + c], loss1 - loss0);
+      EXPECT_EQ(actual.diff_cols[c * actual.rows_pad + r], loss1 - loss0);
+      if (!actual.loss0.empty()) {
+        EXPECT_EQ(actual.loss0[r * cols + c], loss0);
+      }
+      s0 += loss0;
+      s1 += loss1;
     }
+    EXPECT_EQ(actual.sums0[r], s0) << "row " << r;
+    EXPECT_EQ(actual.sums1[r], s1) << "row " << r;
+  }
+}
+
+void expect_integer_layout(const CandidateRef& actual,
+                           const CostMatrix& expected, unsigned scale_bits) {
+  if (const auto* m = actual.integer<std::int32_t>()) {
+    expect_integer_layout(*m, expected, scale_bits);
+  } else if (const auto* m64 = actual.integer<std::int64_t>()) {
+    expect_integer_layout(*m64, expected, scale_bits);
+  } else {
+    ADD_FAILURE() << "not an integer candidate";
   }
 }
 
@@ -64,6 +144,12 @@ void expect_same_result(const VtResult& actual, const VtResult& expected) {
   EXPECT_EQ(actual.types, expected.types);
 }
 
+/// Forces the scalar kernels for one scope.
+struct ScopedForceScalar {
+  explicit ScopedForceScalar(bool on) { util::simd::set_force_scalar(on); }
+  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
+};
+
 TEST(EvalWorkspace, FullMatrixMatchesReferenceBuild) {
   const CostFixture fx(8, 11);
   util::Rng rng(1);
@@ -71,47 +157,37 @@ TEST(EvalWorkspace, FullMatrixMatchesReferenceBuild) {
   for (unsigned bound = 2; bound <= 6; ++bound) {
     const auto p = Partition::random(fx.num_inputs, bound, rng);
     const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
-    // Unstamped view: scratch path.
+    // Raw views, unstamped and stamped, take the reference route;
+    // full_matrix() is prepare() under its earlier name.
     expect_same_matrix(workspace.full_matrix(p, fx.view()), reference);
-    // Stamped view: interleaved source path.
-    expect_same_matrix(workspace.full_matrix(p, fx.stamped()), reference);
-  }
-}
+    expect_same_matrix(workspace.prepare(p, fx.stamped()), reference);
 
-// Regression: the per-thread deposit-table cache flushes wholesale once it
-// holds 256 masks. A flush triggered by the bound-mask lookup used to
-// invalidate the free-mask table already referenced by the same gather.
-// Within one input width masks enter in complement pairs, keeping the map
-// size even and landing every flush on the harmless first lookup, so the
-// trigger needs partitions of different widths sharing one workspace — as
-// in a batch run over tables of different sizes.
-TEST(EvalWorkspace, GatherSurvivesDepositTableFlush) {
-  const CostFixture fx12(12, 13);
-  const CostFixture fx10(10, 14);
-  // A fresh thread gets a pristine thread-local workspace, making the
-  // deposit-table fill sequence below exact.
-  std::thread([&] {
-    auto& workspace = EvalWorkspace::local();
-    const auto check = [&](const Partition& p, const CostFixture& fx) {
-      const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
-      expect_same_matrix(workspace.full_matrix(p, fx.view()), reference);
-    };
-    // 127 distinct popcount-6 bound masks cache 254 tables (each gather
-    // inserts the bound mask and its complement).
-    unsigned pairs = 0;
-    for (std::uint32_t mask = 0; mask < 0x1000 && pairs < 127; ++mask) {
-      if (std::popcount(mask) != 6 || mask > (0xFFFu ^ mask)) continue;
-      check(Partition(12, mask), fx12);
-      ++pairs;
+    // Certified arrays gather into int32 losses within the bound and into
+    // int64 losses past it, from the loss mirror (stamped) or converted on
+    // the fly (unstamped), with loss0 kept for slicing or not.
+    for (const unsigned loss_bits : {8u, 30u}) {
+      for (const bool stamped : {false, true}) {
+        for (const bool sliced : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "bound=" << bound << " loss_bits=" << loss_bits
+                       << " stamped=" << stamped << " sliced=" << sliced);
+          const BitCostArrays costs =
+              certified_costs(p, 100 + bound, 200, loss_bits, stamped);
+          const CandidateRef candidate = workspace.prepare(p, costs, sliced);
+          EXPECT_EQ(candidate.route(), loss_bits == 8 ? CandidateRoute::kInt32
+                                                      : CandidateRoute::kInt64);
+          expect_integer_layout(candidate,
+                                CostMatrix::build(p, costs.c0, costs.c1),
+                                fx.num_inputs);
+          const bool kept =
+              loss_bits == 8
+                  ? !candidate.integer<std::int32_t>()->loss0.empty()
+                  : !candidate.integer<std::int64_t>()->loss0.empty();
+          EXPECT_EQ(kept, sliced);
+        }
+      }
     }
-    // A 10-input gather caches free mask 0x3FC without its 12-bit
-    // complement, reaching the 256-entry flush threshold.
-    check(Partition(10, 0x003), fx10);
-    // Now free mask 0x3FC hits while bound mask 0xC03 misses at capacity:
-    // the miss flushes the cache while the free-mask table is referenced
-    // by the in-flight gather.
-    check(Partition(12, 0xC03), fx12);
-  }).join();
+  }
 }
 
 TEST(EvalWorkspace, ConditionedSliceMatchesReferenceBuilds) {
@@ -119,15 +195,39 @@ TEST(EvalWorkspace, ConditionedSliceMatchesReferenceBuilds) {
   util::Rng rng(2);
   auto& workspace = EvalWorkspace::local();
   const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const MatrixRef full = workspace.full_matrix(p, fx.view());
+  const BitCostArrays int32_costs = certified_costs(p, 13, 200, 8, true);
+  const BitCostArrays int64_costs = certified_costs(p, 14, 200, 30, true);
+
+  // Every route's slice against the builder: the reference matrix, and the
+  // integer layout of both element types.
+
+  const auto slices = [&](std::uint32_t mask, std::uint32_t values) {
+    SCOPED_TRACE(testing::Message() << "mask=" << mask << " values=" << values);
+    const CandidateRef full = workspace.prepare(p, fx.view(), true);
+    expect_same_matrix(
+        workspace.conditioned(full, p, mask, values),
+        CostMatrix::build_conditioned_set(p, mask, values, fx.c0, fx.c1));
+    for (const BitCostArrays* costs : {&int32_costs, &int64_costs}) {
+      const CandidateRef full_ints = workspace.prepare(p, *costs, true);
+      expect_integer_layout(
+          workspace.conditioned(full_ints, p, mask, values),
+          CostMatrix::build_conditioned_set(p, mask, values, costs->c0,
+                                            costs->c1),
+          fx.num_inputs);
+    }
+  };
 
   for (const unsigned shared : p.bound_inputs()) {
     const std::uint32_t mask = std::uint32_t{1} << shared;
     for (std::uint32_t value = 0; value < 2; ++value) {
+      // The single-bit builder agrees with the set builder used above.
       const auto reference = CostMatrix::build_conditioned(
           p, shared, value != 0, fx.c0, fx.c1);
-      expect_same_matrix(workspace.conditioned(full, p, mask, value),
-                         reference);
+      expect_same_matrix(
+          workspace.conditioned(workspace.prepare(p, fx.view(), true), p,
+                                mask, value),
+          reference);
+      slices(mask, value);
     }
   }
 
@@ -136,10 +236,7 @@ TEST(EvalWorkspace, ConditionedSliceMatchesReferenceBuilds) {
   const std::uint32_t pair_mask =
       (std::uint32_t{1} << bound[0]) | (std::uint32_t{1} << bound[2]);
   for (std::uint32_t values = 0; values < 4; ++values) {
-    const auto reference = CostMatrix::build_conditioned_set(
-        p, pair_mask, values, fx.c0, fx.c1);
-    expect_same_matrix(workspace.conditioned(full, p, pair_mask, values),
-                       reference);
+    slices(pair_mask, values);
   }
 }
 
@@ -156,8 +253,8 @@ TEST(EvalWorkspace, OptForPartBitIdenticalToReference) {
     const auto expected = opt_for_part(reference_matrix, params, ref_rng);
 
     util::Rng ws_rng(77);
-    const auto actual = workspace.opt_for_part(
-        workspace.full_matrix(p, fx.view()), params, ws_rng);
+    const auto actual =
+        workspace.opt_for_part(workspace.prepare(p, fx.view()), params, ws_rng);
 
     expect_same_result(actual, expected);
     // Identical RNG stream: both sides must leave the generator in the
@@ -166,51 +263,27 @@ TEST(EvalWorkspace, OptForPartBitIdenticalToReference) {
   }
 }
 
-/// The same random cost matrix in the reference and the interleaved
-/// layouts. Costs are uniform in [lo0, hi0) and [lo1, hi1).
-struct MatrixPair {
-  CostMatrix reference;
-  InterleavedCostMatrix interleaved;
-
-  MatrixPair(std::size_t rows, std::size_t cols, std::uint64_t seed,
-             double lo0 = 0.0, double hi0 = 1.0, double lo1 = 0.0,
-             double hi1 = 1.0) {
-    util::Rng rng(seed);
-    reference.rows = interleaved.rows = rows;
-    reference.cols = interleaved.cols = cols;
-    for (std::size_t i = 0; i < rows * cols; ++i) {
-      reference.cost0.push_back(lo0 + (hi0 - lo0) * rng.next_double());
-      reference.cost1.push_back(lo1 + (hi1 - lo1) * rng.next_double());
-      interleaved.cells.push_back(reference.cost0.back());
-      interleaved.cells.push_back(reference.cost1.back());
-    }
-  }
-};
-
-/// Forces the scalar kernels for one scope.
-struct ScopedForceScalar {
-  explicit ScopedForceScalar(bool on) { util::simd::set_force_scalar(on); }
-  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
-};
-
-/// Runs the workspace OptForPart with SIMD on and forced-scalar, and
-/// requires the reference result and RNG end state each time.
-void expect_reference_identical(const MatrixPair& m, unsigned restarts,
-                                std::uint64_t seed) {
+/// Runs the workspace OptForPart on `costs` with SIMD on and forced-scalar,
+/// and requires the reference result and RNG end state each time.
+void expect_reference_identical(const Partition& p, const CostView& costs,
+                                unsigned restarts, std::uint64_t seed) {
   const OptForPartParams params{restarts, 64};
+  const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
   util::Rng ref_rng(seed);
-  const auto expected = opt_for_part(m.reference, params, ref_rng);
+  const auto expected = opt_for_part(reference, params, ref_rng);
   const double ref_next = ref_rng.next_double();
 
   auto& workspace = EvalWorkspace::local();
   for (const bool scalar : {false, true}) {
     const ScopedForceScalar scoped(scalar);
     SCOPED_TRACE(testing::Message()
-                 << m.reference.rows << "x" << m.reference.cols
-                 << " Z=" << restarts << " scalar=" << scalar);
+                 << reference.rows << "x" << reference.cols
+                 << " Z=" << restarts << " scalar=" << scalar << " route="
+                 << static_cast<int>(candidate_route(p, costs)));
     util::Rng ws_rng(seed);
-    expect_same_result(workspace.opt_for_part(m.interleaved, params, ws_rng),
-                       expected);
+    expect_same_result(
+        workspace.opt_for_part(workspace.prepare(p, costs), params, ws_rng),
+        expected);
     EXPECT_EQ(ws_rng.next_double(), ref_next);
   }
 }
@@ -237,71 +310,60 @@ std::vector<unsigned> improving_rounds(const CostMatrix& matrix,
 }
 
 TEST(EvalWorkspace, OptForPartBitIdenticalAcrossShapes) {
-  // A matrix without the certificate runs the reference on a de-interleaved
-  // copy: every Z on matrices from one row and one column up must leave the
-  // reference's result and RNG state.
+  // Every shape from 2 x 2 (narrower than one lane vector) to 128 columns
+  // (two pattern words) and 64 rows, on both integer element types and on
+  // the reference route: every Z must leave the reference's result and RNG
+  // state.
   std::vector<unsigned> restart_counts;
   for (unsigned z = 1; z <= 17; ++z) restart_counts.push_back(z);
   restart_counts.push_back(30);
   restart_counts.push_back(33);
   std::uint64_t seed = 100;
-  for (const std::size_t rows : {1u, 2u, 32u}) {
-    for (const std::size_t cols : {1u, 2u, 3u, 4u, 8u, 128u}) {
-      const MatrixPair m(rows, cols, seed++);
-      for (const unsigned z : restart_counts) {
-        expect_reference_identical(m, z, seed++);
+  util::Rng part_rng(99);
+  for (const unsigned n : {2u, 4u, 9u, 13u}) {
+    for (const unsigned bound : {1u, n / 2, n - 1}) {
+      const auto p = Partition::random(n, bound, part_rng);
+      if (p.num_cols() > 128 || p.num_rows() > 64) continue;
+      for (const unsigned loss_bits : {8u, 30u}) {
+        const BitCostArrays costs =
+            certified_costs(p, seed++, 64, loss_bits, true);
+        for (const unsigned z : restart_counts) {
+          expect_reference_identical(p, costs, z, seed++);
+        }
+      }
+      const BitCostArrays costs = certified_costs(p, seed++, 64, 8, false);
+      for (const unsigned z : {1u, 12u, 33u}) {
+        expect_reference_identical(p, uncertified(costs), z, seed++);
       }
     }
   }
 
   // Cost1 dominates every cell, so every row types AllZero from the first
   // types step on and no row takes part in a pattern step.
-  const MatrixPair constant(32, 128, 7, 0.0, 0.1, 1.0, 2.0);
-  for (const unsigned z : {1u, 12u, 33u}) {
-    const auto result = [&] {
-      util::Rng rng(8);
-      return opt_for_part(constant.reference, {z, 64}, rng);
-    }();
-    for (const RowType type : result.types) {
-      ASSERT_EQ(type, RowType::kAllZero);
-    }
-    expect_reference_identical(constant, z, 8);
-  }
-}
-
-/// A matrix of dyadic costs, integers in [0, levels) times 2^-12, as
-/// build_bit_costs produces them under a uniform distribution, marked
-/// exact. Few levels make ties common; every fifth row (from row 1) costs
-/// 0 throughout, so all four row types tie there.
-MatrixPair dyadic_matrix(std::size_t rows, std::size_t cols,
-                         std::uint64_t seed, unsigned levels) {
-  MatrixPair m(rows, cols, seed);
-  util::Rng rng(seed);
+  util::Rng rng(7);
+  const auto p = Partition::random(12, 7, rng);
+  BitCostArrays constant;
   const double unit = std::ldexp(1.0, -12);
-  for (std::size_t i = 0; i < rows * cols; ++i) {
-    const bool zero_row = i / cols % 5 == 1;
-    for (unsigned v = 0; v < 2; ++v) {
-      const double cost =
-          zero_row ? 0.0 : unit * static_cast<double>(rng.next_below(levels));
-      (v ? m.reference.cost1 : m.reference.cost0)[i] = cost;
-      m.interleaved.cells[2 * i + v] = cost;
+  for (std::size_t x = 0; x < (std::size_t{1} << 12); ++x) {
+    constant.c0.push_back(unit * static_cast<double>(rng.next_below(10)));
+    constant.c1.push_back(unit * static_cast<double>(100 + rng.next_below(10)));
+  }
+  constant.exact = true;
+  constant.epoch = next_cost_epoch();
+  for (const unsigned loss_bits : {7u, 30u}) {
+    constant.loss_bits = loss_bits;
+    for (const unsigned z : {1u, 12u, 33u}) {
+      const auto result = [&] {
+        util::Rng z_rng(8);
+        return opt_for_part(CostMatrix::build(p, constant.c0, constant.c1),
+                            {z, 64}, z_rng);
+      }();
+      for (const RowType type : result.types) {
+        ASSERT_EQ(type, RowType::kAllZero);
+      }
+      expect_reference_identical(p, constant, z, 8);
     }
   }
-  m.interleaved.exact = true;
-  return m;
-}
-
-/// Dyadic cost arrays over 2^n inputs with the exactness certificate.
-BitCostArrays dyadic_costs(unsigned n, std::uint64_t seed, unsigned levels) {
-  util::Rng rng(seed);
-  BitCostArrays costs;
-  const double unit = std::ldexp(1.0, -static_cast<int>(n));
-  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
-    costs.c0.push_back(unit * static_cast<double>(rng.next_below(levels)));
-    costs.c1.push_back(unit * static_cast<double>(rng.next_below(levels)));
-  }
-  costs.exact = true;
-  return costs;
 }
 
 void expect_same_setting(const Setting& actual, const Setting& expected) {
@@ -318,54 +380,59 @@ void expect_same_setting(const Setting& actual, const Setting& expected) {
 }
 
 TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
-  // Exact matrices take the incremental path; each must reproduce the
-  // reference, as the same matrix does with its certificate cleared. Row
-  // and column counts cover partial vectors, the 4 x 4 difference blocks'
-  // tails and more than one 64-column pattern word.
+  // Certified arrays take the incremental sweeps; each must reproduce the
+  // reference, as the same arrays do without their certificate. Shapes
+  // cover rows below, at and above one lane vector of either element type
+  // and more than one 64-column pattern word; few levels make ties common.
   std::uint64_t seed = 500;
-  for (const std::size_t rows : {1u, 2u, 3u, 5u, 32u}) {
-    for (const std::size_t cols : {1u, 2u, 3u, 4u, 5u, 64u, 65u, 130u}) {
-      for (const unsigned levels : {3u, 64u}) {
-        const MatrixPair exact = dyadic_matrix(rows, cols, seed++, levels);
-        MatrixPair cleared = exact;
-        cleared.interleaved.exact = false;
-        for (const unsigned z : {1u, 12u, 17u, 30u}) {
-          expect_reference_identical(exact, z, seed);
-          expect_reference_identical(cleared, z, seed++);
+  util::Rng part_rng(501);
+  for (const unsigned n : {5u, 8u, 11u}) {
+    for (const unsigned bound : {2u, n / 2, n - 2}) {
+      const auto p = Partition::random(n, bound, part_rng);
+      for (const std::uint64_t levels : {3u, 64u}) {
+        for (const unsigned loss_bits : {7u, 40u}) {
+          const BitCostArrays exact =
+              certified_costs(p, seed++, levels, loss_bits, true);
+          for (const unsigned z : {1u, 12u, 17u, 30u}) {
+            expect_reference_identical(p, exact, z, seed);
+            expect_reference_identical(p, uncertified(exact), z, seed++);
+          }
         }
       }
     }
   }
 
-  // Conditioned slices of an exact full matrix (the ND and multi-shared
-  // modes) carry the certificate.
+  // Conditioned slices of a certified full matrix (the ND and multi-shared
+  // modes) stay on the integer route.
   const unsigned n = 9;
-  const BitCostArrays costs = dyadic_costs(n, 17, 5);
-  util::Rng part_rng(18);
+  util::Rng rng(18);
+  const auto p = Partition::random(n, 5, rng);
   auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(n, 5, part_rng);
-  const MatrixRef full = workspace.full_matrix(p, costs);
-  ASSERT_TRUE(full.get().exact);
   const auto bound = p.bound_inputs();
   const std::uint32_t pair_mask =
       (std::uint32_t{1} << bound[0]) | (std::uint32_t{1} << bound[3]);
-  for (const std::uint32_t mask :
-       {std::uint32_t{1} << bound[2], pair_mask}) {
-    for (std::uint32_t values = 0; values < (mask == pair_mask ? 4u : 2u);
-         ++values) {
-      const auto& slice = workspace.conditioned(full, p, mask, values);
-      ASSERT_TRUE(slice.exact);
-      const auto reference =
-          CostMatrix::build_conditioned_set(p, mask, values, costs.c0, costs.c1);
-      for (const bool scalar : {false, true}) {
-        const ScopedForceScalar scoped(scalar);
-        for (const unsigned z : {1u, 12u, 30u}) {
-          util::Rng ref_rng(z);
-          const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
-          util::Rng ws_rng(z);
-          expect_same_result(workspace.opt_for_part(slice, {z, 64}, ws_rng),
-                             expected);
-          EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
+  for (const unsigned loss_bits : {5u, 40u}) {
+    const BitCostArrays costs = certified_costs(p, 17, 5, loss_bits, true);
+    for (const std::uint32_t mask :
+         {std::uint32_t{1} << bound[2], pair_mask}) {
+      for (std::uint32_t values = 0; values < (mask == pair_mask ? 4u : 2u);
+           ++values) {
+        const auto reference = CostMatrix::build_conditioned_set(
+            p, mask, values, costs.c0, costs.c1);
+        for (const bool scalar : {false, true}) {
+          const ScopedForceScalar scoped(scalar);
+          for (const unsigned z : {1u, 12u, 30u}) {
+            util::Rng ref_rng(z);
+            const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
+            const CandidateRef slice = workspace.conditioned(
+                workspace.prepare(p, costs, true), p, mask, values);
+            ASSERT_EQ(slice.route(), loss_bits == 5 ? CandidateRoute::kInt32
+                                                    : CandidateRoute::kInt64);
+            util::Rng ws_rng(z);
+            expect_same_result(workspace.opt_for_part(slice, {z, 64}, ws_rng),
+                               expected);
+            EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
+          }
         }
       }
     }
@@ -374,10 +441,8 @@ TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
 
 TEST(EvalWorkspace, SearchesIdenticalWithAndWithoutExactCertificate) {
   // Cost arrays from build_bit_costs under a uniform distribution carry
-  // the certificate; the same arrays without it run the reference
-  // OptForPart. The searches must not tell them apart. (The cleared copy also drops the
-  // epoch, so its gathers read the split arrays instead of the interleaved
-  // source mirror.)
+  // the certificate; the same arrays without it (and unstamped) run the
+  // reference OptForPart. The searches must not tell them apart.
   util::Rng rng(5);
   const unsigned n = 10;
   const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
@@ -427,23 +492,16 @@ TEST(EvalWorkspace, BtoBitIdenticalToReference) {
   util::Rng rng(6);
   auto& workspace = EvalWorkspace::local();
   const auto p = Partition::random(fx.num_inputs, 5, rng);
-  const auto expected = opt_for_part_bto(CostMatrix::build(p, fx.c0, fx.c1));
-  const auto actual =
-      workspace.opt_for_part_bto(workspace.full_matrix(p, fx.view()));
-  expect_same_result(actual, expected);
-}
-
-TEST(EvalWorkspace, EvaluateVtMatchesReference) {
-  const CostFixture fx(8, 16);
-  util::Rng rng(7);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const auto reference_matrix = CostMatrix::build(p, fx.c0, fx.c1);
-  const auto vt = opt_for_part(reference_matrix, {8, 64}, rng);
-
-  const MatrixRef matrix = workspace.full_matrix(p, fx.view());
-  EXPECT_EQ(workspace.evaluate_vt(matrix, vt.pattern, vt.types),
-            evaluate_vt(reference_matrix, vt.pattern, vt.types));
+  expect_same_result(
+      workspace.opt_for_part_bto(workspace.prepare(p, fx.view())),
+      opt_for_part_bto(CostMatrix::build(p, fx.c0, fx.c1)));
+  // Both integer element types.
+  for (const unsigned loss_bits : {8u, 40u}) {
+    const BitCostArrays costs = certified_costs(p, 16, 200, loss_bits, true);
+    expect_same_result(workspace.opt_for_part_bto(workspace.prepare(p, costs)),
+                       opt_for_part_bto(CostMatrix::build(p, costs.c0,
+                                                          costs.c1)));
+  }
 }
 
 TEST(EvalWorkspace, EvaluateVtAgreesWithSettingErrorUnderCosts) {
@@ -456,8 +514,9 @@ TEST(EvalWorkspace, EvaluateVtAgreesWithSettingErrorUnderCosts) {
   // Different summation orders (realized 2^n domain vs row-major matrix),
   // so agreement is up to FP reassociation only.
   const double realized = setting_error_under_costs(setting, fx.c0, fx.c1);
-  const double gathered = workspace.evaluate_vt(
-      workspace.full_matrix(p, fx.view()), setting.pattern, setting.types);
+  const double gathered =
+      evaluate_vt(*workspace.prepare(p, fx.view()).reference(),
+                  setting.pattern, setting.types);
   EXPECT_NEAR(gathered, realized, 1e-12 * (1.0 + std::abs(realized)));
   EXPECT_NEAR(setting.error, realized, 1e-12 * (1.0 + std::abs(realized)));
 }
@@ -526,33 +585,9 @@ TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
                           expected);
 }
 
-/// Certified cost arrays over 2^n inputs as build_bit_costs produces them
-/// under a uniform distribution: losses in [0, levels) times 2^-n, with the
-/// exactness certificate and loss_bits. Rows of `p` whose index is 1 mod 5
-/// cost 0 throughout, so all four row types tie there; few levels make
-/// other ties common. `epoch` 0 leaves the arrays unstamped.
-BitCostArrays certified_costs(const Partition& p, std::uint64_t seed,
-                              std::uint32_t levels, unsigned loss_bits,
-                              bool stamped) {
-  util::Rng rng(seed);
-  const unsigned n = p.num_inputs();
-  const double unit = std::ldexp(1.0, -static_cast<int>(n));
-  BitCostArrays costs;
-  for (std::size_t x = 0; x < (std::size_t{1} << n); ++x) {
-    const bool zero_row =
-        util::extract_bits(static_cast<InputWord>(x), p.free_mask()) % 5 == 1;
-    costs.c0.push_back(zero_row ? 0.0 : unit * rng.next_below(levels));
-    costs.c1.push_back(zero_row ? 0.0 : unit * rng.next_below(levels));
-  }
-  costs.exact = true;
-  costs.loss_bits = loss_bits;
-  costs.epoch = stamped ? next_cost_epoch() : 0;
-  return costs;
-}
-
 TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
-  // Raw doubles slice the interleaved matrix; certified costs slice the
-  // integer layout. Both kernel sets.
+  // Raw doubles slice the reference matrix; certified costs slice the
+  // integer layout of either element type. Both kernel sets.
   const CostFixture fx(8, 20);
   util::Rng part_rng(11);
   const auto p = Partition::random(fx.num_inputs, 4, part_rng);
@@ -587,19 +622,23 @@ TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
   };
   check(CostView(fx.c0, fx.c1));
   check(certified);
+  check(certified_costs(p, 43, 7, 40, true));
 }
 
 TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
-  std::vector<CostFixture> fixtures;
-  for (std::uint64_t seed = 21; seed < 26; ++seed) {
-    fixtures.emplace_back(8, seed);
-  }
   util::Rng rng(12);
   auto& workspace = EvalWorkspace::local();
   const auto p = Partition::random(8, 4, rng);
-  const auto check = [&](const CostFixture& fx, const CostView& view) {
-    expect_same_matrix(workspace.full_matrix(p, view),
-                       CostMatrix::build(p, fx.c0, fx.c1));
+  // Five certified arrays, the last two past the int32 bound, so the
+  // thread's four loss-mirror slots hold both element types.
+  std::vector<BitCostArrays> fixtures;
+  for (std::uint64_t seed = 21; seed < 26; ++seed) {
+    fixtures.push_back(
+        certified_costs(p, seed, 200, seed < 24 ? 10 : 30, true));
+  }
+  const auto check = [&](const BitCostArrays& costs) {
+    expect_integer_layout(workspace.full_matrix(p, costs),
+                          CostMatrix::build(p, costs.c0, costs.c1), 8);
   };
 
   // The registry mirrors of the gather counters must advance in lock-step
@@ -610,38 +649,41 @@ TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
 
   // One stamped view, revisited: no matrix is retained, so every call
   // gathers afresh into the thread's scratch.
-  const CostView stamped = fixtures[0].stamped();
-  for (int i = 0; i < 3; ++i) check(fixtures[0], stamped);
+  for (int i = 0; i < 3; ++i) check(fixtures[0]);
   EXPECT_EQ(eval_cache_stats().gathers, 3u);
 
-  const std::uint32_t shared_mask = p.bound_mask() & (0u - p.bound_mask());
+  // The same arrays without the certificate take the reference route.
+  const BitCostArrays& first = fixtures[0];
   expect_same_matrix(
-      workspace.conditioned(workspace.full_matrix(p, stamped), p,
-                            shared_mask, 1),
-      CostMatrix::build_conditioned_set(p, shared_mask, 1, fixtures[0].c0,
-                                        fixtures[0].c1));
+      workspace.full_matrix(p, CostView(first.c0, first.c1, first.epoch)),
+      CostMatrix::build(p, first.c0, first.c1));
 
-  // Five distinct epochs cycle the thread's four interleaved source slots
-  // twice, so every revisit re-mirrors a slot another epoch held.
-  std::vector<CostView> views;
-  for (const auto& fx : fixtures) views.push_back(fx.stamped());
+  const std::uint32_t shared_mask = p.bound_mask() & (0u - p.bound_mask());
+  expect_integer_layout(
+      workspace.conditioned(workspace.prepare(p, first, true), p, shared_mask,
+                            1),
+      CostMatrix::build_conditioned_set(p, shared_mask, 1, first.c0, first.c1),
+      8);
+
+  // Five distinct epochs cycle the thread's four source slots twice, so
+  // every revisit re-mirrors a slot another epoch held.
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < fixtures.size(); ++i) {
-      check(fixtures[i], views[i]);
-    }
+    for (const auto& costs : fixtures) check(costs);
   }
 
   // Arrays edited in place and re-stamped gather their new contents, also
   // when their previous epoch still holds a mirror slot.
+  const double unit = std::ldexp(1.0, -8);
   for (int edit = 0; edit < 5; ++edit) {
-    auto& fx = fixtures[edit % 2];
-    for (double& cost : fx.c0) cost += 1.0;
-    for (double& cost : fx.c1) cost *= 0.5;
-    check(fx, fx.stamped());
+    auto& costs = fixtures[edit % 2 == 0 ? 0 : 4];
+    for (double& cost : costs.c0) cost += unit;
+    std::reverse(costs.c1.begin(), costs.c1.end());
+    costs.epoch = next_cost_epoch();
+    check(costs);
   }
 
   const auto stats = eval_cache_stats();
-  EXPECT_EQ(stats.gathers, 3u + 1u + 10u + 5u);
+  EXPECT_EQ(stats.gathers, 3u + 1u + 1u + 10u + 5u);
   EXPECT_EQ(stats.slices, 1u);
   EXPECT_EQ(stats.bytes, 0u);
   // reset_eval_cache() zeroes only its own counters; the registry was
@@ -654,12 +696,13 @@ TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
   reset_eval_cache();
 }
 
-/// The integer path against the reference on one partition's costs: normal
-/// OptForPart at several Z, BTO, and the non-disjoint composition over
-/// conditioned slices, each with the vector and the forced-scalar kernels
-/// and the same RNG stream.
-void expect_integer_identical(const Partition& p, const BitCostArrays& costs) {
-  ASSERT_TRUE(integer_admitted(p, costs));
+/// The integer route against the reference on one partition's costs:
+/// normal OptForPart at several Z, BTO, and the non-disjoint composition
+/// over conditioned slices, each with the vector and the forced-scalar
+/// kernels and the same RNG stream.
+void expect_integer_identical(const Partition& p, const BitCostArrays& costs,
+                              CandidateRoute route) {
+  ASSERT_EQ(candidate_route(p, costs), route);
   auto& workspace = EvalWorkspace::local();
   const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
   const auto reference_bto = opt_for_part_bto(reference);
@@ -673,7 +716,7 @@ void expect_integer_identical(const Partition& p, const BitCostArrays& costs) {
       const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
       util::Rng ws_rng(z);
       const CandidateRef candidate = workspace.prepare(p, costs);
-      ASSERT_TRUE(candidate.is_integer());
+      ASSERT_EQ(candidate.route(), route);
       expect_same_result(workspace.opt_for_part(candidate, {z, 64}, ws_rng),
                          expected);
       EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
@@ -689,19 +732,29 @@ void expect_integer_identical(const Partition& p, const BitCostArrays& costs) {
 }
 
 TEST(EvalWorkspace, IntegerPathBitIdenticalToReference) {
-  // Every shape from 2 x 2 up: rows and columns below one int32 vector,
-  // one vector, and several; stamped arrays gather from the loss mirror,
-  // unstamped ones convert on the fly.
+  // Every shape from 2 x 2 up: rows and columns below one lane vector, one
+  // vector, and several; stamped arrays gather from the loss mirror,
+  // unstamped ones convert on the fly. 8-bit losses take int32 lanes;
+  // losses of up to 38 bits, whose sums pass 2^31, take int64 lanes.
   std::uint64_t seed = 900;
   util::Rng part_rng(901);
   for (const unsigned n : {2u, 3u, 5u, 7u, 9u, 11u}) {
     for (unsigned bound = 1; bound < n; bound += (n > 5 ? 2 : 1)) {
       const auto p = Partition::random(n, bound, part_rng);
-      for (const std::uint32_t levels : {3u, 256u}) {
+      for (const std::uint64_t levels : {3u, 256u}) {
         SCOPED_TRACE(testing::Message() << "n=" << n << " bound=" << bound
                                         << " levels=" << levels);
         expect_integer_identical(
-            p, certified_costs(p, seed++, levels, 8, levels == 3));
+            p, certified_costs(p, seed++, levels, 8, levels == 3),
+            CandidateRoute::kInt32);
+      }
+      for (const std::uint64_t levels :
+           {std::uint64_t{3}, std::uint64_t{1} << 38}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " bound=" << bound
+                                        << " levels=" << levels);
+        expect_integer_identical(
+            p, certified_costs(p, seed++, levels, 38, levels == 3),
+            CandidateRoute::kInt64);
       }
     }
   }
@@ -710,18 +763,22 @@ TEST(EvalWorkspace, IntegerPathBitIdenticalToReference) {
 TEST(EvalWorkspace, IntegerAdmissionBoundary) {
   // Losses at 2^loss_bits - 1 (cost0 everywhere, cost1 in three cells of
   // four) put the row sums, s0 + s1 and the balances next to 2^31 on the
-  // largest admitted shapes. One more loss bit is the first rejected
-  // shape, which takes the double kernels. Both must match the reference;
-  // under UBSan an off-by-one in the admission bound overflows.
+  // largest shapes int32 lanes admit. One more loss bit is the first shape
+  // past the bound, which takes int64 lanes, as do the widest losses the
+  // certificate allows at n = 12 (n + loss_bits + 2 <= 52). All must match
+  // the reference; under UBSan an off-by-one in the bound overflows.
   struct Case {
     unsigned bound;
     unsigned loss_bits;
-    bool admitted;
+    CandidateRoute route;
   };
+  constexpr auto kInt32 = CandidateRoute::kInt32;
+  constexpr auto kInt64 = CandidateRoute::kInt64;
   const unsigned n = 12;
-  for (const Case c : {Case{6, 24, true}, Case{6, 25, false},
-                       Case{7, 23, true}, Case{7, 24, false},
-                       Case{5, 23, true}, Case{5, 24, false}}) {
+  for (const Case c :
+       {Case{6, 24, kInt32}, Case{6, 25, kInt64}, Case{7, 23, kInt32},
+        Case{7, 24, kInt64}, Case{5, 23, kInt32}, Case{5, 24, kInt64},
+        Case{6, 38, kInt64}, Case{11, 38, kInt64}, Case{1, 38, kInt64}}) {
     SCOPED_TRACE(testing::Message()
                  << "bound=" << c.bound << " loss_bits=" << c.loss_bits);
     util::Rng rng(c.bound * 100 + c.loss_bits);
@@ -737,7 +794,7 @@ TEST(EvalWorkspace, IntegerAdmissionBoundary) {
     costs.exact = true;
     costs.loss_bits = c.loss_bits;
     costs.epoch = next_cost_epoch();
-    EXPECT_EQ(integer_admitted(p, costs), c.admitted);
+    EXPECT_EQ(candidate_route(p, costs), c.route);
 
     auto& workspace = EvalWorkspace::local();
     const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
@@ -747,13 +804,28 @@ TEST(EvalWorkspace, IntegerAdmissionBoundary) {
       const auto expected = opt_for_part(reference, {6, 64}, ref_rng);
       util::Rng ws_rng(5);
       const CandidateRef candidate = workspace.prepare(p, costs);
-      EXPECT_EQ(candidate.is_integer(), c.admitted);
+      EXPECT_EQ(candidate.route(), c.route);
       expect_same_result(workspace.opt_for_part(candidate, {6, 64}, ws_rng),
                          expected);
       expect_same_result(workspace.opt_for_part_bto(candidate),
                          opt_for_part_bto(reference));
     }
   }
+
+  // int64 lanes hold sums up to 2^63; past that the route is the
+  // reference. (No double holds such losses exactly, so only the route is
+  // checked.)
+  util::Rng rng(3);
+  const auto p = Partition::random(n, 6, rng);
+  const std::vector<double> zeros(std::size_t{1} << n, 0.0);
+  CostView view(zeros, zeros);
+  view.exact = true;
+  view.loss_bits = 56;
+  EXPECT_EQ(candidate_route(p, view), kInt64);
+  view.loss_bits = 57;
+  EXPECT_EQ(candidate_route(p, view), CandidateRoute::kReference);
+  view.loss_bits = 0;
+  EXPECT_EQ(candidate_route(p, view), CandidateRoute::kReference);
 }
 
 TEST(EvalWorkspace, BssaAndDaltaIdenticalWithoutCertificate) {
@@ -808,10 +880,10 @@ TEST(EvalWorkspace, BssaAndDaltaIdenticalWithoutCertificate) {
 }
 
 TEST(EvalWorkspace, SearchesNeverTakeTheReferencePath) {
-  // Under uniform MED and ER costs every OptForPart of BS-SA (all three
-  // modes), DALTA and the harnesses' per-bit flow (find_best_settings, then
-  // the ND and multi-shared modes on its tops) runs on the integer layout:
-  // none reaches the reference.
+  // Under uniform MED, ER and MSE costs every OptForPart of BS-SA (all
+  // three modes), DALTA and the harnesses' per-bit flow (find_best_settings,
+  // then the ND and multi-shared modes on its tops) runs on the integer
+  // layout: none reaches the reference.
   const unsigned n = 10;
   util::Rng rng(81);
   const auto g = MultiOutputFunction::from_eval(n, 8, [&](InputWord) {
@@ -861,6 +933,42 @@ TEST(EvalWorkspace, SearchesNeverTakeTheReferencePath) {
                                   search_rng);
     }
   }
+
+  // Uniform MSE at n = m = 12: losses of 2m = 24 bits, so with 5 bound
+  // inputs (7 free) a candidate passes the int32 bound and runs on int64
+  // lanes.
+  const unsigned wide = 12;
+  const auto h = MultiOutputFunction::from_eval(wide, 12, [&](InputWord) {
+    return static_cast<OutputWord>(rng.next_below(4096));
+  });
+  const auto wide_uniform = InputDistribution::uniform(wide);
+  ASSERT_EQ(candidate_route(Partition::random(wide, 5, rng),
+                            build_bit_costs(h, h.values(), 11,
+                                            LsbModel::kPredictive,
+                                            wide_uniform, CostMetric::kMse)),
+            CandidateRoute::kInt64);
+  BssaParams bp;
+  bp.bound_size = 5;
+  bp.rounds = 2;
+  bp.beam_width = 2;
+  bp.sa.partition_limit = 8;
+  bp.sa.init_patterns = 4;
+  bp.sa.chains = 2;
+  bp.modes = ModePolicy::bto_normal_nd();
+  bp.metric = CostMetric::kMse;
+  bp.seed = 86;
+  bp.pool = &pool;
+  (void)run_bssa(h, wide_uniform, bp);
+  DaltaParams dp;
+  dp.bound_size = 5;
+  dp.rounds = 1;
+  dp.partition_limit = 8;
+  dp.init_patterns = 4;
+  dp.metric = CostMetric::kMse;
+  dp.seed = 87;
+  dp.pool = &pool;
+  (void)run_dalta(h, wide_uniform, dp);
+
   const auto snap = util::telemetry::snapshot_metrics();
   const std::uint64_t calls = snap.counter_value("opt_for_part.calls");
   EXPECT_GT(calls, 0u);
@@ -870,7 +978,9 @@ TEST(EvalWorkspace, SearchesNeverTakeTheReferencePath) {
 }
 
 TEST(EvalWorkspace, OptForPartWorkCounters) {
-  // One fixed matrix through all three OptForPart paths. Each restart runs
+  // One fixed matrix through all three OptForPart routes: int32 lanes,
+  // int64 lanes (the same losses under a wider certificate) and the
+  // reference (no certificate). Each restart runs
   // its improving alternations plus the one that stops it; the reference
   // replay counts the improving ones.
   util::Rng part_rng(71);
@@ -899,13 +1009,16 @@ TEST(EvalWorkspace, OptForPartWorkCounters) {
   workspace.opt_for_part(workspace.prepare(p, costs), params, rng);
   EXPECT_EQ(counters(),
             (std::array<std::uint64_t, 4>{1, restarts, alternations, 1}));
+  CostView wide = costs;
+  wide.loss_bits = 30;
+  ASSERT_EQ(candidate_route(p, wide), CandidateRoute::kInt64);
   rng = util::Rng(seed);
-  workspace.opt_for_part(workspace.full_matrix(p, costs), params, rng);
+  workspace.opt_for_part(workspace.prepare(p, wide), params, rng);
   rng = util::Rng(seed);
-  workspace.opt_for_part(workspace.full_matrix(p, CostView(costs.c0, costs.c1)),
-                         params, rng);
+  workspace.opt_for_part(workspace.prepare(p, uncertified(costs)), params,
+                         rng);
   EXPECT_EQ(counters(), (std::array<std::uint64_t, 4>{3, 3 * restarts,
-                                                      3 * alternations, 1}));
+                                                      3 * alternations, 2}));
   // BTO is not an alternating optimization and does not count.
   workspace.opt_for_part_bto(workspace.prepare(p, costs));
   EXPECT_EQ(counters()[0], 3u);

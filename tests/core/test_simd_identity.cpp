@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/bit_cost.hpp"
@@ -57,28 +58,37 @@ struct CostFixture {
   CostView stamped() const { return CostView(c0, c1, next_cost_epoch()); }
 };
 
-/// Owned copy of a workspace matrix (the MatrixRef target is scratch that
-/// the next full_matrix call overwrites).
-struct MatrixSnapshot {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::vector<double> v0;
-  std::vector<double> v1;
+/// Owned copy of a prepared candidate (the CandidateRef target is scratch
+/// that the next prepare() call overwrites): the reference matrix, or the
+/// integer layout widened to int64.
+struct CandidateSnapshot {
+  CandidateRoute route;
+  std::vector<double> cost0, cost1;
+  std::vector<std::int64_t> diff_rows, diff_cols, sums0, sums1;
 
-  explicit MatrixSnapshot(const InterleavedCostMatrix& m)
-      : rows(m.rows), cols(m.cols) {
-    v0.reserve(rows * cols);
-    v1.reserve(rows * cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        v0.push_back(m.at0(r, c));
-        v1.push_back(m.at1(r, c));
-      }
+  explicit CandidateSnapshot(const CandidateRef& c) : route(c.route()) {
+    if (const CostMatrix* m = c.reference()) {
+      cost0 = m->cost0;
+      cost1 = m->cost1;
+    } else if (const auto* m32 = c.integer<std::int32_t>()) {
+      copy(*m32);
+    } else {
+      copy(*c.integer<std::int64_t>());
     }
   }
 
-  bool operator==(const MatrixSnapshot& o) const {
-    return rows == o.rows && cols == o.cols && v0 == o.v0 && v1 == o.v1;
+  template <class T>
+  void copy(const IntegerCostMatrix<T>& m) {
+    diff_rows.assign(m.diff_rows.begin(), m.diff_rows.end());
+    diff_cols.assign(m.diff_cols.begin(), m.diff_cols.end());
+    sums0.assign(m.sums0.begin(), m.sums0.end());
+    sums1.assign(m.sums1.begin(), m.sums1.end());
+  }
+
+  bool operator==(const CandidateSnapshot& o) const {
+    return route == o.route && cost0 == o.cost0 && cost1 == o.cost1 &&
+           diff_rows == o.diff_rows && diff_cols == o.diff_cols &&
+           sums0 == o.sums0 && sums1 == o.sums1;
   }
 };
 
@@ -88,38 +98,12 @@ MultiOutputFunction random_function(unsigned n, unsigned m, util::Rng& rng) {
   });
 }
 
-// Every width 8..20: odd widths and small bounds exercise the gather's
-// non-lane-multiple block tails (low-bound-bits cases 0..3) and sweep rows
-// narrower than one vector.
-TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
-  auto& workspace = EvalWorkspace::local();
-  util::Rng part_rng(41);
-  for (unsigned n = 8; n <= 20; ++n) {
-    const CostFixture fx(n, 100 + n);
-    for (const unsigned bound : {2u, 3u, 5u, 6u}) {
-      const auto p = Partition::random(n, bound, part_rng);
-
-      std::vector<MatrixSnapshot> scalar;
-      {
-        ScopedForceScalar scoped(true);
-        // Unstamped view: split-array gather. Stamped: interleaved-source
-        // gather (fresh epoch per call, so each call mirrors the arrays).
-        scalar.emplace_back(workspace.full_matrix(p, fx.view()));
-        scalar.emplace_back(workspace.full_matrix(p, fx.stamped()));
-      }
-      const MatrixSnapshot vec_plain(workspace.full_matrix(p, fx.view()));
-      const MatrixSnapshot vec_stamped(workspace.full_matrix(p, fx.stamped()));
-
-      EXPECT_TRUE(vec_plain == scalar[0]) << "n=" << n << " bound=" << bound;
-      EXPECT_TRUE(vec_stamped == scalar[1]) << "n=" << n << " bound=" << bound;
-    }
-  }
-}
-
 /// Cost arrays as build_bit_costs produces them under a uniform
 /// distribution: 8-bit integer losses times 2^-n, with the exactness
-/// certificate.
-BitCostArrays certified_costs(unsigned n, std::uint64_t seed) {
+/// certificate for `loss_bits`-bit losses. 8 keeps every candidate of
+/// n <= 22 on int32 lanes; 30 puts every one on int64 lanes.
+BitCostArrays certified_costs(unsigned n, std::uint64_t seed,
+                              unsigned loss_bits) {
   util::Rng rng(seed);
   const double unit = std::ldexp(1.0, -static_cast<int>(n));
   BitCostArrays costs;
@@ -128,32 +112,59 @@ BitCostArrays certified_costs(unsigned n, std::uint64_t seed) {
     costs.c1.push_back(unit * static_cast<double>(rng.next_below(256)));
   }
   costs.exact = true;
-  costs.loss_bits = 8;
+  costs.loss_bits = loss_bits;
   costs.epoch = next_cost_epoch();
   return costs;
 }
 
-// The full per-partition optimizer on both exact routes, the interleaved
-// double matrix (full_matrix) and the integer layout (prepare), driven by
-// identical RNG streams; BTO's column-pair sums on raw doubles.
+// Every width 8..20: odd widths and small bounds exercise every
+// low-bound-bits block case (0..3) of the gather walk, and the integer
+// layout's transpose on shapes below, at and above one lane vector.
+TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
+  auto& workspace = EvalWorkspace::local();
+  util::Rng part_rng(41);
+  for (unsigned n = 8; n <= 20; ++n) {
+    const CostFixture fx(n, 100 + n);
+    const BitCostArrays int32_costs = certified_costs(n, 150 + n, 8);
+    const BitCostArrays int64_costs = certified_costs(n, 170 + n, 30);
+    for (const unsigned bound : {2u, 3u, 5u, 6u}) {
+      const auto p = Partition::random(n, bound, part_rng);
+      // Raw views (unstamped and stamped) take the reference route; the
+      // certified arrays the integer layout of either element type.
+      const std::vector<CostView> views = {fx.view(), fx.stamped(),
+                                           int32_costs, int64_costs};
+      for (std::size_t v = 0; v < views.size(); ++v) {
+        std::optional<CandidateSnapshot> scalar;
+        {
+          ScopedForceScalar scoped(true);
+          scalar.emplace(workspace.prepare(p, views[v]));
+        }
+        const CandidateSnapshot vec(workspace.prepare(p, views[v]));
+        EXPECT_TRUE(vec == *scalar)
+            << "n=" << n << " bound=" << bound << " view=" << v;
+      }
+    }
+  }
+}
+
+// The full per-partition optimizer on both integer element types, driven
+// by identical RNG streams; BTO on every route.
 TEST(SimdIdentity, OptForPartMatchesScalar) {
   auto& workspace = EvalWorkspace::local();
   util::Rng part_rng(43);
   for (const unsigned n : {8u, 11u, 13u, 14u}) {
     const CostFixture fx(n, 200 + n);
-    const BitCostArrays costs = certified_costs(n, 300 + n);
+    const BitCostArrays int32_costs = certified_costs(n, 300 + n, 8);
+    const BitCostArrays int64_costs = certified_costs(n, 400 + n, 30);
     for (const unsigned bound : {3u, 4u, 6u}) {
       const auto p = Partition::random(n, bound, part_rng);
       const OptForPartParams params{9, 64};
 
-      for (const bool integer : {false, true}) {
+      for (const BitCostArrays* costs : {&int32_costs, &int64_costs}) {
         const auto run = [&] {
           util::Rng rng(7);
-          return integer
-                     ? workspace.opt_for_part(workspace.prepare(p, costs),
-                                              params, rng)
-                     : workspace.opt_for_part(workspace.full_matrix(p, costs),
-                                              params, rng);
+          return workspace.opt_for_part(workspace.prepare(p, *costs), params,
+                                        rng);
         };
         VtResult expected;
         {
@@ -162,22 +173,25 @@ TEST(SimdIdentity, OptForPartMatchesScalar) {
         }
         const VtResult actual = run();
         EXPECT_EQ(actual.error, expected.error)
-            << "n=" << n << " b=" << bound << " integer=" << integer;
+            << "n=" << n << " b=" << bound << " loss_bits=" << costs->loss_bits;
         EXPECT_EQ(actual.pattern, expected.pattern);
         EXPECT_EQ(actual.types, expected.types);
       }
 
-      VtResult expected_bto;
-      {
-        ScopedForceScalar scoped(true);
-        expected_bto =
-            workspace.opt_for_part_bto(workspace.full_matrix(p, fx.view()));
+      for (const CostView& costs :
+           {fx.view(), CostView(int32_costs), CostView(int64_costs)}) {
+        VtResult expected_bto;
+        {
+          ScopedForceScalar scoped(true);
+          expected_bto =
+              workspace.opt_for_part_bto(workspace.prepare(p, costs));
+        }
+        const VtResult actual_bto =
+            workspace.opt_for_part_bto(workspace.prepare(p, costs));
+        EXPECT_EQ(actual_bto.error, expected_bto.error);
+        EXPECT_EQ(actual_bto.pattern, expected_bto.pattern);
+        EXPECT_EQ(actual_bto.types, expected_bto.types);
       }
-      const VtResult actual_bto =
-          workspace.opt_for_part_bto(workspace.full_matrix(p, fx.view()));
-      EXPECT_EQ(actual_bto.error, expected_bto.error);
-      EXPECT_EQ(actual_bto.pattern, expected_bto.pattern);
-      EXPECT_EQ(actual_bto.types, expected_bto.types);
     }
   }
 }
@@ -362,6 +376,81 @@ TEST(SimdIdentity, Int32LanesMatchScalarLoops) {
   }
   EXPECT_EQ(simd::bytes_eq64(x, y), equal);
   EXPECT_EQ(simd::bytes_eq64(x, std::uint8_t{3}), threes);
+}
+
+// The full-register int64 lanes of the integer OptForPart kernels past the
+// int32 bound, against plain loops. The compare draws pairs that tie in
+// their high or low 32 bits and values of both signs, which the SSE2
+// emulation of the 64-bit compare treats separately.
+TEST(SimdIdentity, Int64LanesMatchScalarLoops) {
+  constexpr unsigned W = simd::kLanes64;
+  util::Rng rng(9);
+  const auto draw = [&] {
+    return static_cast<std::int64_t>(rng.next_below(std::uint64_t{1} << 52)) -
+           (std::int64_t{1} << 51);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::int64_t a[W], b[W];
+    for (unsigned l = 0; l < W; ++l) {
+      a[l] = draw();
+      switch (trial % 5) {
+        case 0:  // equal
+          b[l] = a[l];
+          break;
+        case 1:  // same high half, low halves differ (either sign bit)
+          b[l] = (a[l] & ~std::int64_t{0xffffffff}) |
+                 static_cast<std::int64_t>(rng.next_below(1ull << 32));
+          break;
+        case 2:  // same low half
+          b[l] = (draw() & ~std::int64_t{0xffffffff}) |
+                 (a[l] & std::int64_t{0xffffffff});
+          break;
+        case 3:  // opposite signs
+          b[l] = -a[l];
+          break;
+        default:
+          b[l] = draw();
+      }
+    }
+    const simd::Vec64 va = simd::i64load(a);
+    const simd::Vec64 vb = simd::i64load(b);
+    std::int64_t out[W];
+    simd::i64store(out, simd::i64add(va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[l] + b[l]);
+    simd::i64store(out, simd::i64sub(va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[l] - b[l]);
+    const simd::Vec64 greater = simd::i64cmpgt(va, vb);
+    unsigned bits = 0;
+    for (unsigned l = 0; l < W; ++l) bits |= unsigned{a[l] > b[l]} << l;
+    EXPECT_EQ(simd::i64movemask(greater), bits) << "trial " << trial;
+    simd::i64store(out, greater);
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[l] > b[l] ? -1 : 0);
+    simd::i64store(out, simd::i64select(greater, va, vb));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], std::max(a[l], b[l]));
+    simd::i64store(out, simd::i64broadcast(a[0]));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], a[0]);
+    simd::i64store(out, simd::i64zero());
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(out[l], 0);
+
+    std::int64_t codes[W];
+    std::uint8_t bytes[W];
+    for (unsigned l = 0; l < W; ++l) codes[l] = a[l] & 0xff;
+    simd::i64store_bytes(bytes, simd::i64load(codes));
+    for (unsigned l = 0; l < W; ++l) EXPECT_EQ(bytes[l], codes[l]);
+  }
+
+  std::int64_t block[W][W];
+  simd::Vec64 rows[W];
+  for (unsigned i = 0; i < W; ++i) {
+    for (unsigned j = 0; j < W; ++j) block[i][j] = draw();
+    rows[i] = simd::i64load(block[i]);
+  }
+  simd::i64transpose(rows);
+  for (unsigned j = 0; j < W; ++j) {
+    std::int64_t column[W];
+    simd::i64store(column, rows[j]);
+    for (unsigned i = 0; i < W; ++i) EXPECT_EQ(column[i], block[i][j]);
+  }
 }
 
 }  // namespace

@@ -1,38 +1,41 @@
 #!/usr/bin/env bash
-# Search-flag validation smoke test for dalut_opt, dalut_suite and
-# dalut_bench_report.
+# Search-flag validation smoke test for dalut_opt and dalut_suite.
 #
 # Every out-of-range or malformed search knob must be rejected up front with
 # exit status 2 (usage error) and an error naming the flag. `--patterns -1`
 # used to wrap to 2^32 - 1 restarts inside a single OptForPart call that
 # ignored SIGTERM, so each run is bounded by `timeout`. `--threads` must lie
 # in [0, 512] in both search tools (it used to map negative values to
-# "hardware" and clamp huge ones). dalut_bench_report's `--runs -1` used to
-# wrap to 2^32 - 1 timed repetitions. dalut_opt's `--width 27` used to be
+# "hardware" and clamp huge ones). dalut_opt's `--width 27` used to be
 # killed for memory and `--width -1` died in std::vector; `--checkpoint-every
-# -1` wrapped to 2^32 - 1 and silently never checkpointed. Last, the
-# telemetry artifacts of both search tools must fail with exit 6 when their
-# output cannot be written.
+# -1` wrapped to 2^32 - 1 and silently never checkpointed. dalut_opt's
+# `--tb-vectors -1` wrapped to 2^64 - 1 testbench vectors and grew the
+# testbench text until memory ran out, and dalut_suite's `--cache-max -1`
+# silently meant an unbounded result cache. Last, the telemetry artifacts of
+# both search tools must fail with exit 6 when their output cannot be
+# written.
 set -uo pipefail
 
-if [[ $# -ne 3 ]]; then
-  echo "usage: $0 <path-to-dalut_opt> <path-to-dalut_suite>" \
-       "<path-to-dalut_bench_report>" >&2
+if [[ $# -ne 2 ]]; then
+  echo "usage: $0 <path-to-dalut_opt> <path-to-dalut_suite>" >&2
   exit 2
 fi
 dalut_opt=$1
 dalut_suite=$2
-dalut_bench_report=$3
 
 failures=0
 # expect_rejected FLAG VALUE [TOOL ARGS...]: TOOL (default dalut_opt on a
-# width-8 run) given `--FLAG VALUE` exits 2 naming the flag.
+# width-8 run) given `--FLAG VALUE` exits 2 naming the flag. A rejection
+# must come before any work, so each case runs under a 2 GiB address-space
+# cap: a check that regresses into an unbounded allocation fails here
+# instead of exhausting the host's memory.
 expect_rejected() {
   local flag=$1 value=$2 output status
   shift 2
   local tool=("$@")
   [[ ${#tool[@]} -eq 0 ]] && tool=("$dalut_opt" --width 8)
-  output=$(timeout -s KILL 20 "${tool[@]}" "--$flag" "$value" 2>&1)
+  output=$(ulimit -v 2097152
+           timeout -s KILL 20 "${tool[@]}" "--$flag" "$value" 2>&1)
   status=$?
   if [[ $status -ne 2 ]]; then
     echo "FAIL: ${tool[0]##*/} --$flag $value exited $status, want 2" >&2
@@ -72,14 +75,11 @@ expect_rejected checkpoint-every x
 expect_rejected checkpoint-every -1 "$dalut_suite"
 expect_rejected threads -1 "$dalut_suite"
 expect_rejected threads 513 "$dalut_suite"
-expect_rejected runs -1 "$dalut_bench_report" --micro-only
-expect_rejected runs 0 "$dalut_bench_report" --micro-only
-expect_rejected runs 1001 "$dalut_bench_report" --micro-only
-expect_rejected runs x "$dalut_bench_report" --micro-only
-expect_rejected width -1 "$dalut_bench_report" --micro-only
-expect_rejected width 2 "$dalut_bench_report" --micro-only
-expect_rejected width 21 "$dalut_bench_report" --micro-only
-expect_rejected width 12abc "$dalut_bench_report" --micro-only
+expect_rejected tb-vectors -1 "$dalut_opt" --width 8 --testbench-out /dev/null
+expect_rejected tb-vectors 1048577 "$dalut_opt" --width 8
+expect_rejected tb-vectors x "$dalut_opt" --width 8
+expect_rejected cache-max -1 "$dalut_suite"
+expect_rejected cache-max x "$dalut_suite"
 
 # The suite's make-style -jN spelling goes through the same check.
 output=$(timeout -s KILL 20 "$dalut_suite" -j-2 2>&1)

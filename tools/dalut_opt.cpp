@@ -135,7 +135,11 @@ struct SearchKnobs {
   unsigned chains = 0;
   unsigned threads = 0;  ///< 0 = hardware
   unsigned checkpoint_every = 0;  ///< 0 = off
+  std::size_t tb_vectors = 0;     ///< --testbench-out vector count
 };
+
+/// Most --tb-vectors a testbench takes: about 40 MiB of Verilog.
+constexpr std::int64_t kMaxTestbenchVectors = std::int64_t{1} << 20;
 
 core::CostMetric parse_metric(const std::string& name) {
   if (name == "mse") return core::CostMetric::kMse;
@@ -181,7 +185,7 @@ int run(int argc, char** argv) {
   cli.add_option("config-out", "", "write the optimized configuration here");
   cli.add_option("verilog-out", "", "write synthesizable Verilog here");
   cli.add_option("testbench-out", "", "write a self-checking testbench here");
-  cli.add_option("tb-vectors", "64", "testbench vector count");
+  cli.add_option("tb-vectors", "64", "testbench vector count (0..1048576)");
   cli.add_flag("report", "print the synthesis-style cost report");
   cli.add_flag("sweep-bound",
                "probe every bound-set size first and pick the best "
@@ -247,7 +251,8 @@ int run(int argc, char** argv) {
   // OptForPart call, which never polls for a stop. `--threads` is checked
   // against the pool's ceiling rather than silently clamped. A width below 2
   // has no proper nonempty bound set; one above the manifest's cap would
-  // ask for a 2^27-entry table and more.
+  // ask for a 2^27-entry table and more. `--tb-vectors -1` would ask for
+  // 2^64 - 1 testbench lines.
   SearchKnobs knobs;
   try {
     knobs.width = static_cast<unsigned>(
@@ -268,6 +273,8 @@ int run(int argc, char** argv) {
         "threads", 0, static_cast<std::int64_t>(util::kMaxWorkerCount)));
     knobs.checkpoint_every = static_cast<unsigned>(cli.integer_in(
         "checkpoint-every", 0, std::numeric_limits<unsigned>::max()));
+    knobs.tb_vectors = static_cast<std::size_t>(
+        cli.integer_in("tb-vectors", 0, kMaxTestbenchVectors));
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
@@ -585,7 +592,7 @@ int run(int argc, char** argv) {
     if (!util::write_text_artifact(path, "testbench", [&](std::ostream& out) {
           out << hw::emit_system_testbench(
               system, "dalut_top",
-              static_cast<std::size_t>(cli.integer("tb-vectors")),
+              knobs.tb_vectors,
               static_cast<std::uint64_t>(cli.integer("seed")));
         })) {
       return kExitIo;

@@ -172,15 +172,19 @@ int run(int argc, char** argv) {
   }
 
   // Checked up front, in the ranges dalut_opt accepts, so that a negative
-  // or oversized count is a usage error, not "hardware", a silent clamp, or
-  // (for `--checkpoint-every -1`) a wrap to 2^32 - 1 that never checkpoints.
+  // or oversized count is a usage error, not "hardware", a silent clamp, a
+  // wrap to 2^32 - 1 that never checkpoints (`--checkpoint-every -1`), or
+  // one that silently unbounds the result cache (`--cache-max -1`).
   std::int64_t threads = 0;
   std::int64_t checkpoint_every = 0;
+  std::int64_t cache_max = 0;
   try {
     threads = cli.integer_in("threads", 0,
                              static_cast<std::int64_t>(util::kMaxWorkerCount));
     checkpoint_every = cli.integer_in("checkpoint-every", 0,
                                       std::numeric_limits<unsigned>::max());
+    cache_max = cli.integer_in("cache-max", 0,
+                               std::numeric_limits<std::int64_t>::max());
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
@@ -252,8 +256,7 @@ int run(int argc, char** argv) {
   options.pool = &pool;
   options.control = &control;
   options.cache_dir = cli.str("cache-dir");
-  options.cache_max_entries =
-      static_cast<std::size_t>(cli.integer("cache-max"));
+  options.cache_max_entries = static_cast<std::size_t>(cache_max);
   options.checkpoint_dir = cli.str("checkpoint-dir");
   options.checkpoint_every = static_cast<unsigned>(checkpoint_every);
   options.dump_tables_dir = cli.str("dump-tables");
