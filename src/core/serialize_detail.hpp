@@ -108,62 +108,77 @@ inline std::string expect_keyed_line(LineReader& reader,
 /// `base0`), rejecting trailing garbage, overflow, and values > `max`.
 /// The token must start with a digit: stoull's silent tolerance for a
 /// leading '+' (or, post-negation, '-') contradicts the hostile-input
-/// contract — no writer ever emits signs on unsigned fields.
+/// contract — no writer ever emits signs on unsigned fields. Throws
+/// std::invalid_argument whose message begins with `what`.
+inline std::uint64_t parse_unsigned(
+    const std::string& token, const char* what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
+    bool base0 = false) {
+  const auto fail = [&](const std::string& why) {
+    throw std::invalid_argument(std::string(what) + " '" +
+                                token_excerpt(token) + "' " + why);
+  };
+  std::size_t consumed = 0;
+  unsigned long long value = 0;
+  if (!token.empty() && token[0] >= '0' && token[0] <= '9') {
+    try {
+      value = std::stoull(token, &consumed, base0 ? 0 : 10);
+    } catch (const std::exception&) {
+      consumed = 0;
+    }
+  }
+  if (consumed == 0 || consumed != token.size()) fail("is not a valid number");
+  if (value > max) {
+    fail("is out of range (max " + std::to_string(max) + ")");
+  }
+  return value;
+}
+
+/// parse_unsigned with its error anchored at `line`.
 inline std::uint64_t parse_unsigned(const std::string& token, std::size_t line,
                                     const char* what,
                                     std::uint64_t max =
                                         std::numeric_limits<std::uint64_t>::max(),
                                     bool base0 = false) {
-  if (token.empty() || token[0] < '0' || token[0] > '9') {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
-  }
-  std::size_t consumed = 0;
-  unsigned long long value = 0;
   try {
-    value = std::stoull(token, &consumed, base0 ? 0 : 10);
-  } catch (const std::exception&) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
+    return parse_unsigned(token, what, max, base0);
+  } catch (const std::invalid_argument& error) {
+    fail_at(line, error.what());
   }
-  if (consumed != token.size()) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
-  }
-  if (value > max) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is out of range (max " + std::to_string(max) + ")");
-  }
-  return value;
 }
 
 /// Parses a double, rejecting trailing garbage ("inf"/"nan" allowed — they
 /// round-trip sentinel errors such as an undecided setting's infinity).
 /// stod's silent extras are rejected too: a leading '+' and hexfloats
 /// ("0x1p3") never come from our writers, so they are hostile input, not
-/// numbers.
-inline double parse_double(const std::string& token, std::size_t line,
-                           const char* what) {
-  const bool hexfloat =
-      token.find('x') != std::string::npos ||
-      token.find('X') != std::string::npos;
-  if (token.empty() || token[0] == '+' || hexfloat) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
-  }
+/// numbers. Throws std::invalid_argument whose message begins with `what`.
+inline double parse_double(const std::string& token, const char* what) {
   std::size_t consumed = 0;
   double value = 0.0;
-  try {
-    value = std::stod(token, &consumed);
-  } catch (const std::exception&) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
+  if (!token.empty() && token[0] != '+' &&
+      token.find_first_of("xX") == std::string::npos) {
+    try {
+      value = std::stod(token, &consumed);
+    } catch (const std::exception&) {
+      consumed = 0;
+    }
   }
-  if (consumed != token.size()) {
-    fail_at(line, std::string(what) + " '" + token_excerpt(token) +
-                      "' is not a valid number");
+  if (consumed == 0 || consumed != token.size()) {
+    throw std::invalid_argument(std::string(what) + " '" +
+                                token_excerpt(token) +
+                                "' is not a valid number");
   }
   return value;
+}
+
+/// parse_double with its error anchored at `line`.
+inline double parse_double(const std::string& token, std::size_t line,
+                           const char* what) {
+  try {
+    return parse_double(token, what);
+  } catch (const std::invalid_argument& error) {
+    fail_at(line, error.what());
+  }
 }
 
 std::string bits_to_string(const std::vector<std::uint8_t>& bits);

@@ -7,11 +7,11 @@
 // exporter, so headless runs pay nothing.
 //
 // Publishing is write-only for the searches — the registry is fed from the
-// progress-callback path (which the SnapshotPump already proves is
-// observation-only) and from job scheduling boundaries; nothing is ever
-// read back into search state. Per-job trajectories are bounded rings: past
-// the cap the oldest rows are dropped and counted, so a long run cannot
-// grow the registry without bound.
+// progress-callback path (the live sink of the observation-only
+// util::telemetry::ProgressRecorder) and from job scheduling boundaries;
+// nothing is ever read back into search state. Per-job trajectories are
+// bounded rings: past the cap the oldest rows are dropped and counted, so a
+// long run cannot grow the registry without bound.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -30,76 +31,45 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
-unsigned parse_field_unsigned(const std::string& value, std::size_t line,
-                              const char* what, std::uint64_t max) {
-  return static_cast<unsigned>(
-      core::detail::parse_unsigned(value, line, what, max));
+// Accepted ranges of the search knobs. A width below 2 has no proper
+// nonempty bound set; one above 26 asks for a 2^27-entry table. A search
+// needs at least one round.
+constexpr unsigned kMinWidth = 2;
+constexpr unsigned kMaxWidth = 26;
+constexpr unsigned kMaxBound = 25;
+constexpr unsigned kMaxRounds = 1u << 20;
+constexpr unsigned kMaxPartitions = 1u << 20;
+constexpr unsigned kMaxPatterns = 1u << 20;
+constexpr unsigned kMaxBeams = 4096;
+constexpr unsigned kMaxChains = 4096;
+constexpr unsigned kMaxNdCandidates = 4096;
+
+[[noreturn]] void fail_field(const std::string& key, const std::string& value,
+                             const std::string& why) {
+  throw std::invalid_argument(key + " '" + token_excerpt(value) + "' " + why);
 }
 
-double parse_field_double(const std::string& value, std::size_t line,
-                          const char* what) {
-  return core::detail::parse_double(value, line, what);
-}
-
-/// Applies one `key=value` token to `job`. Validation that spans fields
-/// (algorithm/arch compatibility) happens after the whole line is read.
-void apply_field(SuiteJob& job, const std::string& key,
-                 const std::string& value, std::size_t line) {
-  if (key == "benchmark") {
-    job.benchmark = value;
-  } else if (key == "table") {
-    job.table = value;
-  } else if (key == "width") {
-    job.width = parse_field_unsigned(value, line, "width", kMaxWidth);
-  } else if (key == "algorithm") {
-    if (value != "bssa" && value != "dalta" && value != "round-in" &&
-        value != "round-out") {
-      fail_at(line, "unknown algorithm '" + token_excerpt(value) + "'");
-    }
-    job.algorithm = value;
-  } else if (key == "arch") {
-    if (value != "dalta" && value != "bto-normal" &&
-        value != "bto-normal-nd") {
-      fail_at(line, "unknown arch '" + token_excerpt(value) + "'");
-    }
-    job.arch = value;
-  } else if (key == "bound") {
-    job.bound = parse_field_unsigned(value, line, "bound", kMaxBound);
-  } else if (key == "rounds") {
-    job.rounds = parse_field_unsigned(value, line, "rounds", kMaxRounds);
-  } else if (key == "partitions") {
-    job.partitions =
-        parse_field_unsigned(value, line, "partitions", kMaxPartitions);
-  } else if (key == "patterns") {
-    job.patterns = parse_field_unsigned(value, line, "patterns", kMaxPatterns);
-  } else if (key == "beams") {
-    job.beams = parse_field_unsigned(value, line, "beams", kMaxBeams);
-  } else if (key == "chains") {
-    job.chains = parse_field_unsigned(value, line, "chains", kMaxChains);
-  } else if (key == "nd-candidates") {
-    job.nd_candidates =
-        parse_field_unsigned(value, line, "nd-candidates", kMaxNdCandidates);
-  } else if (key == "metric") {
-    if (value != "med" && value != "mse" && value != "er") {
-      fail_at(line, "unknown metric '" + token_excerpt(value) + "'");
-    }
-    job.metric = value;
-  } else if (key == "delta") {
-    job.delta = parse_field_double(value, line, "delta");
-  } else if (key == "delta-prime") {
-    job.delta_prime = parse_field_double(value, line, "delta-prime");
-  } else if (key == "seed") {
-    job.seed = core::detail::parse_unsigned(value, line, "seed");
-  } else if (key == "drop") {
-    job.drop = parse_field_unsigned(value, line, "drop", 25);
-  } else if (key == "budget") {
-    job.budget = parse_field_double(value, line, "budget");
-    if (job.budget < 0.0) fail_at(line, "budget must be >= 0");
-  } else {
-    fail_at(line, "unknown job field '" + token_excerpt(key) + "'");
+unsigned parse_knob(const std::string& key, const std::string& value,
+                    unsigned max, unsigned min = 0) {
+  const auto parsed = core::detail::parse_unsigned(value, key.c_str(), max);
+  if (parsed < min) {
+    fail_field(key, value, "is out of range (min " + std::to_string(min) + ")");
   }
+  return static_cast<unsigned>(parsed);
 }
 
+const std::string& one_of(const std::string& key, const std::string& value,
+                          std::initializer_list<const char*> choices) {
+  std::string list;
+  for (const char* choice : choices) {
+    if (value == choice) return value;
+    list += (list.empty() ? "" : ", ") + std::string(choice);
+  }
+  fail_field(key, value, "is not one of " + list);
+}
+
+/// Applies the `key=value` tokens from `first` on. Validation that spans
+/// fields (algorithm/arch compatibility) happens after the whole line is read.
 void apply_fields(SuiteJob& job, const std::vector<std::string>& tokens,
                   std::size_t first, std::size_t line) {
   for (std::size_t i = first; i < tokens.size(); ++i) {
@@ -108,7 +78,11 @@ void apply_fields(SuiteJob& job, const std::vector<std::string>& tokens,
       fail_at(line, "expected key=value, got '" + token_excerpt(tokens[i]) +
                         "'");
     }
-    apply_field(job, tokens[i].substr(0, eq), tokens[i].substr(eq + 1), line);
+    try {
+      set_job_field(job, tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+    } catch (const std::invalid_argument& error) {
+      fail_at(line, error.what());
+    }
   }
 }
 
@@ -121,7 +95,6 @@ void validate_job(const SuiteJob& job, std::size_t line) {
   if (!job.table.empty() && job.table.find('\n') != std::string::npos) {
     fail_at(line, "table path contains a newline");
   }
-  if (job.rounds < 1) fail_at(line, "rounds must be >= 1");
 }
 
 }  // namespace
@@ -185,6 +158,52 @@ Manifest load_manifest(const std::string& path) {
     throw util::IoError("cannot open manifest", path, errno);
   }
   return read_manifest(in);
+}
+
+void set_job_field(SuiteJob& job, const std::string& key,
+                   const std::string& value) {
+  if (key == "benchmark") {
+    job.benchmark = value;
+  } else if (key == "table") {
+    job.table = value;
+  } else if (key == "width") {
+    job.width = parse_knob(key, value, kMaxWidth, kMinWidth);
+  } else if (key == "algorithm") {
+    job.algorithm = one_of(key, value, {"bssa", "dalta", "round-in",
+                                        "round-out"});
+  } else if (key == "arch") {
+    job.arch = one_of(key, value, {"dalta", "bto-normal", "bto-normal-nd"});
+  } else if (key == "bound") {
+    job.bound = parse_knob(key, value, kMaxBound);
+  } else if (key == "rounds") {
+    job.rounds = parse_knob(key, value, kMaxRounds, 1);
+  } else if (key == "partitions") {
+    job.partitions = parse_knob(key, value, kMaxPartitions);
+  } else if (key == "patterns") {
+    job.patterns = parse_knob(key, value, kMaxPatterns);
+  } else if (key == "beams") {
+    job.beams = parse_knob(key, value, kMaxBeams);
+  } else if (key == "chains") {
+    job.chains = parse_knob(key, value, kMaxChains);
+  } else if (key == "nd-candidates") {
+    job.nd_candidates = parse_knob(key, value, kMaxNdCandidates);
+  } else if (key == "metric") {
+    job.metric = one_of(key, value, {"med", "mse", "er"});
+  } else if (key == "delta") {
+    job.delta = core::detail::parse_double(value, key.c_str());
+  } else if (key == "delta-prime") {
+    job.delta_prime = core::detail::parse_double(value, key.c_str());
+  } else if (key == "seed") {
+    job.seed = core::detail::parse_unsigned(value, key.c_str());
+  } else if (key == "drop") {
+    job.drop = parse_knob(key, value, 25);
+  } else if (key == "budget") {
+    job.budget = core::detail::parse_double(value, key.c_str());
+    if (job.budget < 0.0) fail_field(key, value, "must be >= 0");
+  } else {
+    throw std::invalid_argument("unknown job field '" + token_excerpt(key) +
+                                "'");
+  }
 }
 
 }  // namespace dalut::suite

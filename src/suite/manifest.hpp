@@ -24,18 +24,6 @@
 
 namespace dalut::suite {
 
-/// Largest accepted value of each search knob. Manifest job fields and
-/// dalut_opt's flags both enforce these, so a job line and a command line
-/// accept the same values.
-inline constexpr unsigned kMaxWidth = 26;
-inline constexpr unsigned kMaxBound = 25;
-inline constexpr unsigned kMaxRounds = 1u << 20;
-inline constexpr unsigned kMaxPartitions = 1u << 20;
-inline constexpr unsigned kMaxPatterns = 1u << 20;
-inline constexpr unsigned kMaxBeams = 4096;
-inline constexpr unsigned kMaxChains = 4096;
-inline constexpr unsigned kMaxNdCandidates = 4096;
-
 /// One optimization (or baseline) job of a suite manifest. Field defaults
 /// mirror dalut_opt's CLI defaults, so a one-key job line behaves like a
 /// bare dalut_opt call.
@@ -77,5 +65,13 @@ Manifest manifest_from_string(const std::string& text);
 
 /// Loads a manifest file; std::runtime_error if unreadable.
 Manifest load_manifest(const std::string& path);
+
+/// Sets the field a manifest `key=value` token names, e.g.
+/// `set_job_field(job, "width", "12")`. Manifest lines and dalut_opt's
+/// search flags both go through it, so a job line and a command line accept
+/// the same values. Throws std::invalid_argument whose message begins with
+/// the key (the manifest parser prefixes the line number).
+void set_job_field(SuiteJob& job, const std::string& key,
+                   const std::string& value);
 
 }  // namespace dalut::suite

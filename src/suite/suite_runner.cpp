@@ -1,11 +1,8 @@
 #include "suite/suite_runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -52,88 +49,10 @@ SuiteMetrics& suite_metrics() {
   return metrics;
 }
 
-core::MultiOutputFunction load_job_function(const SuiteJob& job) {
-  if (!job.table.empty()) {
-    // Binary-mode open + container auto-detection (text or dalut-table-bin).
-    return core::load_function_file(job.table);
-  }
-  if (auto spec = func::benchmark_by_name(job.benchmark, job.width)) {
-    return core::MultiOutputFunction::from_eval(spec->num_inputs,
-                                                spec->num_outputs, spec->eval);
-  }
-  for (const auto& spec : func::extended_suite(job.width)) {
-    if (spec.name == job.benchmark) {
-      return core::MultiOutputFunction::from_eval(
-          spec.num_inputs, spec.num_outputs, spec.eval);
-    }
-  }
-  throw std::invalid_argument("unknown benchmark '" + job.benchmark + "'");
-}
-
-core::CostMetric metric_of(const std::string& name) {
-  if (name == "mse") return core::CostMetric::kMse;
-  if (name == "er") return core::CostMetric::kErrorRate;
-  return core::CostMetric::kMed;
-}
-
-unsigned effective_bound(const SuiteJob& job, unsigned num_inputs) {
-  if (job.bound != 0) return job.bound;
-  return std::max(2u, std::min(num_inputs - 1, (9u * num_inputs + 8) / 16));
-}
-
-/// Shared mutable state of one run_suite call (trajectory rows arrive from
-/// whichever worker carries each job).
+/// What every job of one run_suite call shares.
 struct SuiteState {
   const SuiteOptions* options = nullptr;
-  std::chrono::steady_clock::time_point start;
-  std::mutex trajectory_mutex;
-  std::vector<SuiteTrajectoryRow> trajectory;
-};
-
-/// Observes one job's RunControl: records every report into the suite
-/// trajectory and forwards to the human-facing callback under the per-job
-/// throttle (first and at-completion reports always pass).
-struct JobProgressRelay {
-  SuiteState* state = nullptr;
-  std::string job_name;
-  std::chrono::steady_clock::time_point last_forward{};
-  bool forwarded = false;
-
-  void install(util::RunControl& control) {
-    control.set_progress_callback(
-        [this](const util::RunProgress& p) { deliver(p); },
-        std::chrono::nanoseconds{0});
-  }
-
-  void deliver(const util::RunProgress& p) {
-    const auto now = std::chrono::steady_clock::now();
-    {
-      SuiteTrajectoryRow row;
-      row.job = job_name;
-      row.elapsed_seconds =
-          std::chrono::duration<double>(now - state->start).count();
-      row.stage = p.stage;
-      row.round = p.round;
-      row.bit = p.bit;
-      row.steps_done = p.steps_done;
-      row.steps_total = p.steps_total;
-      row.best_error = p.best_error;
-      std::lock_guard lock(state->trajectory_mutex);
-      state->trajectory.push_back(std::move(row));
-    }
-    // Live /runs state rides the same observation-only callback path.
-    obs::RunRegistry::instance().job_progress(job_name, p);
-    if (!state->options->progress) return;
-    const bool final_step =
-        p.steps_total != 0 && p.steps_done >= p.steps_total;
-    if (forwarded && !final_step &&
-        now - last_forward < state->options->progress_interval) {
-      return;
-    }
-    forwarded = true;
-    last_forward = now;
-    state->options->progress(job_name, p);
-  }
+  util::telemetry::ProgressRecorder* recorder = nullptr;
 };
 
 void run_rounding_job(const SuiteJob& job, const core::MultiOutputFunction& g,
@@ -170,28 +89,18 @@ void run_rounding_job(const SuiteJob& job, const core::MultiOutputFunction& g,
 }
 
 void run_search_job(const SuiteJob& job, const core::MultiOutputFunction& g,
-                    const core::InputDistribution& dist, SuiteState& state,
-                    util::RunControl& control, JobOutcome& out) {
-  const SuiteOptions& options = *state.options;
-  const unsigned bound = effective_bound(job, g.num_inputs());
-
+                    const core::InputDistribution& dist,
+                    const SuiteOptions& options, util::RunControl& control,
+                    JobOutcome& out) {
+  SearchRun run;
+  run.pool = options.pool;
+  run.control = &control;
   std::string checkpoint_path;
-  std::function<void(const core::SearchCheckpoint&)> sink;
+  std::optional<core::SearchCheckpoint> resume_state;
   if (!options.checkpoint_dir.empty()) {
     checkpoint_path = options.checkpoint_dir + "/" + job.name + ".ck";
-    // Best-effort: a snapshot that cannot be persisted (full disk, injected
-    // fault) is dropped — the search must keep running; a crash then merely
-    // resumes from an older generation.
-    sink = [checkpoint_path](const core::SearchCheckpoint& ck) {
-      if (core::save_checkpoint_best_effort(checkpoint_path, ck)) {
-        obs::EventLog::instance().emit("checkpoint.save");
-      } else {
-        obs::EventLog::instance().emit("checkpoint.save_failure");
-      }
-    };
-  }
-  std::optional<core::SearchCheckpoint> resume_state;
-  if (!checkpoint_path.empty()) {
+    run.checkpoint_every = options.checkpoint_every;
+    run.sink = checkpoint_sink(checkpoint_path);
     // Generation-aware: a torn/corrupt latest checkpoint falls back to
     // "<path>.1"; with no loadable generation the job starts fresh.
     if (auto loaded = core::load_checkpoint_with_fallback(checkpoint_path)) {
@@ -199,62 +108,21 @@ void run_search_job(const SuiteJob& job, const core::MultiOutputFunction& g,
         obs::EventLog::instance().emit("checkpoint.fallback");
       }
       resume_state = std::move(loaded->checkpoint);
+      run.resume = &*resume_state;
     }
   }
 
-  auto run_once = [&](const core::SearchCheckpoint* resume) {
-    if (job.algorithm == "dalta") {
-      core::DaltaParams params;
-      params.bound_size = bound;
-      params.rounds = job.rounds;
-      params.partition_limit = job.partitions;
-      params.init_patterns = job.patterns;
-      params.metric = metric_of(job.metric);
-      params.seed = job.seed;
-      params.pool = options.pool;
-      params.control = &control;
-      params.checkpoint_every = sink ? options.checkpoint_every : 0;
-      params.checkpoint_sink = sink;
-      params.resume = resume;
-      return core::run_dalta(g, dist, params);
-    }
-    core::BssaParams params;
-    params.bound_size = bound;
-    params.rounds = job.rounds;
-    params.beam_width = job.beams;
-    params.sa.partition_limit = job.partitions;
-    params.sa.init_patterns = job.patterns;
-    params.sa.chains = job.chains;
-    params.nd_candidates = job.nd_candidates;
-    if (job.arch == "bto-normal") {
-      params.modes = core::ModePolicy::bto_normal(job.delta);
-    } else if (job.arch == "bto-normal-nd") {
-      params.modes =
-          core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
-    } else {
-      params.modes = core::ModePolicy::normal_only();
-    }
-    params.metric = metric_of(job.metric);
-    params.seed = job.seed;
-    params.pool = options.pool;
-    params.control = &control;
-    params.checkpoint_every = sink ? options.checkpoint_every : 0;
-    params.checkpoint_sink = sink;
-    params.resume = resume;
-    return core::run_bssa(g, dist, params);
-  };
-
   core::DecompositionResult result;
   try {
-    result = run_once(resume_state ? &*resume_state : nullptr);
+    result = run_search(job, g, dist, run);
   } catch (const std::invalid_argument&) {
-    if (!resume_state) throw;
+    if (!run.resume) throw;
     // The checkpoint predates a manifest edit (digest mismatch). The edit
     // changed the job, so its old partial state is worthless: discard it
     // and start the job fresh.
     core::remove_checkpoint(checkpoint_path);
-    resume_state.reset();
-    result = run_once(nullptr);
+    run.resume = nullptr;
+    result = run_search(job, g, dist, run);
   }
 
   out.status = result.status;
@@ -304,13 +172,12 @@ void run_one_job(const SuiteJob& job, SuiteState& state, ResultCache* cache,
   const auto dist = core::InputDistribution::uniform(g.num_inputs());
   util::RunControl control;
   control.chain_to(state.options->control);
-  JobProgressRelay relay{&state, job.name};
-  relay.install(control);
+  state.recorder->attach(control, job.name);
 
   if (job.algorithm == "round-in" || job.algorithm == "round-out") {
     run_rounding_job(job, g, dist, state.options->pool, out);
   } else {
-    run_search_job(job, g, dist, state, control, out);
+    run_search_job(job, g, dist, *state.options, control, out);
   }
   if (out.record.runtime_seconds == 0.0) {
     out.record.runtime_seconds = timer.seconds();
@@ -397,6 +264,93 @@ void run_job_isolated(const SuiteJob& job, SuiteState& state,
 
 }  // namespace
 
+core::MultiOutputFunction load_job_function(const SuiteJob& job,
+                                            core::TableLoadMode load) {
+  if (!job.table.empty()) {
+    // Binary-mode open + container auto-detection (text or dalut-table-bin).
+    return core::load_function_file(job.table, load);
+  }
+  if (auto spec = func::benchmark_by_name(job.benchmark, job.width)) {
+    return core::MultiOutputFunction::from_eval(spec->num_inputs,
+                                                spec->num_outputs, spec->eval);
+  }
+  for (const auto& spec : func::extended_suite(job.width)) {
+    if (spec.name == job.benchmark) {
+      return core::MultiOutputFunction::from_eval(
+          spec.num_inputs, spec.num_outputs, spec.eval);
+    }
+  }
+  throw std::runtime_error("unknown benchmark '" + job.benchmark + "'");
+}
+
+std::function<void(const core::SearchCheckpoint&)> checkpoint_sink(
+    std::string path) {
+  return [path = std::move(path)](const core::SearchCheckpoint& ck) {
+    if (core::save_checkpoint_best_effort(path, ck)) {
+      obs::EventLog::instance().emit("checkpoint.save");
+      return;
+    }
+    obs::EventLog::instance().emit("checkpoint.save_failure");
+    std::fprintf(stderr,
+                 "warning: checkpoint save to '%s' failed, continuing "
+                 "without this snapshot\n",
+                 path.c_str());
+  };
+}
+
+core::DecompositionResult run_search(const SuiteJob& job,
+                                     const core::MultiOutputFunction& g,
+                                     const core::InputDistribution& dist,
+                                     const SearchRun& run) {
+  const unsigned n = g.num_inputs();
+  const unsigned bound =
+      job.bound != 0 ? job.bound
+                     : std::max(2u, std::min(n - 1, (9u * n + 8) / 16));
+  const core::CostMetric metric =
+      job.metric == "mse"  ? core::CostMetric::kMse
+      : job.metric == "er" ? core::CostMetric::kErrorRate
+                           : core::CostMetric::kMed;
+  const unsigned checkpoint_every = run.sink ? run.checkpoint_every : 0;
+  if (job.algorithm == "dalta") {
+    core::DaltaParams params;
+    params.bound_size = bound;
+    params.rounds = job.rounds;
+    params.partition_limit = job.partitions;
+    params.init_patterns = job.patterns;
+    params.metric = metric;
+    params.seed = job.seed;
+    params.pool = run.pool;
+    params.control = run.control;
+    params.checkpoint_every = checkpoint_every;
+    params.checkpoint_sink = run.sink;
+    params.resume = run.resume;
+    return core::run_dalta(g, dist, params);
+  }
+  core::BssaParams params;
+  params.bound_size = bound;
+  params.rounds = job.rounds;
+  params.beam_width = job.beams;
+  params.sa.partition_limit = job.partitions;
+  params.sa.init_patterns = job.patterns;
+  params.sa.chains = job.chains;
+  params.nd_candidates = job.nd_candidates;
+  if (job.arch == "bto-normal") {
+    params.modes = core::ModePolicy::bto_normal(job.delta);
+  } else if (job.arch == "bto-normal-nd") {
+    params.modes = core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
+  } else {
+    params.modes = core::ModePolicy::normal_only();
+  }
+  params.metric = metric;
+  params.seed = job.seed;
+  params.pool = run.pool;
+  params.control = run.control;
+  params.checkpoint_every = checkpoint_every;
+  params.checkpoint_sink = run.sink;
+  params.resume = run.resume;
+  return core::run_bssa(g, dist, params);
+}
+
 SuiteReport run_suite(const Manifest& manifest, const SuiteOptions& options) {
   if (options.pool == nullptr) {
     throw std::invalid_argument("run_suite needs a thread pool");
@@ -414,9 +368,13 @@ SuiteReport run_suite(const Manifest& manifest, const SuiteOptions& options) {
     ResultCache bootstrap(options.dump_tables_dir);
   }
 
-  SuiteState state;
-  state.options = &options;
-  state.start = std::chrono::steady_clock::now();
+  // /runs sees every report; the human-facing line is throttled per job.
+  util::telemetry::ProgressRecorder recorder(
+      [](const std::string& job, const util::RunProgress& p) {
+        obs::RunRegistry::instance().job_progress(job, p);
+      },
+      options.progress, options.progress_interval);
+  SuiteState state{&options, &recorder};
   const util::WallTimer timer;
 
   SuiteReport report;
@@ -449,20 +407,7 @@ SuiteReport run_suite(const Manifest& manifest, const SuiteOptions& options) {
         run_job_isolated(manifest.jobs[i], state, cache.get(), out);
       });
 
-  {
-    std::lock_guard lock(state.trajectory_mutex);
-    report.trajectory = std::move(state.trajectory);
-  }
-  // Rows arrive in worker completion order; sort by time (ties: job, then
-  // step) so the exported trajectory reads chronologically.
-  std::stable_sort(report.trajectory.begin(), report.trajectory.end(),
-                   [](const SuiteTrajectoryRow& a, const SuiteTrajectoryRow& b) {
-                     if (a.elapsed_seconds != b.elapsed_seconds) {
-                       return a.elapsed_seconds < b.elapsed_seconds;
-                     }
-                     if (a.job != b.job) return a.job < b.job;
-                     return a.steps_done < b.steps_done;
-                   });
+  report.trajectory = recorder.rows();
   if (cache) {
     const auto stats = cache->stats();
     report.cache_hits = stats.hits;
@@ -573,25 +518,6 @@ void write_suite_jobs_json(std::ostream& out, const SuiteReport& report,
       out << ", \"error\": \"" << json_escape(o.error) << "\"";
     }
     out << "}";
-  }
-  out << "\n" << pad << "]";
-}
-
-void write_suite_trajectory_json(std::ostream& out, const SuiteReport& report,
-                                 int indent) {
-  using util::telemetry::json_escape;
-  using util::telemetry::json_number;
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  out << pad << "[";
-  for (std::size_t i = 0; i < report.trajectory.size(); ++i) {
-    const auto& row = report.trajectory[i];
-    out << (i == 0 ? "\n" : ",\n") << pad << "  {\"job\": \""
-        << json_escape(row.job) << "\", \"elapsed_seconds\": "
-        << json_number(row.elapsed_seconds) << ", \"stage\": \""
-        << json_escape(row.stage) << "\", \"round\": " << row.round
-        << ", \"bit\": " << row.bit << ", \"step\": " << row.steps_done
-        << ", \"steps_total\": " << row.steps_total
-        << ", \"best_error\": " << json_number(row.best_error) << "}";
   }
   out << "\n" << pad << "]";
 }

@@ -30,11 +30,15 @@
 #include <string>
 #include <vector>
 
+#include "core/algorithm_common.hpp"
+#include "core/checkpoint.hpp"
+#include "core/input_distribution.hpp"
 #include "core/table_io.hpp"
 #include "suite/manifest.hpp"
 #include "suite/result_cache.hpp"
 #include "util/retry.hpp"
 #include "util/run_control.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dalut::suite {
@@ -66,19 +70,6 @@ struct SuiteOptions {
   util::RetryPolicy job_retry;
 };
 
-/// One delivered progress report, labeled with its job (the suite analogue
-/// of telemetry::TrajectoryRow).
-struct SuiteTrajectoryRow {
-  std::string job;
-  double elapsed_seconds = 0.0;  ///< since run_suite started
-  std::string stage;
-  unsigned round = 0;
-  unsigned bit = 0;
-  std::size_t steps_done = 0;
-  std::size_t steps_total = 0;
-  double best_error = 0.0;
-};
-
 struct JobOutcome {
   SuiteJob job;
   std::uint64_t key = 0;      ///< result-cache key
@@ -92,7 +83,7 @@ struct JobOutcome {
 
 struct SuiteReport {
   std::vector<JobOutcome> outcomes;  ///< manifest order
-  std::vector<SuiteTrajectoryRow> trajectory;
+  std::vector<util::telemetry::TrajectoryRow> trajectory;  ///< time order
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// kCompleted unless the master control stopped the suite early.
@@ -118,8 +109,35 @@ void write_suite_csv(std::ostream& out, const SuiteReport& report);
 void write_suite_jobs_json(std::ostream& out, const SuiteReport& report,
                            int indent = 0);
 
-/// The suite trajectory (job-labeled progress rows) as a JSON array.
-void write_suite_trajectory_json(std::ostream& out, const SuiteReport& report,
-                                 int indent = 0);
+// ---- The job path shared with dalut_opt ----------------------------------
+
+/// A job's input function: its truth-table file, read under `load`, or the
+/// built-in benchmark (Table I or the extended suite) at the job's width.
+/// Throws std::runtime_error for an unknown benchmark.
+core::MultiOutputFunction load_job_function(
+    const SuiteJob& job, core::TableLoadMode load = core::TableLoadMode::kAuto);
+
+/// A checkpoint sink that saves to `path` best-effort: a snapshot that
+/// cannot be persisted (full disk, injected fault) is dropped with a warning
+/// on stderr, and the search keeps running.
+std::function<void(const core::SearchCheckpoint&)> checkpoint_sink(
+    std::string path);
+
+/// What a search needs besides its job and function.
+struct SearchRun {
+  util::ThreadPool* pool = nullptr;
+  util::RunControl* control = nullptr;
+  unsigned checkpoint_every = 0;  ///< bit-steps between `sink` calls
+  std::function<void(const core::SearchCheckpoint&)> sink;  ///< empty = off
+  const core::SearchCheckpoint* resume = nullptr;
+};
+
+/// Runs the BS-SA or DALTA search a job describes (bound 0 resolves to 9/16
+/// of the width). Throws std::invalid_argument when `run.resume` belongs to
+/// other parameters (params digest mismatch).
+core::DecompositionResult run_search(const SuiteJob& job,
+                                     const core::MultiOutputFunction& g,
+                                     const core::InputDistribution& dist,
+                                     const SearchRun& run);
 
 }  // namespace dalut::suite

@@ -437,22 +437,25 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
   out << pad << "}";
 }
 
-// ---- SnapshotPump -------------------------------------------------------
+// ---- ProgressRecorder ---------------------------------------------------
 
-void SnapshotPump::attach(RunControl& control,
-                          std::function<void(const RunProgress&)> forward,
-                          std::chrono::nanoseconds forward_interval) {
-  start_ = Clock::now();
-  forwarded_ = false;
-  forward_ = std::move(forward);
-  forward_interval_ = forward_interval;
-  rows_.clear();
-  // Zero min-interval: the pump sees every report; the forward callback gets
-  // its own throttle below so the human-readable line stays quiet.
+ProgressRecorder::ProgressRecorder(Sink live, Sink forward,
+                                   std::chrono::nanoseconds forward_interval)
+    : live_(std::move(live)),
+      forward_(std::move(forward)),
+      forward_interval_(forward_interval) {}
+
+void ProgressRecorder::attach(RunControl& control, std::string job) {
+  // Zero min-interval: the recorder sees every report; the forward sink
+  // gets this control's own throttle below so a human-readable line stays
+  // quiet.
   control.set_progress_callback(
-      [this](const RunProgress& progress) {
+      [this, job = std::move(job), forwarded = false,
+       last_forward = Clock::time_point{}](
+          const RunProgress& progress) mutable {
         const auto now = Clock::now();
         TrajectoryRow row;
+        row.job = job;
         row.elapsed_seconds =
             std::chrono::duration<double>(now - start_).count();
         row.stage = progress.stage;
@@ -461,32 +464,58 @@ void SnapshotPump::attach(RunControl& control,
         row.steps_done = progress.steps_done;
         row.steps_total = progress.steps_total;
         row.best_error = progress.best_error;
-        rows_.push_back(std::move(row));
-
+        {
+          std::lock_guard lock(mutex_);
+          rows_.push_back(std::move(row));
+        }
+        if (live_) live_(job, progress);
         if (!forward_) return;
         const bool final_step = progress.steps_total != 0 &&
                                 progress.steps_done >= progress.steps_total;
-        if (forwarded_ && !final_step &&
-            now - last_forward_ < forward_interval_) {
+        if (forwarded && !final_step &&
+            now - last_forward < forward_interval_) {
           return;
         }
-        forwarded_ = true;
-        last_forward_ = now;
-        forward_(progress);
+        forwarded = true;
+        last_forward = now;
+        forward_(job, progress);
       },
       std::chrono::nanoseconds{0});
 }
 
-void SnapshotPump::write_trajectory_json(std::ostream& out,
-                                         int indent) const {
+std::vector<TrajectoryRow> ProgressRecorder::rows() const {
+  std::vector<TrajectoryRow> rows;
+  {
+    std::lock_guard lock(mutex_);
+    rows = rows_;
+  }
+  // Controls on different threads append in completion order.
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const TrajectoryRow& a, const TrajectoryRow& b) {
+                     if (a.elapsed_seconds != b.elapsed_seconds) {
+                       return a.elapsed_seconds < b.elapsed_seconds;
+                     }
+                     if (a.job != b.job) return a.job < b.job;
+                     return a.steps_done < b.steps_done;
+                   });
+  return rows;
+}
+
+void write_trajectory_json(std::ostream& out,
+                           const std::vector<TrajectoryRow>& rows,
+                           int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   out << pad << "[";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const auto& row = rows_[i];
-    out << (i == 0 ? "\n" : ",\n") << pad << "  {\"elapsed_seconds\": "
-        << format_double(row.elapsed_seconds) << ", \"stage\": \""
-        << json_escape(row.stage) << "\", \"round\": " << row.round
-        << ", \"bit\": " << row.bit << ", \"step\": " << row.steps_done
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    out << (i == 0 ? "\n" : ",\n") << pad << "  {";
+    if (!row.job.empty()) {
+      out << "\"job\": \"" << json_escape(row.job) << "\", ";
+    }
+    out << "\"elapsed_seconds\": " << format_double(row.elapsed_seconds)
+        << ", \"stage\": \"" << json_escape(row.stage)
+        << "\", \"round\": " << row.round << ", \"bit\": " << row.bit
+        << ", \"step\": " << row.steps_done
         << ", \"steps_total\": " << row.steps_total
         << ", \"best_error\": " << format_double(row.best_error) << "}";
   }

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -171,13 +172,14 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
 /// Only safe while no other thread is recording (tests and benchmarks).
 void reset_metrics_for_test();
 
-// ---- Progress snapshot pump ---------------------------------------------
+// ---- Progress recorder --------------------------------------------------
 
-/// One row per delivered RunProgress report: the search-side fields plus the
-/// wall-clock offset since attach(). The per-bit best-error trajectory of a
-/// run (the quality-vs-effort curves of the paper's Tables 1-2 / Fig. 6)
-/// falls out of these rows directly.
+/// One delivered progress report: the search-side fields plus the
+/// wall-clock offset since the recorder was made. The per-bit best-error
+/// trajectory of a run (the quality-vs-effort curves of the paper's Tables
+/// 1-2 / Fig. 6) falls out of these rows directly.
 struct TrajectoryRow {
+  std::string job;  ///< the suite job that reported; empty for a single run
   double elapsed_seconds = 0.0;
   std::string stage;
   unsigned round = 0;
@@ -187,36 +189,48 @@ struct TrajectoryRow {
   double best_error = 0.0;
 };
 
-/// Observes a RunControl unthrottled (it installs itself with a zero
-/// min-interval), records every progress report as a TrajectoryRow, and
-/// optionally forwards reports to a human-facing callback with its own
-/// throttle. The forward throttle always passes the first report and any
-/// at-completion report (steps_done == steps_total).
+/// Observes RunControls unthrottled (it installs itself with a zero
+/// min-interval) and records every progress report as a TrajectoryRow. Two
+/// optional sinks get the reports too: `live` every one, `forward` under a
+/// throttle of `forward_interval` per attached control that always passes
+/// the first report and any at-completion report (steps_done ==
+/// steps_total).
 ///
-/// The pump is an observer only: it never touches the control's stop state,
-/// so an attached pump cannot perturb the search trajectory.
-class SnapshotPump {
+/// The recorder is an observer only: it never touches a control's stop
+/// state, so attaching it cannot perturb a search. Controls attached to one
+/// recorder may report from different threads; each control's reports
+/// reach the sinks from its own reporting thread.
+class ProgressRecorder {
  public:
-  void attach(RunControl& control,
-              std::function<void(const RunProgress&)> forward = {},
-              std::chrono::nanoseconds forward_interval =
-                  std::chrono::nanoseconds{0});
+  using Sink =
+      std::function<void(const std::string& job, const RunProgress&)>;
 
-  const std::vector<TrajectoryRow>& rows() const noexcept { return rows_; }
+  explicit ProgressRecorder(
+      Sink live = {}, Sink forward = {},
+      std::chrono::nanoseconds forward_interval = std::chrono::nanoseconds{0});
 
-  /// Writes the trajectory as a JSON array (one object per row), each line
-  /// prefixed by `indent` spaces.
-  void write_trajectory_json(std::ostream& out, int indent = 0) const;
+  /// Installs the recorder as `control`'s progress callback; the rows it
+  /// records carry `job`. The recorder must outlive the control's reports.
+  void attach(RunControl& control, std::string job = {});
+
+  /// The rows recorded so far, in time order (ties: job, then step).
+  std::vector<TrajectoryRow> rows() const;
 
  private:
   using Clock = std::chrono::steady_clock;
-  Clock::time_point start_{};
-  Clock::time_point last_forward_{};
-  bool forwarded_ = false;
-  std::function<void(const RunProgress&)> forward_;
-  std::chrono::nanoseconds forward_interval_{0};
-  std::vector<TrajectoryRow> rows_;
+  const Clock::time_point start_ = Clock::now();
+  const Sink live_;
+  const Sink forward_;
+  const std::chrono::nanoseconds forward_interval_;
+  mutable std::mutex mutex_;
+  std::vector<TrajectoryRow> rows_;  ///< guarded by mutex_
 };
+
+/// Writes `rows` as a JSON array, one object per row, each line prefixed by
+/// `indent` spaces. A row carries a "job" key only when it has a job.
+void write_trajectory_json(std::ostream& out,
+                           const std::vector<TrajectoryRow>& rows,
+                           int indent = 0);
 
 /// Minimal JSON string escaping for names/stages embedded in artifacts.
 std::string json_escape(std::string_view text);

@@ -11,9 +11,13 @@
 # -1` wrapped to 2^32 - 1 and silently never checkpointed. dalut_opt's
 # `--tb-vectors -1` wrapped to 2^64 - 1 testbench vectors and grew the
 # testbench text until memory ran out, and dalut_suite's `--cache-max -1`
-# silently meant an unbounded result cache. Last, the telemetry artifacts of
-# both search tools must fail with exit 6 when their output cannot be
-# written.
+# silently meant an unbounded result cache. dalut_opt's enum and real
+# flags parse as suite job fields: `--metric bogus` used to optimize MED
+# and exit 0, `--delta abc` went unread under `--arch dalta`, an unknown
+# `--algorithm`, `--arch` or `--table-load` exited 1, and DALTA ran
+# `--rounds 0` as zero rounds and exited 0. Last, the telemetry
+# artifacts and the suite CSV must fail with exit 6 when their output
+# cannot be written.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -54,6 +58,8 @@ expect_rejected patterns 12abc
 expect_rejected partitions -1
 expect_rejected partitions 1048577
 expect_rejected rounds -3
+expect_rejected rounds 0
+expect_rejected rounds 0 "$dalut_opt" --width 8 --algorithm dalta
 expect_rejected rounds 1048577
 expect_rejected beams -1
 expect_rejected beams 4097
@@ -80,6 +86,16 @@ expect_rejected tb-vectors 1048577 "$dalut_opt" --width 8
 expect_rejected tb-vectors x "$dalut_opt" --width 8
 expect_rejected cache-max -1 "$dalut_suite"
 expect_rejected cache-max x "$dalut_suite"
+expect_rejected metric bogus
+expect_rejected delta abc "$dalut_opt" --width 8 --arch dalta
+expect_rejected delta abc "$dalut_opt" --width 8 --arch bto-normal
+expect_rejected delta-prime abc "$dalut_opt" --width 8 --arch bto-normal-nd
+expect_rejected algorithm bogus
+expect_rejected algorithm round-in
+expect_rejected arch bogus
+expect_rejected table-load bogus
+expect_rejected table-load bogus "$dalut_opt" --width 8 \
+  --table "$(dirname "$0")/../fixtures/table_v1.dalut"
 
 # The suite's make-style -jN spelling goes through the same check.
 output=$(timeout -s KILL 20 "$dalut_suite" -j-2 2>&1)
@@ -152,6 +168,8 @@ EOF
     --csv-out "$scratch/suite.csv" --metrics-out /dev/full
   expect_io_error "$dalut_suite" --manifest "$scratch/suite.manifest" -j1 \
     --csv-out "$scratch/suite.csv" --trace-out /dev/full
+  expect_io_error "$dalut_suite" --manifest "$scratch/suite.manifest" -j1 \
+    --csv-out /dev/full
 else
   echo "skip: /dev/full is absent"
 fi

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dalut::suite {
 namespace {
@@ -137,6 +138,49 @@ TEST(Manifest, ErrorsAreLineAnchored) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
         << error.what();
+  }
+}
+
+TEST(Manifest, RejectsWidthsWithoutAProperBoundSet) {
+  // Width 0 used to "complete" with a 0-input function and width 1 to fail
+  // only at run time; both are rejected at parse time now.
+  for (const char* width : {"0", "1"}) {
+    try {
+      manifest_from_string(std::string("dalut-manifest v1\n"
+                                       "job a benchmark=cos width=") +
+                           width + "\nend\n");
+      FAIL() << "width=" << width << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2: width"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(manifest_from_string("dalut-manifest v1\n"
+                                 "job a benchmark=cos width=2\n"
+                                 "end\n")
+                .jobs[0]
+                .width,
+            2u);
+}
+
+TEST(Manifest, SetJobFieldErrorsBeginWithTheKey) {
+  SuiteJob job;
+  set_job_field(job, "metric", "mse");
+  set_job_field(job, "delta-prime", "0.25");
+  EXPECT_EQ(job.metric, "mse");
+  EXPECT_EQ(job.delta_prime, 0.25);
+  const std::pair<const char*, const char*> bad[] = {
+      {"metric", "bogus"}, {"delta", "abc"}, {"width", "1"},
+      {"patterns", "-1"},  {"arch", "wide"}, {"seed", "x"},
+      {"rounds", "0"}};
+  for (const auto& [key, value] : bad) {
+    try {
+      set_job_field(job, key, value);
+      FAIL() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(key, 0), 0u) << error.what();
+    }
   }
 }
 

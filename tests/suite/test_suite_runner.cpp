@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "util/failpoint.hpp"
 #include "util/run_control.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dalut::suite {
@@ -331,6 +334,66 @@ TEST_F(SuiteRunnerFailpoint, BrokenCacheStoresDegradeToRecompute) {
   EXPECT_EQ(second.cache_misses, 4u);
   EXPECT_EQ(csv_of(first), csv_of(second));
   fs::remove_all(cache_dir);
+}
+
+TEST(SuiteRunner, TrajectoryRecordsEveryReportAndThrottlesTheForward) {
+  const auto manifest = manifest_from_string(
+      "dalut-manifest v1\n"
+      "default width=8 rounds=1 partitions=8 patterns=4\n"
+      "job cos8 benchmark=cos algorithm=bssa seed=3\n"
+      "job log8 benchmark=log2 algorithm=dalta seed=5\n"
+      "end\n");
+  util::ThreadPool pool(2);
+  using Forwarded = std::map<std::string, std::vector<util::RunProgress>>;
+  const auto run = [&](std::chrono::nanoseconds interval, Forwarded& seen) {
+    std::mutex mutex;
+    SuiteOptions options;
+    options.pool = &pool;
+    options.progress_interval = interval;
+    options.progress = [&](const std::string& job,
+                           const util::RunProgress& p) {
+      std::lock_guard lock(mutex);
+      seen[job].push_back(p);
+    };
+    return run_suite(manifest, options);
+  };
+  // Unthrottled, the forward sees every report the searches make.
+  Forwarded all;
+  (void)run(std::chrono::nanoseconds{0}, all);
+  Forwarded throttled;
+  const auto report = run(std::chrono::hours{1}, throttled);
+
+  std::map<std::string, std::vector<util::telemetry::TrajectoryRow>> rows;
+  for (std::size_t i = 0; i < report.trajectory.size(); ++i) {
+    const auto& row = report.trajectory[i];
+    rows[row.job].push_back(row);
+    if (i > 0) {
+      EXPECT_LE(report.trajectory[i - 1].elapsed_seconds, row.elapsed_seconds);
+    }
+  }
+  ASSERT_EQ(rows.size(), 2u);
+  for (const char* job : {"cos8", "log8"}) {
+    SCOPED_TRACE(job);
+    const auto& job_rows = rows[job];
+    // Every report is recorded, whatever the forward throttle.
+    ASSERT_EQ(job_rows.size(), all[job].size());
+    ASSERT_GE(job_rows.size(), 3u);
+    for (std::size_t i = 0; i < job_rows.size(); ++i) {
+      EXPECT_EQ(job_rows[i].steps_done, all[job][i].steps_done);
+    }
+    // The forward passes only each job's first and final reports.
+    const auto& forwarded = throttled[job];
+    ASSERT_EQ(forwarded.size(), 2u);
+    EXPECT_EQ(forwarded.front().steps_done, job_rows.front().steps_done);
+    EXPECT_EQ(forwarded.back().steps_done, forwarded.back().steps_total);
+    EXPECT_EQ(forwarded.back().steps_done, job_rows.back().steps_done);
+  }
+  std::ostringstream out;
+  util::telemetry::write_trajectory_json(out, report.trajectory);
+  EXPECT_NE(out.str().find("{\"job\": \"cos8\", \"elapsed_seconds\": "),
+            std::string::npos);
+  EXPECT_NE(out.str().find("{\"job\": \"log8\", \"elapsed_seconds\": "),
+            std::string::npos);
 }
 
 TEST(SuiteRunner, RequiresAPool) {

@@ -342,7 +342,7 @@ TEST_F(TracingTest, DisabledTracingRecordsNothing) {
   EXPECT_EQ(dropped_span_count(), 0u);
 }
 
-// ---- SnapshotPump -------------------------------------------------------
+// ---- ProgressRecorder ---------------------------------------------------
 
 RunProgress make_progress(std::size_t done, std::size_t total,
                           double error) {
@@ -356,49 +356,56 @@ RunProgress make_progress(std::size_t done, std::size_t total,
   return progress;
 }
 
-TEST(SnapshotPump, RecordsEveryReportUnthrottled) {
+TEST(ProgressRecorder, RecordsEveryReportUnthrottled) {
   RunControl control;
-  SnapshotPump pump;
-  pump.attach(control);
+  ProgressRecorder recorder;
+  recorder.attach(control);
   for (std::size_t i = 1; i <= 5; ++i) {
     control.report_progress(make_progress(i, 10, 1.0 / i));
   }
-  ASSERT_EQ(pump.rows().size(), 5u);
-  EXPECT_EQ(pump.rows().front().steps_done, 1u);
-  EXPECT_EQ(pump.rows().back().steps_done, 5u);
-  EXPECT_EQ(pump.rows().back().stage, "test");
+  const auto rows = recorder.rows();
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows.front().steps_done, 1u);
+  EXPECT_EQ(rows.back().steps_done, 5u);
+  EXPECT_EQ(rows.back().stage, "test");
+  EXPECT_TRUE(rows.back().job.empty());
 }
 
-TEST(SnapshotPump, ForwardThrottlePassesFirstAndFinalReports) {
+TEST(ProgressRecorder, ForwardThrottlePassesFirstAndFinalReports) {
   RunControl control;
-  SnapshotPump pump;
+  int live = 0;
   int forwarded = 0;
-  pump.attach(
-      control, [&](const RunProgress&) { ++forwarded; },
+  ProgressRecorder recorder(
+      [&](const std::string&, const RunProgress&) { ++live; },
+      [&](const std::string&, const RunProgress&) { ++forwarded; },
       std::chrono::hours{1});
+  recorder.attach(control);
   for (std::size_t i = 1; i <= 9; ++i) {
     control.report_progress(make_progress(i, 10, 1.0));
   }
   EXPECT_EQ(forwarded, 1);  // first passes, the rest are throttled
   control.report_progress(make_progress(10, 10, 1.0));
   EXPECT_EQ(forwarded, 2);  // the at-completion report always passes
-  // The pump itself recorded everything regardless of the throttle.
-  EXPECT_EQ(pump.rows().size(), 10u);
+  // The live sink and the recorder itself saw everything.
+  EXPECT_EQ(live, 10);
+  EXPECT_EQ(recorder.rows().size(), 10u);
 }
 
-TEST(SnapshotPump, TrajectoryJsonHoldsOneObjectPerRow) {
+TEST(ProgressRecorder, TrajectoryJsonHoldsOneObjectPerRow) {
   RunControl control;
-  SnapshotPump pump;
-  pump.attach(control);
+  ProgressRecorder recorder;
+  recorder.attach(control);
   control.report_progress(make_progress(1, 2, 0.5));
   control.report_progress(make_progress(2, 2, 0.25));
   std::ostringstream out;
-  pump.write_trajectory_json(out);
+  write_trajectory_json(out, recorder.rows());
   const std::string text = out.str();
   EXPECT_NE(text.find("\"step\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"step\": 2"), std::string::npos);
   EXPECT_NE(text.find("\"best_error\": 0.25"), std::string::npos);
   EXPECT_NE(text.find("\"stage\": \"test\""), std::string::npos);
+  // A single run's rows carry no job key.
+  EXPECT_EQ(text.find("\"job\""), std::string::npos);
 }
 
 }  // namespace

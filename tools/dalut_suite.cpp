@@ -16,56 +16,35 @@
 // then quarantined as a `failed` CSV row with its error message; sibling
 // jobs always run to completion (docs/robustness.md, "Fault injection").
 //
-// Exit codes: 0 success, 1 fatal error, 2 usage error, 3 manifest/input
-// parse error, 4 deadline expired, 5 cancelled by signal (valid partial
-// report emitted for 4 and 5), 6 I/O failure (failing path + errno on
-// stderr), 7 suite completed but at least one job was quarantined as
-// failed (full report emitted; the failed rows carry the errors).
+// Exit codes (docs/robustness.md, tool_runtime.hpp): 4 and 5 still emit a
+// valid partial report, and 7 means the suite completed but at least one
+// job was quarantined as failed (full report emitted; the failed rows carry
+// the errors).
 //
 // Examples:
 //   dalut_suite --manifest suite.manifest -j8 --csv-out results.csv
 //   dalut_suite --manifest suite.manifest --cache-dir .dalut-cache
 //               --checkpoint-dir .dalut-ck --deadline 10m
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/event_log.hpp"
-#include "obs/exporter.hpp"
-#include "obs/run_registry.hpp"
 #include "suite/manifest.hpp"
 #include "suite/suite_runner.hpp"
+#include "tool_runtime.hpp"
 #include "util/cli.hpp"
-#include "util/failpoint.hpp"
-#include "util/retry.hpp"
 #include "util/run_control.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace_writer.hpp"
 
 namespace {
 
 using namespace dalut;
-
-constexpr int kExitOk = 0;
-constexpr int kExitFatal = 1;
-constexpr int kExitUsage = 2;  // also produced by CliParser directly
-constexpr int kExitParse = 3;
-constexpr int kExitDeadline = 4;
-constexpr int kExitCancelled = 5;
-constexpr int kExitIo = 6;
-constexpr int kExitJobsFailed = 7;
-
-util::RunControl g_control;
-
-extern "C" void handle_stop_signal(int) { g_control.request_cancel(); }
+using namespace dalut::tools;
 
 /// Expands `-j8` / `-j 8` into `--threads 8` so the make-style spelling
 /// works alongside the repo's long-only CliParser.
@@ -111,25 +90,6 @@ int run(int argc, char** argv) {
   cli.add_option("csv-out", "",
                  "write the deterministic aggregate CSV here (empty = "
                  "stdout)");
-  cli.add_option("metrics-out", "",
-                 "write the dalut-metrics-v1 JSON artifact (suite header, "
-                 "per-job provenance, metrics snapshot, trajectory) here");
-  cli.add_option("trace-out", "",
-                 "write a Chrome trace-event JSON of the run here (one "
-                 "suite.job span per job attempt, tagged with the job name), "
-                 "loadable in Perfetto or chrome://tracing");
-  cli.add_option("listen", "",
-                 "serve GET /metrics (Prometheus), /healthz, and /runs over "
-                 "HTTP while the suite is live; host:port, :port, or port "
-                 "(host defaults to 127.0.0.1, port 0 binds an ephemeral "
-                 "port; the bound endpoint is printed to stderr)");
-  cli.add_option("events-out", "",
-                 "write the dalut-events v1 structured JSONL lifecycle log "
-                 "here (job/checkpoint/cache/failpoint events; bounded "
-                 "queue, never blocks the workers)");
-  cli.add_option("deadline", "",
-                 "wall-clock budget for the whole suite ('30s', '5m', "
-                 "'1h'); unfinished jobs checkpoint and exit code is 4");
   cli.add_option("dump-tables", "",
                  "export every job's resolved input truth table into this "
                  "directory as <job>.dalut (text) or <job>.dalutb "
@@ -137,38 +97,15 @@ int run(int argc, char** argv) {
   cli.add_flag("binary-tables",
                "write exported truth tables as the bit-packed "
                "dalut-table-bin v1 container instead of hex text");
-  cli.add_flag("progress",
-               "print throttled per-job progress lines to stderr");
-  cli.add_option("failpoints", "",
-                 "arm deterministic fault injection: "
-                 "site=error[@count|@every-k|@p=x:seed],... (also read "
-                 "from DALUT_FAILPOINTS; see docs/robustness.md)");
-  cli.add_flag("list-failpoints",
-               "print every registered fault-injection site and exit");
+  ToolRuntime runtime(cli, stderr);
 
   const auto args = expand_short_jobs(argc, argv);
   std::vector<char*> argv2;
   argv2.reserve(args.size());
   for (const auto& a : args) argv2.push_back(const_cast<char*>(a.c_str()));
-  if (!cli.parse(static_cast<int>(argv2.size()), argv2.data())) {
-    return kExitOk;
-  }
-
-  if (cli.flag("list-failpoints")) {
-    for (const auto& site : util::fp::all_sites()) {
-      std::printf("%s\n", site.c_str());
-    }
-    return kExitOk;
-  }
-  try {
-    util::fp::configure_from_env();
-    if (const auto spec = cli.str("failpoints"); !spec.empty()) {
-      util::fp::configure(spec);
-    }
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: --failpoints/DALUT_FAILPOINTS: %s\n",
-                 error.what());
-    return kExitUsage;
+  if (const auto code =
+          runtime.parse(static_cast<int>(argv2.size()), argv2.data())) {
+    return *code;
   }
 
   // Checked up front, in the ranges dalut_opt accepts, so that a negative
@@ -197,64 +134,14 @@ int run(int argc, char** argv) {
   }
   const auto manifest = suite::load_manifest(manifest_path);
 
-  util::RunControl& control = g_control;
-  if (const auto deadline = cli.str("deadline"); !deadline.empty()) {
-    control.set_deadline_after(util::parse_duration(deadline, "--deadline"));
-  }
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-
-  const auto metrics_out = cli.str("metrics-out");
-  const auto trace_out = cli.str("trace-out");
-  const auto listen_spec = cli.str("listen");
-  const auto events_out = cli.str("events-out");
-  if (!metrics_out.empty()) util::telemetry::set_metrics_enabled(true);
-  if (!trace_out.empty()) util::telemetry::set_tracing_enabled(true);
-
-  // The live observability plane. Both surfaces are write-only for the
-  // searches (docs/observability.md): the suite CSV and MEDs are
-  // bit-identical with them on or off, at any worker count.
-  obs::EventLog& events = obs::EventLog::instance();
-  if (!events_out.empty()) {
-    util::telemetry::set_metrics_enabled(true);
-    try {
-      events.open(events_out);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "io error: %s\n", error.what());
-      return kExitIo;
-    }
-  }
-  obs::MetricsExporter exporter;  // stops (if started) when run() returns
-  if (!listen_spec.empty()) {
-    util::telemetry::set_metrics_enabled(true);
-    obs::RunRegistry::instance().set_enabled(true);
-    try {
-      const auto [host, port] = obs::parse_listen_spec(listen_spec);
-      obs::ExporterOptions exporter_options;
-      exporter_options.host = host;
-      exporter_options.port = port;
-      exporter_options.control = &control;
-      exporter.start(exporter_options);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return kExitUsage;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "io error: %s\n", error.what());
-      return kExitIo;
-    }
-    // Grep-able and flushed before the run starts, so a harness scraping an
-    // ephemeral port (--listen 127.0.0.1:0) can find it immediately.
-    std::fprintf(stderr, "observability: listening on http://%s (/metrics, "
-                 "/healthz, /runs)\n",
-                 exporter.endpoint().c_str());
-    std::fflush(stderr);
-  }
-
+  // The CSV and MEDs are bit-identical with the observability plane on or
+  // off, at any worker count (docs/observability.md).
+  if (const auto code = runtime.start()) return *code;
   util::ThreadPool pool(util::resolve_worker_count(threads));
 
   suite::SuiteOptions options;
   options.pool = &pool;
-  options.control = &control;
+  options.control = &runtime.control();
   options.cache_dir = cli.str("cache-dir");
   options.cache_max_entries = static_cast<std::size_t>(cache_max);
   options.checkpoint_dir = cli.str("checkpoint-dir");
@@ -263,17 +150,9 @@ int run(int argc, char** argv) {
   options.table_encoding = cli.flag("binary-tables")
                                ? core::TableEncoding::kBinary
                                : core::TableEncoding::kText;
-  if (cli.flag("progress")) {
-    options.progress = [](const std::string& job,
-                          const util::RunProgress& p) {
-      std::fprintf(stderr,
-                   "progress: [%s] %s round %u bit %u (step %zu/%zu, best "
-                   "%.4f)\n",
-                   job.c_str(), p.stage, p.round, p.bit, p.steps_done,
-                   p.steps_total, p.best_error);
-    };
-  }
+  options.progress = runtime.progress_line();
 
+  obs::EventLog& events = obs::EventLog::instance();
   events.emit("suite.start", {}, manifest.jobs.size());
   const auto report = suite::run_suite(manifest, options);
   events.emit("suite.finish", {},
@@ -305,75 +184,31 @@ int run(int argc, char** argv) {
 
   // --- Deterministic CSV. ---
   if (const auto path = cli.str("csv-out"); !path.empty()) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write CSV to '%s': %s\n",
-                   path.c_str(), std::strerror(errno));
-      return kExitIo;
-    }
-    suite::write_suite_csv(out, report);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "io error: cannot write CSV to '%s': %s\n",
-                   path.c_str(), std::strerror(errno));
+    if (!util::write_text_artifact(path, "CSV", [&](std::ostream& out) {
+          suite::write_suite_csv(out, report);
+        })) {
       return kExitIo;
     }
   } else {
     suite::write_suite_csv(std::cout, report);
   }
 
-  // Close the event log before the metrics artifact so its written/dropped
-  // counters are final in the snapshot below.
-  events.close();
-
-  // --- Metrics artifact. ---
-  if (!metrics_out.empty()) {
-    const bool written = util::write_text_artifact(
-        metrics_out, "metrics", [&](std::ostream& out) {
-          out << "{\n  \"schema\": \"dalut-metrics-v1\",\n  \"suite\": {\n"
-              << "    \"manifest\": \""
-              << util::telemetry::json_escape(manifest_path)
-              << "\",\n    \"jobs\": " << manifest.jobs.size()
-              << ",\n    \"threads\": " << pool.worker_count()
-              << ",\n    \"status\": \"" << util::to_string(report.status)
-              << "\",\n    \"cache_hits\": " << report.cache_hits
-              << ",\n    \"cache_misses\": " << report.cache_misses
-              << ",\n    \"runtime_seconds\": "
-              << util::telemetry::json_number(report.runtime_seconds)
-              << "\n  },\n  \"jobs\":\n";
-          suite::write_suite_jobs_json(out, report, 2);
-          out << ",\n  \"metrics\":\n";
-          util::telemetry::write_metrics_json(
-              out, util::telemetry::snapshot_metrics(), 2);
-          out << ",\n  \"trajectory\":\n";
-          suite::write_suite_trajectory_json(out, report, 2);
-          out << "\n}\n";
-        });
-    if (!written) return kExitIo;
-    std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
-  }
-
-  // --- Trace artifact (one suite.job span per attempt, arg = job name). ---
-  if (!trace_out.empty()) {
-    if (!util::write_text_artifact(trace_out, "trace",
-                                   util::telemetry::write_chrome_trace)) {
-      return kExitIo;
-    }
-    std::fprintf(stderr, "wrote trace to %s\n", trace_out.c_str());
-  }
-
-  if (util::fp::active()) {
-    std::fprintf(stderr, "failpoints:\n%s", util::fp::dump().c_str());
-  }
-
-  switch (report.status) {
-    case util::RunStatus::kDeadlineExpired:
-      return kExitDeadline;
-    case util::RunStatus::kCancelled:
-      return kExitCancelled;
-    case util::RunStatus::kCompleted:
-      break;
-  }
+  const int code = runtime.finish(
+      report.status, report.trajectory, [&](std::ostream& out) {
+        out << "  \"suite\": {\n    \"manifest\": \""
+            << util::telemetry::json_escape(manifest_path)
+            << "\",\n    \"jobs\": " << manifest.jobs.size()
+            << ",\n    \"threads\": " << pool.worker_count()
+            << ",\n    \"status\": \"" << util::to_string(report.status)
+            << "\",\n    \"cache_hits\": " << report.cache_hits
+            << ",\n    \"cache_misses\": " << report.cache_misses
+            << ",\n    \"runtime_seconds\": "
+            << util::telemetry::json_number(report.runtime_seconds)
+            << "\n  },\n  \"jobs\":\n";
+        suite::write_suite_jobs_json(out, report, 2);
+        out << ",\n";
+      });
+  if (code != kExitOk) return code;
   // Quarantined jobs exit distinctly *after* the full report is out: the
   // suite finished, the CSV names the failures, and automation can tell
   // "some jobs failed" (7) from "the suite itself fell over" (1/6).
@@ -383,20 +218,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "parse error: %s\n", error.what());
-    return kExitParse;
-  } catch (const util::IoError& error) {
-    std::fprintf(stderr, "io error: %s (errno %d%s%s)\n", error.what(),
-                 error.error_code(),
-                 error.site().empty() ? "" : ", site ",
-                 error.site().c_str());
-    return kExitIo;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "fatal: %s\n", error.what());
-    return kExitFatal;
-  }
-}
+int main(int argc, char** argv) { return run_main(run, argc, argv); }
