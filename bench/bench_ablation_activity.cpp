@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   bench::add_scale_options(cli);
   cli.add_option("benchmark", "cos", "function to implement");
   cli.add_option("reads", "4096", "trace length");
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const auto reads = static_cast<std::size_t>(cli.integer("reads"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed = scale.seed;
+  const auto reads = static_cast<std::size_t>(
+      bench::integer_flag(cli, "reads", 1, std::int64_t{1} << 26));
   const auto tech = hw::Technology::nangate45();
 
   const auto spec_opt =

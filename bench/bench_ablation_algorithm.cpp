@@ -35,14 +35,13 @@ int main(int argc, char** argv) {
       "Algorithm ablation - contribution of the predictive model, beam "
       "search, and SA multi-start to BS-SA's improvement");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("benchmarks", "cos,exp,multiplier",
                  "comma-separated benchmark subset");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed_base = static_cast<std::uint64_t>(cli.integer("seed"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed_base = scale.seed;
   const std::string selected = cli.str("benchmarks");
 
   std::printf("=== Algorithm ablation ===\n");

@@ -23,19 +23,20 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Bound-set size ablation: accuracy vs storage vs energy across b");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("min-bound", "4", "smallest b to probe");
   cli.add_option("max-bound", "0", "largest b to probe (0 = n-3)");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed = scale.seed;
   const auto tech = hw::Technology::nangate45();
 
   const unsigned n = scale.width;
-  const unsigned lo = static_cast<unsigned>(cli.integer("min-bound"));
-  const unsigned hi_opt = static_cast<unsigned>(cli.integer("max-bound"));
+  const unsigned lo =
+      static_cast<unsigned>(bench::integer_flag(cli, "min-bound", 2, n - 2));
+  const unsigned hi_opt =
+      static_cast<unsigned>(bench::integer_flag(cli, "max-bound", 0, n - 2));
   const unsigned hi = hi_opt == 0 ? n - 3 : hi_opt;
 
   std::printf("=== bound-set size ablation (paper: b = 9 at n = 16, i.e. "

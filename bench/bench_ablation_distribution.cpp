@@ -45,18 +45,19 @@ int main(int argc, char** argv) {
       "Input-distribution ablation: uniform-assumed vs distribution-aware "
       "optimization under a truncated-Gaussian input profile");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("centre", "0.3", "Gaussian centre (fraction of domain)");
   cli.add_option("sigma", "0.15", "Gaussian sigma (fraction of domain)");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed = scale.seed;
+  const double centre = bench::real_flag(cli, "centre", 0.0, 1.0);
+  const double sigma = bench::real_flag(cli, "sigma", 0.001, 10.0);
 
   std::printf("=== Input-distribution ablation (Gaussian centre=%.2f "
               "sigma=%.2f) ===\n",
-              cli.real("centre"), cli.real("sigma"));
+              centre, sigma);
   bench::print_scale(scale);
 
   util::TablePrinter table({"benchmark", "uniform-opt MED", "aware-opt MED",
@@ -66,8 +67,7 @@ int main(int argc, char** argv) {
   for (const auto& spec : func::benchmark_suite(scale.width)) {
     const auto g = bench::materialize(spec);
     const auto uniform = core::InputDistribution::uniform(g.num_inputs());
-    const auto gaussian = gaussian_inputs(g.num_inputs(), cli.real("centre"),
-                                          cli.real("sigma"));
+    const auto gaussian = gaussian_inputs(g.num_inputs(), centre, sigma);
 
     // Best of `runs` to damp optimizer noise - same protocol on both arms.
     double uniform_opt = 1e300;

@@ -45,15 +45,14 @@ int main(int argc, char** argv) {
       "Non-disjoint shared-set size ablation: |C| = 0 (disjoint) vs 1 "
       "(paper) vs 2 (extension)");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("partitions", "4", "top partitions to evaluate per bit");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const auto top_partitions =
-      static_cast<unsigned>(cli.integer("partitions"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed = scale.seed;
+  const auto top_partitions = static_cast<unsigned>(
+      bench::integer_flag(cli, "partitions", 1, std::int64_t{1} << 20));
   const auto tech = hw::Technology::nangate45();
 
   std::printf("=== ND shared-set size ablation ===\n");

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +19,7 @@
 #include "core/dalta.hpp"
 #include "func/registry.hpp"
 #include "util/cli.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dalut::bench {
 
@@ -50,6 +52,8 @@ struct ExperimentScale {
   unsigned beam_width = 3;
   unsigned chains = 3;
   unsigned runs = 3;
+  std::size_t threads = 0;  ///< worker threads, 0 = hardware
+  std::uint64_t seed = 1;   ///< base random seed
 };
 
 /// Registers the scale-related options every harness shares.
@@ -58,16 +62,43 @@ inline void add_scale_options(util::CliParser& cli) {
   cli.add_option("runs", "3", "independent runs per algorithm");
   cli.add_option("rounds", "3", "optimization rounds R");
   cli.add_option("seed", "1", "base random seed");
+  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_flag("full", "paper-scale parameters (width 16, R=5, 10 runs)");
+}
+
+/// Exits with status 2 and the error, which names the flag, when `read`
+/// (a checked CliParser getter) rejects the flag's value.
+template <class Read>
+auto checked_flag(Read read) -> decltype(read()) {
+  try {
+    return read();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+  }
+}
+
+/// A harness's own integer flag, in [lo, hi].
+inline std::int64_t integer_flag(const util::CliParser& cli,
+                                 const std::string& name, std::int64_t lo,
+                                 std::int64_t hi) {
+  return checked_flag([&] { return cli.integer_in(name, lo, hi); });
+}
+
+/// A harness's own real flag, in [lo, hi].
+inline double real_flag(const util::CliParser& cli, const std::string& name,
+                        double lo, double hi) {
+  return checked_flag([&] { return cli.real_in(name, lo, hi); });
 }
 
 /// Resolves the scale from CLI options (applying --full overrides). Exits
 /// with status 2 and an error naming the flag when --width (3..20), --runs
 /// or --rounds (1..1000) is out of range or malformed, or is given together
-/// with --full, which fixes all three.
+/// with --full, which fixes all three; or when --threads (0..512) or
+/// --seed (non-negative) is.
 inline ExperimentScale resolve_scale(const util::CliParser& cli) {
   ExperimentScale scale;
-  try {
+  checked_flag([&] {
     if (cli.flag("full")) {
       for (const char* name : {"width", "runs", "rounds"}) {
         if (cli.given(name)) {
@@ -95,10 +126,11 @@ inline ExperimentScale resolve_scale(const util::CliParser& cli) {
           std::min(1000.0, std::max(20.0, std::round(0.087 * space))));
       scale.bssa_partitions = std::max(10u, scale.dalta_partitions / 2);
     }
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    std::exit(2);
-  }
+    scale.threads = static_cast<std::size_t>(cli.integer_in(
+        "threads", 0, static_cast<std::int64_t>(util::kMaxWorkerCount)));
+    scale.seed = static_cast<std::uint64_t>(cli.integer_in(
+        "seed", 0, std::numeric_limits<std::int64_t>::max()));
+  });
   scale.bound_size = default_bound_size(scale.width);
   return scale;
 }

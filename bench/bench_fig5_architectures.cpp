@@ -10,6 +10,7 @@
 // random reads through the simulator.
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "baseline/round_in.hpp"
@@ -43,7 +44,6 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Fig. 5 - performance of the reconfigurable hardware architectures");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("reads", "1024", "random reads for energy measurement");
   cli.add_option("delta", "0.01", "mode selection factor delta");
   cli.add_option("delta-prime", "0.1", "mode selection factor delta'");
@@ -52,11 +52,13 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed_base = static_cast<std::uint64_t>(cli.integer("seed"));
-  const auto reads = static_cast<std::size_t>(cli.integer("reads"));
-  const double delta = cli.real("delta");
-  const double delta_prime = cli.real("delta-prime");
+  util::ThreadPool pool(scale.threads);
+  const auto seed_base = scale.seed;
+  const auto reads = static_cast<std::size_t>(
+      bench::integer_flag(cli, "reads", 1, std::int64_t{1} << 26));
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  const double delta = bench::real_flag(cli, "delta", 0.0, kHuge);
+  const double delta_prime = bench::real_flag(cli, "delta-prime", 0.0, kHuge);
   // Paper: fixed w = 6 at n = 16, chosen so RoundIn's MED is comparable to
   // (slightly above) the decomposition architectures'. At full scale we use
   // that value; at reduced scale the same intent is implemented per

@@ -40,13 +40,12 @@ int main(int argc, char** argv) {
                       "BTO-Normal-ND architecture");
   bench::add_scale_options(cli);
   cli.add_option("benchmark", "cos", "function to sweep");
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("csv", "", "also write the frontier series to this file");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed = scale.seed;
   const auto tech = hw::Technology::nangate45();
 
   const auto spec_opt =

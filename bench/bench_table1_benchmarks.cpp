@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
       "from ApproxLUT, non-continuous from AxBench)");
   cli.add_option("width", "16", "function bit width");
   if (!cli.parse(argc, argv)) return 0;
-  const auto width = static_cast<unsigned>(cli.integer("width"));
+  const auto width =
+      static_cast<unsigned>(bench::integer_flag(cli, "width", 3, 20));
 
   std::printf("=== Table I: benchmarks (width = %u) ===\n\n", width);
   util::TablePrinter table({"benchmark", "type", "domain", "range", "#input",

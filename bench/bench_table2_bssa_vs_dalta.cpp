@@ -4,7 +4,8 @@
 // Paper reference (16-bit, 10 runs, 44 threads): BS-SA reduces the minimum
 // MED by 11.1% and the stdev by 97.1% at half of DALTA's runtime. The
 // default harness runs a scaled-down configuration (see bench_common.hpp);
-// pass --full for the paper's parameters (hours on one core).
+// pass --full for the paper's parameters (about half an hour for the whole
+// table on a 4-vCPU host).
 #include <cstdio>
 #include <vector>
 
@@ -18,13 +19,12 @@ int main(int argc, char** argv) {
 
   util::CliParser cli("Table II - comparison of DALTA's algorithm and BS-SA");
   bench::add_scale_options(cli);
-  cli.add_option("threads", "0", "worker threads (0 = hardware)");
   cli.add_option("benchmarks", "", "comma-separated subset (default: all)");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto scale = bench::resolve_scale(cli);
-  util::ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-  const auto seed_base = static_cast<std::uint64_t>(cli.integer("seed"));
+  util::ThreadPool pool(scale.threads);
+  const auto seed_base = scale.seed;
   const std::string only = cli.str("benchmarks");
 
   std::printf("=== Table II: DALTA vs BS-SA (MED over %u runs) ===\n",

@@ -1,10 +1,10 @@
 #include "core/bssa.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/bit_cost.hpp"
@@ -114,7 +114,11 @@ void validate_resume(const SearchCheckpoint& ck, std::uint64_t digest,
 DecompositionResult run_bssa(const MultiOutputFunction& g,
                              const InputDistribution& dist,
                              const BssaParams& params) {
-  assert(params.bound_size >= 1 && params.bound_size < g.num_inputs());
+  if (params.bound_size < 1 || params.bound_size >= g.num_inputs()) {
+    throw std::invalid_argument(
+        "BS-SA needs 1 <= bound_size < num_inputs, got bound_size " +
+        std::to_string(params.bound_size));
+  }
   const unsigned m = g.num_outputs();
   const bool reconfigurable = params.modes.allow_bto || params.modes.allow_nd;
   if (params.rounds < 1 || (reconfigurable && params.rounds < 2)) {

@@ -1,8 +1,8 @@
 #include "core/dalta.hpp"
 
-#include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/partition_opt.hpp"
@@ -83,8 +83,14 @@ void validate_resume(const SearchCheckpoint& ck, std::uint64_t digest,
 DecompositionResult run_dalta(const MultiOutputFunction& g,
                               const InputDistribution& dist,
                               const DaltaParams& params) {
-  assert(params.bound_size >= 1 && params.bound_size < g.num_inputs());
-  assert(params.rounds >= 1);
+  if (params.bound_size < 1 || params.bound_size >= g.num_inputs()) {
+    throw std::invalid_argument(
+        "DALTA needs 1 <= bound_size < num_inputs, got bound_size " +
+        std::to_string(params.bound_size));
+  }
+  if (params.rounds < 1) {
+    throw std::invalid_argument("DALTA needs rounds >= 1");
+  }
   const unsigned m = g.num_outputs();
   const OptForPartParams opt_params{params.init_patterns, 64};
   util::RunControl* const control = params.control;

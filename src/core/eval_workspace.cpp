@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "util/bits.hpp"
 #include "util/simd.hpp"
@@ -233,9 +234,9 @@ struct CostSink {
 //
 // The OptForPart kernels below (the exact incremental sweeps) are written
 // once against a small op set and instantiated for int32 and int64 lane
-// vectors and for plain scalars of either type; the latter is the
-// forced-scalar path (simd::set_force_scalar). Integer adds are exact, so
-// all of them add up to the same values, and their results are
+// vectors and for plain scalars of either type; the latter are the vector
+// kernels' tails and the whole kernel of a scalar build. Integer adds are
+// exact, so all of them add up to the same values, and their results are
 // bit-identical. Each op set gives the element type T, the one-lane op set
 // of the same type (Scalar, for tails), a running total (Acc, reduced to
 // Sum), the byte store of the type codes, and from IntegerTotals the
@@ -265,7 +266,7 @@ struct IntegerTotals {
   }
 };
 
-/// One lane of type E: the forced-scalar kernels and the vector tails.
+/// One lane of type E: the vector tails, and the scalar build's kernels.
 template <class E>
 struct OneLaneOps : IntegerTotals {
   using T = E;
@@ -370,9 +371,8 @@ void transpose_diffs(IntegerCostMatrix<T>& m) {
   const T* by_row = m.diff_rows.data();
   T* by_col = m.diff_cols.data();
   constexpr std::size_t W = Ops::kWidth;
-  const bool vec = simd::enabled() && W > 1;
-  const std::size_t block_rows = vec ? rows / W * W : 0;
-  const std::size_t block_cols = vec ? cols / W * W : 0;
+  const std::size_t block_rows = W > 1 ? rows / W * W : 0;
+  const std::size_t block_cols = W > 1 ? cols / W * W : 0;
   for (std::size_t c = 0; c < block_cols; c += W) {
     for (std::size_t r = 0; r < block_rows; r += W) {
       typename Ops::D v[W];
@@ -1025,11 +1025,10 @@ template <class T>
 VtResult EvalWorkspace::integer_opt_for_part(const IntegerCostMatrix<T>& matrix,
                                              const OptForPartParams& params,
                                              util::Rng& rng) {
+  // A scalar build's lanes are one wide: it runs the plain one-lane ops.
+  using Ops = std::conditional_t<simd::enabled(), LaneOps<T>, OneLaneOps<T>>;
   std::uint64_t alternations = 0;
-  VtResult best =
-      simd::enabled()
-          ? exact_restarts<LaneOps<T>>(matrix, params, rng, alternations)
-          : exact_restarts<OneLaneOps<T>>(matrix, params, rng, alternations);
+  VtResult best = exact_restarts<Ops>(matrix, params, rng, alternations);
   count_opt_for_part(std::max(1u, params.init_patterns), alternations, true);
   return best;
 }

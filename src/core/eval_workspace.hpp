@@ -258,9 +258,8 @@ class EvalWorkspace {
                                 const OptForPartParams& params,
                                 util::Rng& rng);
   /// The Z restarts, one at a time, each drawing its pattern as the
-  /// reference does. `Ops` picks the element type and the vector or
-  /// forced-scalar kernels. Adds the restarts' alternations to
-  /// `alternations`.
+  /// reference does. `Ops` picks the element type and the lane width.
+  /// Adds the restarts' alternations to `alternations`.
   template <class Ops>
   VtResult exact_restarts(const IntegerCostMatrix<typename Ops::T>& matrix,
                           const OptForPartParams& params, util::Rng& rng,

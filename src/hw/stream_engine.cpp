@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
@@ -15,7 +16,7 @@ namespace simd = util::simd;
 namespace {
 
 /// The read kernel's operations on one sample: the batch tails, and every
-/// batch when SIMD is off or force-scalar is set.
+/// batch of a scalar build.
 struct ReadScalarOps {
   using D = std::uint32_t;
   using Scalar = ReadScalarOps;
@@ -219,11 +220,8 @@ void StreamTarget::eval_words(const TableImage& image,
 void StreamTarget::eval_batch(const TableImage& image,
                               const core::InputWord* x, core::OutputWord* y,
                               std::size_t count) const noexcept {
-  if (simd::enabled()) {
-    eval_words<ReadLaneOps>(image, x, y, count);
-  } else {
-    eval_words<ReadScalarOps>(image, x, y, count);
-  }
+  using Ops = std::conditional_t<simd::enabled(), ReadLaneOps, ReadScalarOps>;
+  eval_words<Ops>(image, x, y, count);
 }
 
 // ---- Batched accounting -------------------------------------------------

@@ -155,10 +155,6 @@ std::string CliParser::str(const std::string& name) const {
   return option->second.default_value;
 }
 
-std::int64_t CliParser::integer(const std::string& name) const {
-  return std::stoll(str(name));
-}
-
 std::int64_t CliParser::integer_in(const std::string& name, std::int64_t lo,
                                    std::int64_t hi) const {
   const std::string text = str(name);
@@ -180,8 +176,25 @@ std::int64_t CliParser::integer_in(const std::string& name, std::int64_t lo,
   return value;
 }
 
-double CliParser::real(const std::string& name) const {
-  return std::stod(str(name));
+double CliParser::real_in(const std::string& name, double lo,
+                          double hi) const {
+  const std::string text = str(name);
+  double value = 0.0;
+  try {
+    std::size_t used = 0;
+    value = std::stod(text, &used);
+    if (used != text.size()) throw std::invalid_argument(text);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("--" + name + " must be a number, got '" +
+                                text + "'");
+  }
+  if (!(value >= lo && value <= hi)) {
+    char range[64];
+    std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+    throw std::invalid_argument("--" + name + " must be in " + range +
+                                ", got '" + text + "'");
+  }
+  return value;
 }
 
 void CliParser::print_usage() const {

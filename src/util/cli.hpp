@@ -55,13 +55,14 @@ class CliParser {
   /// True when `--name` appeared on the command line.
   bool given(const std::string& name) const;
   std::string str(const std::string& name) const;
-  std::int64_t integer(const std::string& name) const;
   /// Value of the integer option `--name`, which must lie in [lo, hi].
   /// Throws std::invalid_argument naming the flag otherwise, so a negative
   /// count cannot wrap to a huge unsigned one.
   std::int64_t integer_in(const std::string& name, std::int64_t lo,
                           std::int64_t hi) const;
-  double real(const std::string& name) const;
+  /// Value of the real option `--name`, which must lie in [lo, hi] (so NaN
+  /// never passes). Throws std::invalid_argument naming the flag otherwise.
+  double real_in(const std::string& name, double lo, double hi) const;
 
   void print_usage() const;
 

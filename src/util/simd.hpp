@@ -1,10 +1,11 @@
 // Portable SIMD wrapper for the evaluation hot path.
 //
-// One backend is chosen at compile time from the compiler's target macros:
-// AVX2 (4 doubles per vector), SSE2 (2), NEON/AArch64 (2), or a scalar
-// struct backend (1) that compiles the same kernel code to plain scalar
-// operations. Building with -DDALUT_SIMD=OFF defines DALUT_SIMD_DISABLE and
-// forces the scalar backend regardless of the target.
+// One backend is fixed at compile time from the compiler's target macros:
+// AVX2 (4 doubles per vector), SSE2 (2), or a scalar struct backend (1)
+// for every other target. Building with -DDALUT_SIMD=OFF defines
+// DALUT_SIMD_DISABLE and takes the scalar backend regardless of the target.
+// enabled() reports the choice as a constant: on the scalar backend the
+// kernels take their plain loops.
 //
 // The wrapper exposes exactly the operations the kernels need, in three
 // granularities:
@@ -16,13 +17,11 @@
 //    widening 64-bit accumulator, an in-register transpose, a narrowing
 //    byte store and 64-byte compares; and for the serve read kernel, with
 //    and, run-time-count shifts and a gather of 4-byte elements. The
-//    gather is one vpgatherdd on AVX2 and lane-by-lane loads on the other
-//    backends.
+//    gather is one vpgatherdd on AVX2 and lane-by-lane loads on SSE2.
 //  * Full-register int64 lanes (Vec64, kLanes64 = kLanes wide) for the
 //    same OptForPart kernels on losses past the int32 bound: add, subtract,
-//    signed compare (vpcmpgtq on AVX2, vcgtq_s64 on NEON, emulated with
-//    32-bit compares on SSE2), select, the narrowing byte store and the
-//    in-register transpose.
+//    signed compare (vpcmpgtq on AVX2, emulated with 32-bit compares on
+//    SSE2), select, the narrowing byte store and the in-register transpose.
 //
 // Bit-identity contract: no operation here reassociates floating-point
 // arithmetic. Vector adds are elementwise onto independent accumulators,
@@ -30,15 +29,12 @@
 // integer->double conversions are exact for the value ranges the kernels
 // feed them (|v| <= 2^26 everywhere, squares taken in the double domain).
 // Kernels that need a sequential reduction keep it scalar and only
-// vectorize the elementwise term computation, so results are bit-identical
-// across backends, including the forced-scalar fallback.
-//
-// set_force_scalar(true) makes the kernels take their reference scalar
-// paths at runtime; tests use it to compare SIMD and scalar results within
-// one binary (docs/performance.md, "SIMD dispatch & out-of-core tables").
+// vectorize the elementwise term computation, so every backend's results
+// are bit-identical to the reference computations. The SimdIdentity tests
+// check the backend each build compiles against those references
+// (docs/performance.md, "SIMD dispatch & out-of-core tables").
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -54,26 +50,19 @@
      (defined(_M_IX86_FP) && _M_IX86_FP >= 2))
 #define DALUT_SIMD_SSE2 1
 #include <emmintrin.h>
-#elif !defined(DALUT_SIMD_DISABLE) && defined(__ARM_NEON) && \
-    defined(__aarch64__)
-#define DALUT_SIMD_NEON 1
-#include <arm_neon.h>
 #else
 #define DALUT_SIMD_SCALAR 1
 #endif
 
 namespace dalut::util::simd {
 
-enum class Isa { kScalar, kSse2, kAvx2, kNeon };
+enum class Isa { kScalar, kSse2, kAvx2 };
 
 #if defined(DALUT_SIMD_AVX2)
 inline constexpr Isa kIsa = Isa::kAvx2;
 inline constexpr unsigned kLanes = 4;
 #elif defined(DALUT_SIMD_SSE2)
 inline constexpr Isa kIsa = Isa::kSse2;
-inline constexpr unsigned kLanes = 2;
-#elif defined(DALUT_SIMD_NEON)
-inline constexpr Isa kIsa = Isa::kNeon;
 inline constexpr unsigned kLanes = 2;
 #else
 inline constexpr Isa kIsa = Isa::kScalar;
@@ -86,30 +75,15 @@ constexpr const char* isa_name() noexcept {
       return "avx2";
     case Isa::kSse2:
       return "sse2";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kScalar:
       return "scalar";
   }
   return "scalar";
 }
 
-/// Runtime kill switch: kernels route through their reference scalar paths
-/// while set. For bit-identity tests; not thread-aware beyond the atomic.
-inline std::atomic<bool>& force_scalar_flag() noexcept {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-inline bool force_scalar() noexcept {
-  return force_scalar_flag().load(std::memory_order_relaxed);
-}
-inline void set_force_scalar(bool value) noexcept {
-  force_scalar_flag().store(value, std::memory_order_relaxed);
-}
-/// True when kernels should take their vector paths.
-inline bool enabled() noexcept {
-  return kIsa != Isa::kScalar && !force_scalar();
-}
+/// True when the build has a vector backend. The kernels take their vector
+/// paths exactly then; a scalar build takes their plain loops.
+constexpr bool enabled() noexcept { return kIsa != Isa::kScalar; }
 
 inline void prefetch(const void* p) noexcept {
 #if defined(DALUT_SIMD_AVX2) || defined(DALUT_SIMD_SSE2)
@@ -187,43 +161,6 @@ inline VecI iselect(VecI mask, VecI a, VecI b) noexcept {
 }
 inline VecD i_to_d(VecI v) noexcept { return _mm_cvtepi32_pd(v); }
 
-#elif defined(DALUT_SIMD_NEON)
-
-using VecD = float64x2_t;
-using VecI = int32x2_t;
-
-inline VecD dzero() noexcept { return vdupq_n_f64(0.0); }
-inline VecD dbroadcast(double v) noexcept { return vdupq_n_f64(v); }
-inline VecD dloadu(const double* p) noexcept { return vld1q_f64(p); }
-inline void dstoreu(double* p, VecD v) noexcept { vst1q_f64(p, v); }
-inline VecD dmul(VecD a, VecD b) noexcept { return vmulq_f64(a, b); }
-inline VecD dand(VecD a, VecD b) noexcept {
-  return vreinterpretq_f64_u64(
-      vandq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(b)));
-}
-inline VecD dcmpneq(VecD a, VecD b) noexcept {
-  return vreinterpretq_f64_u64(
-      veorq_u64(vceqq_f64(a, b), vdupq_n_u64(~std::uint64_t{0})));
-}
-
-inline VecI iloadu(const std::uint32_t* p) noexcept {
-  return vreinterpret_s32_u32(vld1_u32(p));
-}
-inline VecI ibroadcast(std::int32_t v) noexcept { return vdup_n_s32(v); }
-inline VecI isub(VecI a, VecI b) noexcept { return vsub_s32(a, b); }
-inline VecI iand(VecI a, VecI b) noexcept { return vand_s32(a, b); }
-inline VecI ior(VecI a, VecI b) noexcept { return vorr_s32(a, b); }
-inline VecI iandnot(VecI a, VecI b) noexcept { return vbic_s32(b, a); }
-inline VecI icmpgt(VecI a, VecI b) noexcept {
-  return vreinterpret_s32_u32(vcgt_s32(a, b));
-}
-inline VecI iselect(VecI mask, VecI a, VecI b) noexcept {
-  return ior(iand(mask, a), iandnot(mask, b));
-}
-inline VecD i_to_d(VecI v) noexcept {
-  return vcvtq_f64_s64(vmovl_s32(v));
-}
-
 #else  // scalar backend
 
 struct VecD {
@@ -267,10 +204,10 @@ inline VecD i_to_d(VecI v) noexcept { return {static_cast<double>(v.v)}; }
 
 // ---- Full-register int32 lanes ------------------------------------------
 // Vec32 fills a whole register with i32 lanes (kLanes32: 8 on AVX2, 4 on
-// SSE2 and NEON, 1 on the scalar backend), for the integer OptForPart
-// kernels and the serve read kernel (hw/stream_engine.cpp). Integer adds
-// are exact and associative, so these kernels may sum in any order; the
-// callers guarantee that no lane overflows. Acc64 widens lanes into 64-bit
+// SSE2, 1 on the scalar backend), for the integer OptForPart kernels and
+// the serve read kernel (hw/stream_engine.cpp). Integer adds are exact and
+// associative, so these kernels may sum in any order; the callers
+// guarantee that no lane overflows. Acc64 widens lanes into 64-bit
 // running sums for totals that can pass 2^31.
 
 #if defined(DALUT_SIMD_AVX2)
@@ -505,75 +442,6 @@ inline std::uint64_t bytes_eq64(const std::uint8_t* a,
   return equal;
 }
 
-#elif defined(DALUT_SIMD_NEON)
-
-inline constexpr unsigned kLanes32 = 4;
-using Vec32 = int32x4_t;
-
-inline Vec32 i32zero() noexcept { return vdupq_n_s32(0); }
-inline Vec32 i32broadcast(std::int32_t v) noexcept { return vdupq_n_s32(v); }
-inline Vec32 i32load(const std::int32_t* p) noexcept { return vld1q_s32(p); }
-inline void i32store(std::int32_t* p, Vec32 v) noexcept { vst1q_s32(p, v); }
-inline Vec32 i32add(Vec32 a, Vec32 b) noexcept { return vaddq_s32(a, b); }
-inline Vec32 i32sub(Vec32 a, Vec32 b) noexcept { return vsubq_s32(a, b); }
-inline Vec32 i32cmpgt(Vec32 a, Vec32 b) noexcept {
-  return vreinterpretq_s32_u32(vcgtq_s32(a, b));
-}
-inline Vec32 i32select(Vec32 mask, Vec32 a, Vec32 b) noexcept {
-  return vbslq_s32(vreinterpretq_u32_s32(mask), a, b);
-}
-inline unsigned i32movemask(Vec32 mask) noexcept {
-  const uint32x4_t bits = vshrq_n_u32(vreinterpretq_u32_s32(mask), 31);
-  const int32x4_t shifts = {0, 1, 2, 3};
-  return vaddvq_u32(vshlq_u32(bits, shifts));
-}
-inline void i32store_bytes(std::uint8_t* p, Vec32 v) noexcept {
-  const uint16x4_t words = vreinterpret_u16_s16(vmovn_s32(v));
-  const uint8x8_t bytes = vmovn_u16(vcombine_u16(words, words));
-  const std::uint32_t low = vget_lane_u32(vreinterpret_u32_u8(bytes), 0);
-  std::memcpy(p, &low, 4);
-}
-inline Vec32 i32and(Vec32 a, Vec32 b) noexcept { return vandq_s32(a, b); }
-/// NEON shifts by a signed per-lane count: negative shifts right.
-inline Vec32 i32srl(Vec32 v, unsigned count) noexcept {
-  const int32x4_t right = vdupq_n_s32(-static_cast<int>(count));
-  return vreinterpretq_s32_u32(vshlq_u32(vreinterpretq_u32_s32(v), right));
-}
-inline Vec32 i32sll(Vec32 v, unsigned count) noexcept {
-  const int32x4_t left = vdupq_n_s32(static_cast<int>(count));
-  return vreinterpretq_s32_u32(vshlq_u32(vreinterpretq_u32_s32(v), left));
-}
-/// NEON has no gather: the lanes load one by one.
-inline Vec32 i32gather(const std::uint32_t* base, Vec32 idx) noexcept {
-  alignas(16) std::uint32_t at[4];
-  vst1q_u32(at, vreinterpretq_u32_s32(idx));
-  const std::uint32_t lanes[4] = {base[at[0]], base[at[1]], base[at[2]],
-                                  base[at[3]]};
-  return vreinterpretq_s32_u32(vld1q_u32(lanes));
-}
-inline void i32transpose(Vec32 (&rows)[kLanes32]) noexcept {
-  const int32x4x2_t t01 = vtrnq_s32(rows[0], rows[1]);
-  const int32x4x2_t t23 = vtrnq_s32(rows[2], rows[3]);
-  rows[0] = vcombine_s32(vget_low_s32(t01.val[0]), vget_low_s32(t23.val[0]));
-  rows[1] = vcombine_s32(vget_low_s32(t01.val[1]), vget_low_s32(t23.val[1]));
-  rows[2] =
-      vcombine_s32(vget_high_s32(t01.val[0]), vget_high_s32(t23.val[0]));
-  rows[3] =
-      vcombine_s32(vget_high_s32(t01.val[1]), vget_high_s32(t23.val[1]));
-}
-
-struct Acc64 {
-  int64x2_t lo = vdupq_n_s64(0);
-  int64x2_t hi = vdupq_n_s64(0);
-};
-inline void acc_add(Acc64& acc, Vec32 v) noexcept {
-  acc.lo = vaddw_s32(acc.lo, vget_low_s32(v));
-  acc.hi = vaddw_s32(acc.hi, vget_high_s32(v));
-}
-inline std::int64_t acc_sum(const Acc64& acc) noexcept {
-  return vaddvq_s64(acc.lo) + vaddvq_s64(acc.hi);
-}
-
 #else  // scalar backend
 
 inline constexpr unsigned kLanes32 = 1;
@@ -617,9 +485,6 @@ struct Acc64 {
 inline void acc_add(Acc64& acc, Vec32 v) noexcept { acc.v += v.v; }
 inline std::int64_t acc_sum(const Acc64& acc) noexcept { return acc.v; }
 
-#endif
-
-#if !defined(DALUT_SIMD_AVX2) && !defined(DALUT_SIMD_SSE2)
 inline std::uint64_t bytes_eq64(const std::uint8_t* a,
                                 const std::uint8_t* b) noexcept {
   std::uint64_t equal = 0;
@@ -636,13 +501,14 @@ inline std::uint64_t bytes_eq64(const std::uint8_t* a,
   }
   return equal;
 }
+
 #endif
 
 // ---- Full-register int64 lanes ------------------------------------------
 // Vec64 fills a whole register with i64 lanes (kLanes64: 4 on AVX2, 2 on
-// SSE2 and NEON, 1 on the scalar backend), for the integer OptForPart
-// kernels on losses past the int32 bound. The callers guarantee that no
-// lane overflows.
+// SSE2, 1 on the scalar backend), for the integer OptForPart kernels on
+// losses past the int32 bound. The callers guarantee that no lane
+// overflows.
 
 #if defined(DALUT_SIMD_AVX2)
 
@@ -742,38 +608,6 @@ inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
 inline void i64transpose(Vec64 (&rows)[kLanes64]) noexcept {
   const Vec64 first = _mm_unpacklo_epi64(rows[0], rows[1]);
   rows[1] = _mm_unpackhi_epi64(rows[0], rows[1]);
-  rows[0] = first;
-}
-
-#elif defined(DALUT_SIMD_NEON)
-
-inline constexpr unsigned kLanes64 = 2;
-using Vec64 = int64x2_t;
-
-inline Vec64 i64zero() noexcept { return vdupq_n_s64(0); }
-inline Vec64 i64broadcast(std::int64_t v) noexcept { return vdupq_n_s64(v); }
-inline Vec64 i64load(const std::int64_t* p) noexcept { return vld1q_s64(p); }
-inline void i64store(std::int64_t* p, Vec64 v) noexcept { vst1q_s64(p, v); }
-inline Vec64 i64add(Vec64 a, Vec64 b) noexcept { return vaddq_s64(a, b); }
-inline Vec64 i64sub(Vec64 a, Vec64 b) noexcept { return vsubq_s64(a, b); }
-inline Vec64 i64cmpgt(Vec64 a, Vec64 b) noexcept {
-  return vreinterpretq_s64_u64(vcgtq_s64(a, b));
-}
-inline Vec64 i64select(Vec64 mask, Vec64 a, Vec64 b) noexcept {
-  return vbslq_s64(vreinterpretq_u64_s64(mask), a, b);
-}
-inline unsigned i64movemask(Vec64 mask) noexcept {
-  const uint64x2_t bits = vshrq_n_u64(vreinterpretq_u64_s64(mask), 63);
-  return static_cast<unsigned>(vgetq_lane_u64(bits, 0) |
-                               (vgetq_lane_u64(bits, 1) << 1));
-}
-inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
-  p[0] = static_cast<std::uint8_t>(vgetq_lane_s64(v, 0));
-  p[1] = static_cast<std::uint8_t>(vgetq_lane_s64(v, 1));
-}
-inline void i64transpose(Vec64 (&rows)[kLanes64]) noexcept {
-  const Vec64 first = vzip1q_s64(rows[0], rows[1]);
-  rows[1] = vzip2q_s64(rows[0], rows[1]);
   rows[0] = first;
 }
 

@@ -91,6 +91,18 @@ TEST(Bssa, RejectsModeSelectionWithOneRound) {
   EXPECT_THROW(run_bssa(g, dist, params), std::invalid_argument);
 }
 
+// The bound-size check holds in every build, not only under assert.
+TEST(Bssa, RejectsBoundSizeOutOfRange) {
+  const auto g = benchmark("cos", 8);
+  const auto dist = InputDistribution::uniform(8);
+  for (const unsigned bound : {0u, 8u}) {
+    auto params = small_params(1);
+    params.bound_size = bound;
+    EXPECT_THROW(run_bssa(g, dist, params), std::invalid_argument)
+        << "bound_size " << bound;
+  }
+}
+
 TEST(Bssa, BtoNormalPolicyYieldsOnlyBtoOrNormal) {
   const auto g = benchmark("cos", 8);
   const auto dist = InputDistribution::uniform(8);

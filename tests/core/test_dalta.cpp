@@ -38,6 +38,21 @@ TEST(Dalta, ProducesValidSettingsForEveryBit) {
   EXPECT_GE(result.runtime_seconds, 0.0);
 }
 
+// The parameter checks hold in every build, not only under assert.
+TEST(Dalta, RejectsInvalidParams) {
+  const auto g = benchmark("cos", 8);
+  const auto dist = InputDistribution::uniform(8);
+  auto params = small_params(1);
+  params.rounds = 0;
+  EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument);
+  for (const unsigned bound : {0u, 8u}) {
+    params = small_params(1);
+    params.bound_size = bound;
+    EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument)
+        << "bound_size " << bound;
+  }
+}
+
 TEST(Dalta, ReportedMedMatchesRealizedLut) {
   const auto g = benchmark("exp", 8);
   const auto dist = InputDistribution::uniform(8);

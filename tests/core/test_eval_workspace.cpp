@@ -17,14 +17,18 @@
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
 #include "core/sa_search.hpp"
+#include "reference_checks.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dalut::core {
 namespace {
+
+using checks::expect_integer_layout;
+using checks::expect_same_matrix;
+using checks::expect_same_result;
 
 struct CostFixture {
   unsigned num_inputs;
@@ -77,78 +81,6 @@ BitCostArrays certified_costs(const Partition& p, std::uint64_t seed,
 CostView uncertified(const BitCostArrays& costs) {
   return CostView(costs.c0, costs.c1);
 }
-
-void expect_same_matrix(const CostMatrix& actual, const CostMatrix& expected) {
-  ASSERT_EQ(actual.rows, expected.rows);
-  ASSERT_EQ(actual.cols, expected.cols);
-  EXPECT_EQ(actual.cost0, expected.cost0);
-  EXPECT_EQ(actual.cost1, expected.cost1);
-}
-
-void expect_same_matrix(const CandidateRef& actual,
-                        const CostMatrix& expected) {
-  ASSERT_EQ(actual.route(), CandidateRoute::kReference);
-  expect_same_matrix(*actual.reference(), expected);
-}
-
-/// The integer layout of `actual` against the losses of the reference
-/// matrix `expected` (costs times 2^scale_bits): differences by row and by
-/// column (zero in padding rows), row sums, and loss0 when kept.
-template <class T>
-void expect_integer_layout(const IntegerCostMatrix<T>& actual,
-                           const CostMatrix& expected, unsigned scale_bits) {
-  ASSERT_EQ(actual.rows, expected.rows);
-  ASSERT_EQ(actual.cols, expected.cols);
-  ASSERT_EQ(actual.scale_bits, scale_bits);
-  ASSERT_GE(actual.rows_pad, actual.rows);
-  const double scale = std::ldexp(1.0, static_cast<int>(scale_bits));
-  const std::size_t rows = expected.rows;
-  const std::size_t cols = expected.cols;
-  for (std::size_t r = 0; r < actual.rows_pad; ++r) {
-    T s0 = 0;
-    T s1 = 0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (r >= rows) {
-        EXPECT_EQ(actual.diff_cols[c * actual.rows_pad + r], 0);
-        continue;
-      }
-      const auto loss0 = static_cast<T>(expected.at0(r, c) * scale);
-      const auto loss1 = static_cast<T>(expected.at1(r, c) * scale);
-      EXPECT_EQ(actual.diff_rows[r * cols + c], loss1 - loss0);
-      EXPECT_EQ(actual.diff_cols[c * actual.rows_pad + r], loss1 - loss0);
-      if (!actual.loss0.empty()) {
-        EXPECT_EQ(actual.loss0[r * cols + c], loss0);
-      }
-      s0 += loss0;
-      s1 += loss1;
-    }
-    EXPECT_EQ(actual.sums0[r], s0) << "row " << r;
-    EXPECT_EQ(actual.sums1[r], s1) << "row " << r;
-  }
-}
-
-void expect_integer_layout(const CandidateRef& actual,
-                           const CostMatrix& expected, unsigned scale_bits) {
-  if (const auto* m = actual.integer<std::int32_t>()) {
-    expect_integer_layout(*m, expected, scale_bits);
-  } else if (const auto* m64 = actual.integer<std::int64_t>()) {
-    expect_integer_layout(*m64, expected, scale_bits);
-  } else {
-    ADD_FAILURE() << "not an integer candidate";
-  }
-}
-
-void expect_same_result(const VtResult& actual, const VtResult& expected) {
-  EXPECT_EQ(actual.error, expected.error);  // bit-identical, not just close
-  EXPECT_EQ(actual.pattern, expected.pattern);
-  EXPECT_EQ(actual.types, expected.types);
-}
-
-/// Forces the scalar kernels for one scope.
-struct ScopedForceScalar {
-  explicit ScopedForceScalar(bool on) { util::simd::set_force_scalar(on); }
-  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
-};
 
 TEST(EvalWorkspace, FullMatrixMatchesReferenceBuild) {
   const CostFixture fx(8, 11);
@@ -263,8 +195,8 @@ TEST(EvalWorkspace, OptForPartBitIdenticalToReference) {
   }
 }
 
-/// Runs the workspace OptForPart on `costs` with SIMD on and forced-scalar,
-/// and requires the reference result and RNG end state each time.
+/// Runs the workspace OptForPart on `costs` and requires the reference
+/// result and RNG end state.
 void expect_reference_identical(const Partition& p, const CostView& costs,
                                 unsigned restarts, std::uint64_t seed) {
   const OptForPartParams params{restarts, 64};
@@ -274,18 +206,14 @@ void expect_reference_identical(const Partition& p, const CostView& costs,
   const double ref_next = ref_rng.next_double();
 
   auto& workspace = EvalWorkspace::local();
-  for (const bool scalar : {false, true}) {
-    const ScopedForceScalar scoped(scalar);
-    SCOPED_TRACE(testing::Message()
-                 << reference.rows << "x" << reference.cols
-                 << " Z=" << restarts << " scalar=" << scalar << " route="
-                 << static_cast<int>(candidate_route(p, costs)));
-    util::Rng ws_rng(seed);
-    expect_same_result(
-        workspace.opt_for_part(workspace.prepare(p, costs), params, ws_rng),
-        expected);
-    EXPECT_EQ(ws_rng.next_double(), ref_next);
-  }
+  SCOPED_TRACE(testing::Message()
+               << reference.rows << "x" << reference.cols << " Z=" << restarts
+               << " route=" << static_cast<int>(candidate_route(p, costs)));
+  util::Rng ws_rng(seed);
+  expect_same_result(
+      workspace.opt_for_part(workspace.prepare(p, costs), params, ws_rng),
+      expected);
+  EXPECT_EQ(ws_rng.next_double(), ref_next);
 }
 
 /// Improving alternation rounds of each restart of the reference
@@ -419,20 +347,17 @@ TEST(EvalWorkspace, IncrementalSweepsBitIdenticalOnExactCosts) {
            ++values) {
         const auto reference = CostMatrix::build_conditioned_set(
             p, mask, values, costs.c0, costs.c1);
-        for (const bool scalar : {false, true}) {
-          const ScopedForceScalar scoped(scalar);
-          for (const unsigned z : {1u, 12u, 30u}) {
-            util::Rng ref_rng(z);
-            const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
-            const CandidateRef slice = workspace.conditioned(
-                workspace.prepare(p, costs, true), p, mask, values);
-            ASSERT_EQ(slice.route(), loss_bits == 5 ? CandidateRoute::kInt32
-                                                    : CandidateRoute::kInt64);
-            util::Rng ws_rng(z);
-            expect_same_result(workspace.opt_for_part(slice, {z, 64}, ws_rng),
-                               expected);
-            EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
-          }
+        for (const unsigned z : {1u, 12u, 30u}) {
+          util::Rng ref_rng(z);
+          const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
+          const CandidateRef slice = workspace.conditioned(
+              workspace.prepare(p, costs, true), p, mask, values);
+          ASSERT_EQ(slice.route(), loss_bits == 5 ? CandidateRoute::kInt32
+                                                  : CandidateRoute::kInt64);
+          util::Rng ws_rng(z);
+          expect_same_result(workspace.opt_for_part(slice, {z, 64}, ws_rng),
+                             expected);
+          EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
         }
       }
     }
@@ -587,7 +512,7 @@ TEST(EvalWorkspace, OptimizeNondisjointBitIdenticalToLegacyPath) {
 
 TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
   // Raw doubles slice the reference matrix; certified costs slice the
-  // integer layout of either element type. Both kernel sets.
+  // integer layout of either element type.
   const CostFixture fx(8, 20);
   util::Rng part_rng(11);
   const auto p = Partition::random(fx.num_inputs, 4, part_rng);
@@ -610,15 +535,11 @@ TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
       expected.patterns.push_back(std::move(vt.pattern));
       expected.types.push_back(std::move(vt.types));
     }
-    for (const bool scalar : {false, true}) {
-      const ScopedForceScalar scoped(scalar);
-      util::Rng rng(41);
-      const auto actual =
-          optimize_for_shared_set(p, shared, costs, params, rng);
-      EXPECT_EQ(actual.error, expected.error);
-      EXPECT_EQ(actual.patterns, expected.patterns);
-      EXPECT_EQ(actual.types, expected.types);
-    }
+    util::Rng rng(41);
+    const auto actual = optimize_for_shared_set(p, shared, costs, params, rng);
+    EXPECT_EQ(actual.error, expected.error);
+    EXPECT_EQ(actual.patterns, expected.patterns);
+    EXPECT_EQ(actual.types, expected.types);
   };
   check(CostView(fx.c0, fx.c1));
   check(certified);
@@ -698,37 +619,32 @@ TEST(EvalWorkspace, EveryFullMatrixCallGathers) {
 
 /// The integer route against the reference on one partition's costs:
 /// normal OptForPart at several Z, BTO, and the non-disjoint composition
-/// over conditioned slices, each with the vector and the forced-scalar
-/// kernels and the same RNG stream.
+/// over conditioned slices, each with the same RNG stream.
 void expect_integer_identical(const Partition& p, const BitCostArrays& costs,
                               CandidateRoute route) {
   ASSERT_EQ(candidate_route(p, costs), route);
   auto& workspace = EvalWorkspace::local();
   const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
   const auto reference_bto = opt_for_part_bto(reference);
-  for (const bool scalar : {false, true}) {
-    const ScopedForceScalar scoped(scalar);
-    for (const unsigned z : {1u, 12u, 30u}) {
-      SCOPED_TRACE(testing::Message()
-                   << reference.rows << "x" << reference.cols << " Z=" << z
-                   << " scalar=" << scalar);
-      util::Rng ref_rng(z);
-      const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
-      util::Rng ws_rng(z);
-      const CandidateRef candidate = workspace.prepare(p, costs);
-      ASSERT_EQ(candidate.route(), route);
-      expect_same_result(workspace.opt_for_part(candidate, {z, 64}, ws_rng),
-                         expected);
-      EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
-      expect_same_result(workspace.opt_for_part_bto(candidate), reference_bto);
-    }
-    util::Rng ref_rng(3);
-    const Setting expected =
-        legacy_nondisjoint(p, costs.c0, costs.c1, {5, 64}, ref_rng);
-    util::Rng rng(3);
-    expect_same_nondisjoint(optimize_nondisjoint(p, costs, {5, 64}, rng),
-                            expected);
+  for (const unsigned z : {1u, 12u, 30u}) {
+    SCOPED_TRACE(testing::Message()
+                 << reference.rows << "x" << reference.cols << " Z=" << z);
+    util::Rng ref_rng(z);
+    const auto expected = opt_for_part(reference, {z, 64}, ref_rng);
+    util::Rng ws_rng(z);
+    const CandidateRef candidate = workspace.prepare(p, costs);
+    ASSERT_EQ(candidate.route(), route);
+    expect_same_result(workspace.opt_for_part(candidate, {z, 64}, ws_rng),
+                       expected);
+    EXPECT_EQ(ws_rng.next_double(), ref_rng.next_double());
+    expect_same_result(workspace.opt_for_part_bto(candidate), reference_bto);
   }
+  util::Rng ref_rng(3);
+  const Setting expected =
+      legacy_nondisjoint(p, costs.c0, costs.c1, {5, 64}, ref_rng);
+  util::Rng rng(3);
+  expect_same_nondisjoint(optimize_nondisjoint(p, costs, {5, 64}, rng),
+                          expected);
 }
 
 TEST(EvalWorkspace, IntegerPathBitIdenticalToReference) {
@@ -798,18 +714,15 @@ TEST(EvalWorkspace, IntegerAdmissionBoundary) {
 
     auto& workspace = EvalWorkspace::local();
     const auto reference = CostMatrix::build(p, costs.c0, costs.c1);
-    for (const bool scalar : {false, true}) {
-      const ScopedForceScalar scoped(scalar);
-      util::Rng ref_rng(5);
-      const auto expected = opt_for_part(reference, {6, 64}, ref_rng);
-      util::Rng ws_rng(5);
-      const CandidateRef candidate = workspace.prepare(p, costs);
-      EXPECT_EQ(candidate.route(), c.route);
-      expect_same_result(workspace.opt_for_part(candidate, {6, 64}, ws_rng),
-                         expected);
-      expect_same_result(workspace.opt_for_part_bto(candidate),
-                         opt_for_part_bto(reference));
-    }
+    util::Rng ref_rng(5);
+    const auto expected = opt_for_part(reference, {6, 64}, ref_rng);
+    util::Rng ws_rng(5);
+    const CandidateRef candidate = workspace.prepare(p, costs);
+    EXPECT_EQ(candidate.route(), c.route);
+    expect_same_result(workspace.opt_for_part(candidate, {6, 64}, ws_rng),
+                       expected);
+    expect_same_result(workspace.opt_for_part_bto(candidate),
+                       opt_for_part_bto(reference));
   }
 
   // int64 lanes hold sums up to 2^63; past that the route is the

@@ -1,19 +1,21 @@
-// Bit-identity of the SIMD kernels against their scalar reference paths.
+// Bit-identity of the SIMD kernels against independent reference oracles.
 //
-// util::simd::set_force_scalar flips every vectorized kernel to its scalar
-// loop at runtime, so each test runs the same computation twice on one
-// binary and requires exact (==, not near) equality. On a scalar-only build
-// (-DDALUT_SIMD=OFF or a non-SIMD target) both runs take the scalar path
-// and the tests degenerate to determinism checks — still meaningful, never
-// skipped. Widths span 8..20 so the gather hits every low-bound-bits block
-// case and the sweeps hit columns both above and below one vector width.
+// The backend is fixed when the library is built (util/simd.hpp), so each
+// build checks the kernels it compiled: AVX2 on a default x86-64 build, and
+// SSE2 or the scalar loops on the builds that select them
+// (-DDALUT_HOST_HAS_AVX2=OFF, -DDALUT_SIMD=OFF). The oracles are the
+// reference CostMatrix builders and OptForPart, a per-input cost formula
+// kept in this file, and error_report's scalar loop; every comparison is
+// exact (==, not near). Widths span 8..20 so the gather hits every
+// low-bound-bits block case and the sweeps hit columns both above and
+// below one vector width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/bit_cost.hpp"
@@ -22,6 +24,7 @@
 #include "core/input_distribution.hpp"
 #include "core/multi_output_function.hpp"
 #include "core/opt_for_part.hpp"
+#include "reference_checks.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -30,13 +33,9 @@ namespace dalut::core {
 namespace {
 
 namespace simd = util::simd;
-
-/// Forces the scalar paths for one scope and always restores SIMD after,
-/// even when an assertion throws out of the scope.
-struct ScopedForceScalar {
-  explicit ScopedForceScalar(bool on) { simd::set_force_scalar(on); }
-  ~ScopedForceScalar() { simd::set_force_scalar(false); }
-};
+using checks::expect_integer_layout;
+using checks::expect_same_matrix;
+using checks::expect_same_result;
 
 struct CostFixture {
   unsigned num_inputs;
@@ -56,40 +55,6 @@ struct CostFixture {
 
   CostView view() const { return CostView(c0, c1); }
   CostView stamped() const { return CostView(c0, c1, next_cost_epoch()); }
-};
-
-/// Owned copy of a prepared candidate (the CandidateRef target is scratch
-/// that the next prepare() call overwrites): the reference matrix, or the
-/// integer layout widened to int64.
-struct CandidateSnapshot {
-  CandidateRoute route;
-  std::vector<double> cost0, cost1;
-  std::vector<std::int64_t> diff_rows, diff_cols, sums0, sums1;
-
-  explicit CandidateSnapshot(const CandidateRef& c) : route(c.route()) {
-    if (const CostMatrix* m = c.reference()) {
-      cost0 = m->cost0;
-      cost1 = m->cost1;
-    } else if (const auto* m32 = c.integer<std::int32_t>()) {
-      copy(*m32);
-    } else {
-      copy(*c.integer<std::int64_t>());
-    }
-  }
-
-  template <class T>
-  void copy(const IntegerCostMatrix<T>& m) {
-    diff_rows.assign(m.diff_rows.begin(), m.diff_rows.end());
-    diff_cols.assign(m.diff_cols.begin(), m.diff_cols.end());
-    sums0.assign(m.sums0.begin(), m.sums0.end());
-    sums1.assign(m.sums1.begin(), m.sums1.end());
-  }
-
-  bool operator==(const CandidateSnapshot& o) const {
-    return route == o.route && cost0 == o.cost0 && cost1 == o.cost1 &&
-           diff_rows == o.diff_rows && diff_cols == o.diff_cols &&
-           sums0 == o.sums0 && sums1 == o.sums1;
-  }
 };
 
 MultiOutputFunction random_function(unsigned n, unsigned m, util::Rng& rng) {
@@ -128,27 +93,28 @@ TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
     const BitCostArrays int32_costs = certified_costs(n, 150 + n, 8);
     const BitCostArrays int64_costs = certified_costs(n, 170 + n, 30);
     for (const unsigned bound : {2u, 3u, 5u, 6u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " bound=" << bound);
       const auto p = Partition::random(n, bound, part_rng);
       // Raw views (unstamped and stamped) take the reference route; the
       // certified arrays the integer layout of either element type.
-      const std::vector<CostView> views = {fx.view(), fx.stamped(),
-                                           int32_costs, int64_costs};
-      for (std::size_t v = 0; v < views.size(); ++v) {
-        std::optional<CandidateSnapshot> scalar;
-        {
-          ScopedForceScalar scoped(true);
-          scalar.emplace(workspace.prepare(p, views[v]));
-        }
-        const CandidateSnapshot vec(workspace.prepare(p, views[v]));
-        EXPECT_TRUE(vec == *scalar)
-            << "n=" << n << " bound=" << bound << " view=" << v;
+      const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
+      expect_same_matrix(workspace.prepare(p, fx.view()), reference);
+      expect_same_matrix(workspace.prepare(p, fx.stamped()), reference);
+      for (const BitCostArrays* costs : {&int32_costs, &int64_costs}) {
+        const CandidateRef candidate = workspace.prepare(p, *costs);
+        EXPECT_EQ(candidate.route(), costs == &int32_costs
+                                         ? CandidateRoute::kInt32
+                                         : CandidateRoute::kInt64);
+        expect_integer_layout(candidate,
+                              CostMatrix::build(p, costs->c0, costs->c1), n);
       }
     }
   }
 }
 
-// The full per-partition optimizer on both integer element types, driven
-// by identical RNG streams; BTO on every route.
+// The full per-partition optimizer on both integer element types against
+// the reference on the same costs, driven by identical RNG streams that
+// must end in the same state; BTO on every route.
 TEST(SimdIdentity, OptForPartMatchesScalar) {
   auto& workspace = EvalWorkspace::local();
   util::Rng part_rng(43);
@@ -161,39 +127,57 @@ TEST(SimdIdentity, OptForPartMatchesScalar) {
       const OptForPartParams params{9, 64};
 
       for (const BitCostArrays* costs : {&int32_costs, &int64_costs}) {
-        const auto run = [&] {
-          util::Rng rng(7);
-          return workspace.opt_for_part(workspace.prepare(p, *costs), params,
-                                        rng);
-        };
-        VtResult expected;
-        {
-          ScopedForceScalar scoped(true);
-          expected = run();
-        }
-        const VtResult actual = run();
-        EXPECT_EQ(actual.error, expected.error)
-            << "n=" << n << " b=" << bound << " loss_bits=" << costs->loss_bits;
-        EXPECT_EQ(actual.pattern, expected.pattern);
-        EXPECT_EQ(actual.types, expected.types);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " b=" << bound
+                                        << " loss_bits=" << costs->loss_bits);
+        const auto reference = CostMatrix::build(p, costs->c0, costs->c1);
+        util::Rng ref_rng(7);
+        const VtResult expected = opt_for_part(reference, params, ref_rng);
+        util::Rng rng(7);
+        expect_same_result(
+            workspace.opt_for_part(workspace.prepare(p, *costs), params, rng),
+            expected);
+        EXPECT_EQ(rng.next_double(), ref_rng.next_double());
       }
 
       for (const CostView& costs :
            {fx.view(), CostView(int32_costs), CostView(int64_costs)}) {
-        VtResult expected_bto;
-        {
-          ScopedForceScalar scoped(true);
-          expected_bto =
-              workspace.opt_for_part_bto(workspace.prepare(p, costs));
-        }
-        const VtResult actual_bto =
-            workspace.opt_for_part_bto(workspace.prepare(p, costs));
-        EXPECT_EQ(actual_bto.error, expected_bto.error);
-        EXPECT_EQ(actual_bto.pattern, expected_bto.pattern);
-        EXPECT_EQ(actual_bto.types, expected_bto.types);
+        expect_same_result(
+            workspace.opt_for_part_bto(workspace.prepare(p, costs)),
+            opt_for_part_bto(CostMatrix::build(p, costs.c0, costs.c1)));
       }
     }
   }
+}
+
+/// The cost pair of input x written from the definitions: bit k of the
+/// candidate word set to 0 and to 1, the bits below it filled by the LSB
+/// model, the distance to y through the metric's loss, times p(x). Every
+/// loss is an integer below 2^53, so only the product with p rounds.
+std::pair<double, double> oracle_costs(OutputWord y, OutputWord approx,
+                                       unsigned k, LsbModel model,
+                                       CostMetric metric, double p) {
+  const OutputWord low = (OutputWord{1} << k) - 1;
+  const OutputWord high = approx >> (k + 1) << (k + 1);
+  double cost[2];
+  for (const OutputWord v : {0u, 1u}) {
+    const OutputWord top = high | v << k;
+    std::uint64_t distance = 0;
+    if (model == LsbModel::kPredictive) {
+      // The lower bits are free: the distance to the nearest word of the
+      // block [top, top + low].
+      distance = y < top ? top - y : y > top + low ? y - top - low : 0;
+    } else {
+      const OutputWord lsb =
+          (model == LsbModel::kCurrentApprox ? approx : y) & low;
+      const OutputWord word = top | lsb;
+      distance = y > word ? y - word : word - y;
+    }
+    std::uint64_t loss = distance;
+    if (metric == CostMetric::kMse) loss = distance * distance;
+    if (metric == CostMetric::kErrorRate) loss = distance != 0 ? 1 : 0;
+    cost[v] = p * static_cast<double>(loss);
+  }
+  return {cost[0], cost[1]};
 }
 
 TEST(SimdIdentity, BitCostsMatchScalarForAllModelsAndMetrics) {
@@ -216,19 +200,23 @@ TEST(SimdIdentity, BitCostsMatchScalarForAllModelsAndMetrics) {
                                LsbModel::kPredictive}) {
         for (const auto metric :
              {CostMetric::kMed, CostMetric::kMse, CostMetric::kErrorRate}) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " uniform=" << dist.is_uniform()
+                       << " model=" << static_cast<int>(model)
+                       << " metric=" << static_cast<int>(metric));
           const unsigned k = m / 2;
           BitCostArrays expected;
-          {
-            ScopedForceScalar scoped(true);
-            expected = build_bit_costs(g, approx, k, model, dist, metric);
+          for (InputWord x = 0; x < g.domain_size(); ++x) {
+            const auto [c0, c1] = oracle_costs(g.value(x), approx[x], k, model,
+                                               metric, dist.probability(x));
+            expected.c0.push_back(c0);
+            expected.c1.push_back(c1);
           }
           const auto serial =
               build_bit_costs(g, approx, k, model, dist, metric);
           const auto pooled =
               build_bit_costs(g, approx, k, model, dist, metric, &pool);
-          EXPECT_EQ(serial.c0, expected.c0)
-              << "n=" << n << " model=" << static_cast<int>(model)
-              << " metric=" << static_cast<int>(metric);
+          EXPECT_EQ(serial.c0, expected.c0);
           EXPECT_EQ(serial.c1, expected.c1);
           EXPECT_EQ(pooled.c0, expected.c0);
           EXPECT_EQ(pooled.c1, expected.c1);
@@ -238,6 +226,9 @@ TEST(SimdIdentity, BitCostsMatchScalarForAllModelsAndMetrics) {
   }
 }
 
+// error_report's MED is the scalar loop over the same chunks (below the
+// parallel threshold one loop over the domain), so the two agree bit for
+// bit, serial and pooled.
 TEST(SimdIdentity, MeanErrorDistanceMatchesScalar) {
   util::Rng rng(6);
   util::ThreadPool pool(8);
@@ -256,27 +247,19 @@ TEST(SimdIdentity, MeanErrorDistanceMatchesScalar) {
         InputDistribution::from_weights(n, weights)};
 
     for (const auto& dist : dists) {
-      double expected_serial = 0.0;
-      double expected_pooled = 0.0;
-      {
-        ScopedForceScalar scoped(true);
-        expected_serial = mean_error_distance(g, approx, dist);
-        expected_pooled = mean_error_distance(g, approx, dist, &pool);
-      }
-      const double serial = mean_error_distance(g, approx, dist);
-      const double pooled = mean_error_distance(g, approx, dist, &pool);
-      EXPECT_EQ(serial, expected_serial) << "n=" << n;
-      EXPECT_EQ(pooled, expected_serial) << "n=" << n;
-      EXPECT_EQ(expected_pooled, expected_serial) << "n=" << n;
-      EXPECT_EQ(pooled, serial) << "n=" << n;
+      const double expected = error_report(g, approx, dist).med;
+      EXPECT_EQ(error_report(g, approx, dist, &pool).med, expected)
+          << "n=" << n;
+      EXPECT_EQ(mean_error_distance(g, approx, dist), expected) << "n=" << n;
+      EXPECT_EQ(mean_error_distance(g, approx, dist, &pool), expected)
+          << "n=" << n;
     }
   }
 }
 
 // The full-register int32 lanes of the integer OptForPart path and the
 // serve read kernels, against plain loops over the same values on whichever
-// backend this build compiled (AVX2, SSE2, NEON or the one-lane scalar
-// struct).
+// backend this build compiled (AVX2, SSE2 or the one-lane scalar struct).
 TEST(SimdIdentity, Int32LanesMatchScalarLoops) {
   constexpr unsigned W = simd::kLanes32;
   util::Rng rng(8);

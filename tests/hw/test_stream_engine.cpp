@@ -591,45 +591,41 @@ TEST(StreamEngine, MidStreamReconfigurationObservedByEngine) {
   EXPECT_GT(report.reads_per_sec, 0.0);
 }
 
-// ---- SIMD read kernels vs their one-lane instantiation -----------------
+// ---- The read kernel against the targets' reference values -------------
 
-/// Forces the scalar paths for one scope and always restores SIMD after,
-/// even when an assertion throws out of the scope.
-struct ScopedForceScalar {
-  ScopedForceScalar() { util::simd::set_force_scalar(true); }
-  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
-};
-
-/// eval_batch on the first `count` samples, SIMD (when built) and forced
-/// one-lane; the two must agree exactly.
-void expect_kernels_agree(const StreamTarget& target,
-                          const std::vector<core::InputWord>& sequence,
-                          std::size_t count, const std::string& what) {
+/// eval_batch on the first `count` samples must read exactly expected[i]
+/// for sample i.
+void expect_reads(const StreamTarget& target,
+                  const std::vector<core::InputWord>& sequence,
+                  const std::vector<core::OutputWord>& expected,
+                  std::size_t count, const std::string& what) {
   std::uint64_t epoch = 0;
   const TableImage& image = target.acquire(epoch);
-  std::vector<core::OutputWord> simd(count);
-  std::vector<core::OutputWord> scalar(count);
-  target.eval_batch(image, sequence.data(), simd.data(), count);
-  {
-    const ScopedForceScalar force;
-    target.eval_batch(image, sequence.data(), scalar.data(), count);
-  }
-  EXPECT_EQ(simd, scalar) << what << " count " << count;
+  std::vector<core::OutputWord> y(count);
+  target.eval_batch(image, sequence.data(), y.data(), count);
+  EXPECT_TRUE(std::equal(y.begin(), y.end(), expected.begin()))
+      << what << " count " << count;
 }
 
 // Widths 7 to 20, the approximate-target limit; batch lengths 1..17 and
-// 4099 leave every tail length of the kLanes32-wide steps.
+// 4099 leave every tail length of the kLanes32-wide steps, on whichever
+// backend this build compiled.
 TEST(SimdIdentity, StreamKernelsMatchScalar) {
   for (const unsigned n : {7u, 9u, 12u, 16u, 17u, 20u}) {
     const auto sequence = random_sequence(4099, n, 80 + n);
+    std::vector<core::OutputWord> expected(sequence.size());
+
     const std::string approx_what = "approx n " + std::to_string(n);
-    const ApproxLutSystem system(ArchKind::kBtoNormalNd,
-                                 wide_all_modes_lut(n, 70 + n), kTech);
+    const auto lut = wide_all_modes_lut(n, 70 + n);
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd, lut, kTech);
     const auto approx = StreamTarget::compile(system);
+    const auto function = lut.to_function();
+    std::transform(sequence.begin(), sequence.end(), expected.begin(),
+                   [&](core::InputWord x) { return function.value(x); });
     for (std::size_t count = 1; count <= 17; ++count) {
-      expect_kernels_agree(approx, sequence, count, approx_what);
+      expect_reads(approx, sequence, expected, count, approx_what);
     }
-    expect_kernels_agree(approx, sequence, sequence.size(), approx_what);
+    expect_reads(approx, sequence, expected, sequence.size(), approx_what);
 
     // A monolithic LUT with a dropped address LSB and an output shift.
     const std::string mono_what = "mono n " + std::to_string(n);
@@ -638,13 +634,15 @@ TEST(SimdIdentity, StreamKernelsMatchScalar) {
     for (auto& v : contents) {
       v = static_cast<std::uint32_t>(rng.next_below(1u << 11));
     }
-    const MonolithicLut lut(n - 1, 11, contents, kTech, /*addr_shift=*/1,
-                            /*out_shift=*/1);
-    const auto mono = StreamTarget::compile(lut, 12);
+    const MonolithicLut mono_lut(n - 1, 11, contents, kTech,
+                                 /*addr_shift=*/1, /*out_shift=*/1);
+    const auto mono = StreamTarget::compile(mono_lut, 12);
+    std::transform(sequence.begin(), sequence.end(), expected.begin(),
+                   [&](core::InputWord x) { return contents[x >> 1] << 1; });
     for (std::size_t count = 1; count <= 17; ++count) {
-      expect_kernels_agree(mono, sequence, count, mono_what);
+      expect_reads(mono, sequence, expected, count, mono_what);
     }
-    expect_kernels_agree(mono, sequence, sequence.size(), mono_what);
+    expect_reads(mono, sequence, expected, sequence.size(), mono_what);
   }
 
   // Past 20 inputs there is no approximate image to compare kernels on.
@@ -679,7 +677,6 @@ TEST(SimdIdentity, StreamKernelsMatchScalar) {
   ASSERT_NE(system.read(top), system.read(top - 1));
   ASSERT_NE(system.read(top), system.read(top >> 1));
   const std::vector<core::InputWord> sequence(4099, top);
-  expect_kernels_agree(target, sequence, sequence.size(), "top address");
   std::vector<core::OutputWord> y(sequence.size());
   std::uint64_t epoch = 0;
   const TableImage& image = target.acquire(epoch);

@@ -6,7 +6,8 @@
 # and an error naming the flag when out of range or malformed (they were
 # cast unchecked: --runs 0 ran nothing, --width -1 wrapped). --full fixes
 # all three, so combining it with any of them is an error too (it used to
-# drop them silently).
+# drop them silently). --threads and --seed go through the same check (they
+# were read with a bare stoll).
 set -uo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -46,6 +47,9 @@ expect_rejected rounds --rounds -3
 expect_rejected runs --full --runs 2
 expect_rejected width --full --width 12
 expect_rejected rounds --full --rounds 3
+expect_rejected threads --threads -1
+expect_rejected threads --threads x
+expect_rejected seed --seed 1x
 
 # In-range values still run.
 output=$(timeout -s KILL 120 "$harness" --benchmarks cos --runs 1 --width 6 \

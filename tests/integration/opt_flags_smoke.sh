@@ -15,7 +15,9 @@
 # flags parse as suite job fields: `--metric bogus` used to optimize MED
 # and exit 0, `--delta abc` went unread under `--arch dalta`, an unknown
 # `--algorithm`, `--arch` or `--table-load` exited 1, and DALTA ran
-# `--rounds 0` as zero rounds and exited 0. Last, the telemetry
+# `--rounds 0` as zero rounds and exited 0. `--med-budget abc` exited 3
+# with a bare "stod" under `--sweep-bound` and went unread without it.
+# Last, the telemetry
 # artifacts and the suite CSV must fail with exit 6 when their output
 # cannot be written.
 set -uo pipefail
@@ -90,6 +92,8 @@ expect_rejected metric bogus
 expect_rejected delta abc "$dalut_opt" --width 8 --arch dalta
 expect_rejected delta abc "$dalut_opt" --width 8 --arch bto-normal
 expect_rejected delta-prime abc "$dalut_opt" --width 8 --arch bto-normal-nd
+expect_rejected med-budget abc
+expect_rejected med-budget abc "$dalut_opt" --width 8 --sweep-bound
 expect_rejected algorithm bogus
 expect_rejected algorithm round-in
 expect_rejected arch bogus

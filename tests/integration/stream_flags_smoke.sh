@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Flag validation smoke test for dalut_stream.
 #
-# Every malformed count must be rejected up front with exit status 1 and an
-# error naming the flag. `--batch 0` used to hang forever (the producers
-# advanced by producers * batch = 0) and negative counts died inside
-# std::vector::reserve, so each run is bounded by `timeout`.
+# Every malformed count must be rejected up front with exit status 2 (usage
+# error, docs/robustness.md) and an error naming the flag. `--batch 0` used
+# to hang forever (the producers advanced by producers * batch = 0),
+# negative counts died inside std::vector::reserve, and `--seed -1` wrapped
+# to a huge seed, so each run is bounded by `timeout`. An `--out` that
+# cannot be opened must exit 6 naming the path.
 set -uo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -18,8 +20,8 @@ expect_rejected() {
   local flag=$1 value=$2 output status
   output=$(timeout 20 "$dalut_stream" "--$flag" "$value" --out /dev/null 2>&1)
   status=$?
-  if [[ $status -ne 1 ]]; then
-    echo "FAIL: --$flag $value exited $status, want 1" >&2
+  if [[ $status -ne 2 ]]; then
+    echo "FAIL: --$flag $value exited $status, want 2" >&2
     failures=$((failures + 1))
   elif [[ $output != *"--$flag"* ]]; then
     echo "FAIL: --$flag $value error does not name the flag: $output" >&2
@@ -41,5 +43,21 @@ expect_rejected width 21
 expect_rejected width 40
 expect_rejected reconfigs -1
 expect_rejected batch 12abc
+expect_rejected seed -1
+expect_rejected seed abc
+
+out=/nonexistent/dir/x.json
+output=$(timeout 60 "$dalut_stream" --width 6 --reads 1024 --producers 1 \
+  --reconfigs 1 --out "$out" 2>&1)
+status=$?
+if [[ $status -ne 6 ]]; then
+  echo "FAIL: --out $out exited $status, want 6: $output" >&2
+  failures=$((failures + 1))
+elif [[ $output != *"$out"* ]]; then
+  echo "FAIL: --out $out error does not name the path: $output" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: --out $out failed with exit 6: ${output##*$'\n'}"
+fi
 
 exit $((failures > 0))

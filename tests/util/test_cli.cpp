@@ -23,7 +23,7 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
   std::vector<std::string> args{"prog"};
   auto argv = make_argv(args);
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(cli.integer("width"), 16);
+  EXPECT_EQ(cli.integer_in("width", 0, 64), 16);
   EXPECT_FALSE(cli.flag("full"));
 }
 
@@ -44,7 +44,7 @@ TEST(Cli, SpaceSeparatedValue) {
   std::vector<std::string> args{"prog", "--runs", "3"};
   auto argv = make_argv(args);
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(cli.integer("runs"), 3);
+  EXPECT_EQ(cli.integer_in("runs", 1, 10), 3);
 }
 
 TEST(Cli, EqualsSeparatedValue) {
@@ -53,7 +53,7 @@ TEST(Cli, EqualsSeparatedValue) {
   std::vector<std::string> args{"prog", "--seed=99"};
   auto argv = make_argv(args);
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(cli.integer("seed"), 99);
+  EXPECT_EQ(cli.integer_in("seed", 0, 99), 99);
 }
 
 TEST(Cli, FlagPresence) {
@@ -71,7 +71,8 @@ TEST(Cli, RealValues) {
   std::vector<std::string> args{"prog", "--delta", "0.25"};
   auto argv = make_argv(args);
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(cli.real("delta"), 0.25);
+  EXPECT_EQ(cli.real_in("delta", 0.0, 1.0), 0.25);
+  EXPECT_THROW((void)cli.real_in("delta", 0.5, 1.0), std::invalid_argument);
 }
 
 TEST(Cli, HelpReturnsFalse) {
@@ -102,6 +103,29 @@ TEST(Cli, BoundedIntegerNamesTheFlagWhenRejected) {
     }
   }
   EXPECT_THROW((void)cli.integer_in("chains", 4, 10), std::invalid_argument);
+}
+
+TEST(Cli, BoundedRealNamesTheFlagWhenRejected) {
+  CliParser cli("test");
+  cli.add_option("budget", "0", "MED budget");
+  cli.add_option("sigma", "0.15", "sigma");
+  cli.add_option("delta", "0.01", "mode factor");
+  cli.add_option("centre", "0.3", "centre");
+  std::vector<std::string> args{"prog",    "--budget", "abc", "--sigma",
+                                "0.5x",    "--delta",  "-1",  "--centre",
+                                "nan"};
+  auto argv = make_argv(args);
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  for (const char* name : {"budget", "sigma", "delta", "centre"}) {
+    try {
+      (void)cli.real_in(name, 0.0, 1.0);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + name),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Cli, UnregisteredOptionThrowsOnAccess) {

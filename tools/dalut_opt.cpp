@@ -163,6 +163,7 @@ int run(int argc, char** argv) {
   unsigned threads = 0;  // 0 = hardware
   unsigned checkpoint_every = 0;
   std::size_t tb_vectors = 0;
+  double med_budget = 0.0;
   core::TableLoadMode load_mode = core::TableLoadMode::kAuto;
   try {
     threads = static_cast<unsigned>(cli.integer_in(
@@ -171,6 +172,8 @@ int run(int argc, char** argv) {
         "checkpoint-every", 0, std::numeric_limits<unsigned>::max()));
     tb_vectors = static_cast<std::size_t>(
         cli.integer_in("tb-vectors", 0, kMaxTestbenchVectors));
+    med_budget = cli.real_in("med-budget", 0.0,
+                             std::numeric_limits<double>::max());
     load_mode = table_load_mode(cli.str("table-load"));
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
@@ -261,8 +264,8 @@ int run(int argc, char** argv) {
     sweep.probe.seed = job.seed;
     sweep.probe.pool = &pool;
     sweep.probe.control = &control;
-    double budget = cli.real("med-budget");
-    if (budget <= 0.0) budget = -1.0;  // unreachable -> most accurate size
+    // Budget 0 is unreachable: the sweep picks the most accurate size.
+    const double budget = med_budget > 0.0 ? med_budget : -1.0;
     const auto chosen = core::choose_bound_size(g, dist, budget, sweep);
     std::printf("bound-size sweep picked b = %u (probe MED %.4f, %zu "
                 "entries/bit)\n",

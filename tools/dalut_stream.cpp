@@ -18,11 +18,16 @@
 // (BENCH_PR10.json in the repo records a reference run; CI validates a
 // smoke run with scripts/check_stream_smoke.py). `--listen` exposes the
 // stream.* counters on a live /metrics endpoint while the tool runs.
-// Exits 1 on bad flags or a bit-identity failure, 6 when `--out` cannot be
-// written.
+// Exits with the shared codes (docs/robustness.md): 2 on a bad flag naming
+// it, 6 when `--out` cannot be opened or written, 1 on a bit-identity
+// failure.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,22 +42,14 @@
 #include "util/stats.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
+#include "tool_runtime.hpp"
 
 namespace {
 
 using namespace dalut;
-
-constexpr int kExitIo = 6;
-
-core::MultiOutputFunction make_function(const std::string& name,
-                                        unsigned width) {
-  const auto spec = func::benchmark_by_name(name, width);
-  if (!spec) {
-    throw std::invalid_argument("unknown benchmark: " + name);
-  }
-  return core::MultiOutputFunction::from_eval(spec->num_inputs,
-                                              spec->num_outputs, spec->eval);
-}
+using tools::kExitFatal;
+using tools::kExitIo;
+using tools::kExitUsage;
 
 std::vector<core::InputWord> make_sequence(std::size_t count, unsigned width,
                                            std::uint64_t seed) {
@@ -237,9 +234,7 @@ void write_json(std::FILE* out, const std::vector<StreamRow>& rows,
   std::fprintf(out, "}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliParser cli(
       "Benchmarks the batched streaming engine against the scalar simulator "
       "and times runtime LUT reconfiguration; emits schema-v4 JSON.");
@@ -263,6 +258,7 @@ int main(int argc, char** argv) {
   unsigned reconfigs = 0;
   std::uint64_t seed = 0;
   hw::StreamConfig config;
+  std::optional<func::FunctionSpec> spec;
   try {
     // Width 3 is the narrowest the fixed BS-SA set-up can partition; 20
     // bounds the full-domain tables and search the tool builds.
@@ -273,14 +269,20 @@ int main(int argc, char** argv) {
         cli.integer_in("reads", 1, std::int64_t{1} << 26));
     reconfigs = static_cast<unsigned>(
         cli.integer_in("reconfigs", 0, 100000));
-    seed = static_cast<std::uint64_t>(cli.integer("seed"));
+    seed = static_cast<std::uint64_t>(
+        cli.integer_in("seed", 0, std::numeric_limits<std::int64_t>::max()));
     config.batch_size = static_cast<std::size_t>(
         cli.integer_in("batch", 1, std::int64_t{1} << 20));
     config.ring_capacity = static_cast<std::size_t>(
         cli.integer_in("ring", 1, std::int64_t{1} << 24));
-  } catch (const std::exception& error) {
+    spec = func::benchmark_by_name(benchmark, width);
+    if (!spec) {
+      throw std::invalid_argument("--benchmark: unknown benchmark '" +
+                                  benchmark + "'");
+    }
+  } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+    return kExitUsage;
   }
 
   obs::MetricsExporter exporter;
@@ -295,116 +297,120 @@ int main(int argc, char** argv) {
       exporter.start(exporter_options);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "error: %s\n", error.what());
-      return 1;
+      return kExitFatal;
     }
     std::fprintf(stderr, "observability: listening on http://%s (/metrics)\n",
                  exporter.endpoint().c_str());
     std::fflush(stderr);
   }
 
-  try {
-    const auto tech = hw::Technology::nangate45();
-    const auto g = make_function(benchmark, width);
-    const auto sequence = make_sequence(reads, width, seed);
-    std::vector<StreamRow> rows;
+  const auto tech = hw::Technology::nangate45();
+  const auto g = core::MultiOutputFunction::from_eval(
+      spec->num_inputs, spec->num_outputs, spec->eval);
+  const auto sequence = make_sequence(reads, width, seed);
+  std::vector<StreamRow> rows;
 
-    // ---- Exact monolithic LUT ------------------------------------------
-    {
-      std::vector<std::uint32_t> contents(g.values().begin(),
-                                          g.values().end());
-      const hw::MonolithicLut lut(width, g.num_outputs(), contents, tech);
-      util::WallTimer timer;
-      const auto scalar = hw::simulate(hw::make_target(lut, g.num_outputs()),
-                                       sequence, &g, tech);
-      const double scalar_seconds = timer.seconds();
-      auto row = bench_target(
-          "monolithic", tech, g, sequence, scalar, scalar_seconds, producers,
-          config,
-          [&] { return hw::StreamTarget::compile(lut, g.num_outputs()); });
+  // ---- Exact monolithic LUT ------------------------------------------
+  {
+    std::vector<std::uint32_t> contents(g.values().begin(),
+                                        g.values().end());
+    const hw::MonolithicLut lut(width, g.num_outputs(), contents, tech);
+    util::WallTimer timer;
+    const auto scalar = hw::simulate(hw::make_target(lut, g.num_outputs()),
+                                     sequence, &g, tech);
+    const double scalar_seconds = timer.seconds();
+    auto row = bench_target(
+        "monolithic", tech, g, sequence, scalar, scalar_seconds, producers,
+        config,
+        [&] { return hw::StreamTarget::compile(lut, g.num_outputs()); });
 
-      // Reconfiguration latency: swap between the exact table and its
-      // bitwise complement (every entry re-programmed each swap).
-      std::vector<std::uint32_t> flipped(contents);
-      const std::uint32_t mask =
-          g.num_outputs() >= 32
-              ? ~std::uint32_t{0}
-              : (std::uint32_t{1} << g.num_outputs()) - 1;
-      for (auto& v : flipped) v = ~v & mask;
-      const hw::MonolithicLut lut_flipped(width, g.num_outputs(), flipped,
-                                          tech);
-      auto target = hw::StreamTarget::compile(lut, g.num_outputs());
-      row.reconfig = measure_reconfig(
-          target, reconfigs, width, seed + 1, [&](unsigned i) {
-            return target.reconfigure(i % 2 == 0 ? lut_flipped : lut);
-          });
-      rows.push_back(row);
-    }
-
-    // ---- BS-SA searched BTO-Normal-ND system ---------------------------
-    {
-      core::BssaParams params;
-      params.bound_size = std::max(2u, width / 2);
-      params.rounds = 2;
-      params.beam_width = 2;
-      params.sa.partition_limit = 12;
-      params.sa.init_patterns = 6;
-      params.seed = 3;
-      const auto dist = core::InputDistribution::uniform(width);
-      const auto lut = core::run_bssa(g, dist, params).realize(width);
-      const auto reference = lut.to_function();
-      const hw::ApproxLutSystem system(hw::ArchKind::kBtoNormalNd, lut, tech);
-
-      util::WallTimer timer;
-      const auto scalar =
-          hw::simulate(hw::make_target(system), sequence, &reference, tech);
-      const double scalar_seconds = timer.seconds();
-      auto row = bench_target(
-          "bto_normal_nd", tech, reference, sequence, scalar, scalar_seconds,
-          producers, config,
-          [&] { return hw::StreamTarget::compile(system); });
-
-      // Content re-programming of the same structure (partitions and modes
-      // are frozen at compile; the swap re-writes every table byte).
-      auto target = hw::StreamTarget::compile(system);
-      row.reconfig = measure_reconfig(target, reconfigs, width, seed + 2,
-                                      [&](unsigned) {
-                                        return target.reconfigure(system);
-                                      });
-      rows.push_back(row);
-    }
-
-    for (const auto& r : rows) {
-      std::fprintf(stderr,
-                   "%-14s scalar %12.0f r/s  stream %12.0f r/s  engine "
-                   "%12.0f r/s  identical=%s  reconfig %.1f us mean, "
-                   "%.1f us median\n",
-                   r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
-                   r.bit_identical ? "yes" : "NO", r.reconfig.mean_us,
-                   r.reconfig.median_us);
-      if (!r.bit_identical) {
-        std::fprintf(stderr,
-                     "error: %s batched report diverged from simulate()\n",
-                     r.target.c_str());
-        return 1;
-      }
-    }
-
-    const std::string out_path = cli.str("out");
-    std::FILE* out =
-        out_path == "-" ? stdout : std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    write_json(out, rows, benchmark, width, producers, config, reads,
-               reconfigs, seed);
-    if (!util::close_text_artifact(out, out_path, "stream report")) {
-      return kExitIo;
-    }
-    if (out != stdout) std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
+    // Reconfiguration latency: swap between the exact table and its
+    // bitwise complement (every entry re-programmed each swap).
+    std::vector<std::uint32_t> flipped(contents);
+    const std::uint32_t mask =
+        g.num_outputs() >= 32
+            ? ~std::uint32_t{0}
+            : (std::uint32_t{1} << g.num_outputs()) - 1;
+    for (auto& v : flipped) v = ~v & mask;
+    const hw::MonolithicLut lut_flipped(width, g.num_outputs(), flipped,
+                                        tech);
+    auto target = hw::StreamTarget::compile(lut, g.num_outputs());
+    row.reconfig = measure_reconfig(
+        target, reconfigs, width, seed + 1, [&](unsigned i) {
+          return target.reconfigure(i % 2 == 0 ? lut_flipped : lut);
+        });
+    rows.push_back(row);
   }
+
+  // ---- BS-SA searched BTO-Normal-ND system ---------------------------
+  {
+    core::BssaParams params;
+    params.bound_size = std::max(2u, width / 2);
+    params.rounds = 2;
+    params.beam_width = 2;
+    params.sa.partition_limit = 12;
+    params.sa.init_patterns = 6;
+    params.seed = 3;
+    const auto dist = core::InputDistribution::uniform(width);
+    const auto lut = core::run_bssa(g, dist, params).realize(width);
+    const auto reference = lut.to_function();
+    const hw::ApproxLutSystem system(hw::ArchKind::kBtoNormalNd, lut, tech);
+
+    util::WallTimer timer;
+    const auto scalar =
+        hw::simulate(hw::make_target(system), sequence, &reference, tech);
+    const double scalar_seconds = timer.seconds();
+    auto row = bench_target(
+        "bto_normal_nd", tech, reference, sequence, scalar, scalar_seconds,
+        producers, config,
+        [&] { return hw::StreamTarget::compile(system); });
+
+    // Content re-programming of the same structure (partitions and modes
+    // are frozen at compile; the swap re-writes every table byte).
+    auto target = hw::StreamTarget::compile(system);
+    row.reconfig = measure_reconfig(target, reconfigs, width, seed + 2,
+                                    [&](unsigned) {
+                                      return target.reconfigure(system);
+                                    });
+    rows.push_back(row);
+  }
+
+  for (const auto& r : rows) {
+    std::fprintf(stderr,
+                 "%-14s scalar %12.0f r/s  stream %12.0f r/s  engine "
+                 "%12.0f r/s  identical=%s  reconfig %.1f us mean, "
+                 "%.1f us median\n",
+                 r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
+                 r.bit_identical ? "yes" : "NO", r.reconfig.mean_us,
+                 r.reconfig.median_us);
+    if (!r.bit_identical) {
+      std::fprintf(stderr,
+                   "error: %s batched report diverged from simulate()\n",
+                   r.target.c_str());
+      return kExitFatal;
+    }
+  }
+
+  const std::string out_path = cli.str("out");
+  std::FILE* out =
+      out_path == "-" ? stdout : std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr,
+                 "io error: cannot write stream report to '%s': %s\n",
+                 out_path.c_str(), std::strerror(errno));
+    return kExitIo;
+  }
+  write_json(out, rows, benchmark, width, producers, config, reads,
+             reconfigs, seed);
+  if (!util::close_text_artifact(out, out_path, "stream report")) {
+    return kExitIo;
+  }
+  if (out != stdout) std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_main(run, argc, argv);
 }

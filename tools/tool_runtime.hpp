@@ -1,6 +1,7 @@
 // The wiring dalut_opt and dalut_suite share: the common flags, fault
 // injection, the deadline and stop signals, the observability plane, the
 // telemetry artifacts, and the exit-code table (docs/robustness.md).
+// dalut_stream uses only the exit codes and run_main.
 //
 // Shared flags: --deadline --failpoints --list-failpoints --metrics-out
 // --trace-out --listen --events-out --progress.
