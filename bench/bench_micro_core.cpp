@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the core kernels: cost-array
 // construction, cost-matrix scatter, OptForPart, the SA search, whole-domain
-// realization of a setting, and the realized-LUT read path. These are the
-// hot loops of both algorithms.
+// realization of a setting, the served system's content swap, and the
+// realized-LUT read path. These are the hot loops of both algorithms.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -15,6 +15,7 @@
 #include "core/sa_search.hpp"
 #include "func/registry.hpp"
 #include "hw/simulator.hpp"
+#include "hw/stream_engine.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
 
@@ -339,6 +340,97 @@ void BM_SettingErrorUnderCosts(benchmark::State& state) {
                           static_cast<std::int64_t>(g.domain_size()));
 }
 BENCHMARK(BM_SettingErrorUnderCosts)->ArgsProduct({{12, 14}, {0, 1, 2}});
+
+// ---- Whole-domain fill: random contents at the search's bound size. Arg 0
+// is the width; BM_DecomposedBitEvalAll's Arg 1 is the mode as above. ----
+
+core::Setting random_setting(unsigned width, int mode, util::Rng& rng) {
+  core::Setting s;
+  s.error = 0.0;
+  s.partition = core::Partition::random(width, (9 * width + 8) / 16, rng);
+  const std::size_t cols = s.partition.num_cols();
+  const std::size_t rows = s.partition.num_rows();
+  const auto bits = [&](std::size_t count) {
+    std::vector<std::uint8_t> v(count);
+    for (auto& bit : v) bit = rng.next_bool() ? 1 : 0;
+    return v;
+  };
+  const auto types = [&] {
+    std::vector<core::RowType> t(rows);
+    for (auto& type : t) {
+      type = static_cast<core::RowType>(1 + rng.next_below(4));
+    }
+    return t;
+  };
+  switch (mode) {
+    case 0:
+      s.mode = core::DecompMode::kNormal;
+      s.pattern = bits(cols);
+      s.types = types();
+      break;
+    case 1:
+      s.mode = core::DecompMode::kBto;
+      s.pattern = bits(cols);
+      s.types.assign(rows, core::RowType::kPattern);
+      break;
+    default: {
+      s.mode = core::DecompMode::kNonDisjoint;
+      const auto bound = s.partition.bound_inputs();
+      s.shared_bit = bound[rng.next_below(bound.size())];
+      s.pattern0 = bits(cols / 2);
+      s.pattern1 = bits(cols / 2);
+      s.types0 = types();
+      s.types1 = types();
+      break;
+    }
+  }
+  return s;
+}
+
+void BM_DecomposedBitEvalAll(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  util::Rng rng(9);
+  const auto bit = core::DecomposedBit::realize(
+      random_setting(width, static_cast<int>(state.range(1)), rng));
+  std::vector<std::uint8_t> plane(std::size_t{1} << width);
+  for (auto _ : state) {
+    bit.eval_all(plane);
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(plane.size()));
+}
+BENCHMARK(BM_DecomposedBitEvalAll)->ArgsProduct({{12, 16, 20}, {0, 1, 2}});
+
+/// The units of the served ND system: 12 outputs, 9 ND, 2 normal, 1 BTO.
+core::ApproxLut random_nd_lut(unsigned width, util::Rng& rng) {
+  std::vector<core::Setting> settings;
+  for (int k = 0; k < 12; ++k) {
+    settings.push_back(random_setting(width, k < 9 ? 2 : k < 11 ? 0 : 1, rng));
+  }
+  return core::ApproxLut::realize(width, settings);
+}
+
+void BM_StreamReconfigureNd(benchmark::State& state) {
+  // One content swap per iteration, rewriting the inactive image with the
+  // same system. No consumer is attached, so each swap retires at once.
+  const auto width = static_cast<unsigned>(state.range(0));
+  util::Rng rng(10);
+  const hw::ApproxLutSystem system(hw::ArchKind::kBtoNormalNd,
+                                   random_nd_lut(width, rng),
+                                   hw::Technology::nangate45());
+  auto target = hw::StreamTarget::compile(system);
+  for (auto _ : state) {
+    target.mark_applied(target.reconfigure(system));
+  }
+  state.SetItemsProcessed(state.iterations() * (std::int64_t{1} << width));
+}
+BENCHMARK(BM_StreamReconfigureNd)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(20)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ApproxLutRead(benchmark::State& state) {
   const unsigned width = 10;

@@ -1,9 +1,12 @@
 #include "core/decomposition.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 #include "util/bits.hpp"
+#include "util/simd.hpp"
 
 namespace dalut::core {
 
@@ -33,6 +36,27 @@ std::vector<std::uint8_t> free_table_from_types(
     table[(row << 1) | 1] = at_phi1;
   }
   return table;
+}
+
+/// The whole-domain walk's block: 16 consecutive inputs, the low nibble.
+constexpr unsigned kBlock = 16;
+/// Nibbles of a 32-bit input code.
+constexpr unsigned kMaxNibbles = 8;
+
+/// table[v] = the packed index (Partition::row_of / col_of over `mask`) of
+/// the input code v << shift, for every nibble value v.
+void nibble_offsets(std::uint32_t mask, unsigned shift,
+                    std::uint32_t (&table)[kBlock]) {
+  table[0] = 0;
+  for (unsigned v = 1; v < kBlock; ++v) {
+    const unsigned at = shift + static_cast<unsigned>(std::countr_zero(v));
+    const std::uint32_t one =
+        (mask >> at) & 1u
+            ? std::uint32_t{1}
+                  << util::popcount(mask & ((std::uint32_t{1} << at) - 1))
+            : 0u;
+    table[v] = table[v & (v - 1)] + one;
+  }
 }
 
 }  // namespace
@@ -114,50 +138,88 @@ bool DecomposedBit::eval(InputWord x) const noexcept {
 }
 
 void DecomposedBit::eval_all(std::span<std::uint8_t> out) const {
-  assert(out.size() == std::size_t{1} << partition_.num_inputs());
+  const unsigned n = partition_.num_inputs();
+  assert(out.size() == std::size_t{1} << n);
   const bool nd = mode_ == DecompMode::kNonDisjoint;
-
-  // Column side: column c's bound-set bits deposited into an input code,
-  // and its selector into a row's truth table: phi(c), plus 2 * x_s in ND
-  // mode (the shared bit is bound, so it is fixed within a column).
-  const std::uint32_t bound_mask = partition_.bound_mask();
-  const std::size_t cols = bound_table_.size();
-  std::vector<std::uint32_t> col_x(cols);
-  std::vector<std::uint8_t> select(cols);
-  std::uint32_t bound_x = 0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    col_x[c] = bound_x;
-    const unsigned xs = nd ? (bound_x >> shared_bit_) & 1u : 0u;
-    select[c] = static_cast<std::uint8_t>((bound_table_[c] != 0 ? 1u : 0u) |
-                                          xs << 1);
-    bound_x = (bound_x - bound_mask) & bound_mask;  // next code, ascending
-  }
-
-  // Row side: the row's output for each selector value, as a truth table
-  // indexed by the selector. A constant row needs no selector.
   const std::uint32_t free_mask = partition_.free_mask();
+  const std::uint32_t bound_mask = partition_.bound_mask();
   const std::size_t rows = partition_.num_rows();
-  const unsigned all_one = nd ? 0b1111u : 0b11u;
-  std::uint32_t row_x = 0;
+  const std::size_t cols = bound_table_.size();
+
+  // The walk reads byte windows of 16 rows and 16 columns, so each table
+  // carries 16 bytes of padding past its last entry.
+  //  - truth[r]: row r's output for each selector value s, as bit s;
+  //  - select[c]: column c's selector as a one-hot bit: 1 << (phi(c) | 2 x_s)
+  //    (x_s only in ND mode; the shared bit is bound, so fixed per column).
+  std::vector<std::uint8_t> tables(rows + cols + 2 * kBlock);
+  std::uint8_t* truth = tables.data();
+  std::uint8_t* select = truth + rows + kBlock;
   for (std::size_t r = 0; r < rows; ++r) {
-    unsigned truth = 0b10;  // BTO: the bit is phi
+    unsigned t = 0b10;  // BTO: the bit is phi
     if (mode_ != DecompMode::kBto) {
-      truth = free_table0_[r << 1] | free_table0_[(r << 1) | 1] << 1;
+      t = free_table0_[r << 1] | free_table0_[(r << 1) | 1] << 1;
     }
     if (nd) {
-      truth |= (free_table1_[r << 1] | free_table1_[(r << 1) | 1] << 1) << 2;
+      t |= (free_table1_[r << 1] | free_table1_[(r << 1) | 1] << 1) << 2;
     }
-    std::uint8_t* row_out = out.data() + row_x;
-    if (truth == 0 || truth == all_one) {
-      const std::uint8_t value = truth != 0 ? 1 : 0;
-      for (std::size_t c = 0; c < cols; ++c) row_out[col_x[c]] = value;
-    } else {
-      for (std::size_t c = 0; c < cols; ++c) {
-        row_out[col_x[c]] =
-            static_cast<std::uint8_t>((truth >> select[c]) & 1u);
-      }
+    truth[r] = static_cast<std::uint8_t>(t);
+  }
+  const unsigned rank =
+      nd ? util::popcount(bound_mask & ((std::uint32_t{1} << shared_bit_) - 1))
+         : 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    const unsigned xs = nd ? (c >> rank) & 1u : 0u;
+    select[c] = static_cast<std::uint8_t>(
+        1u << ((bound_table_[c] != 0 ? 1u : 0u) | xs << 1));
+  }
+
+  // Row and column of x, one nibble of x at a time: row_of(x) is the sum
+  // over nibbles j of row_nib[j][(x >> 4 j) & 15], and likewise col_of(x).
+  // Nibble 0 places an input within its block of 16, which therefore
+  // touches 2^|A ∩ low 4| consecutive rows and 2^|B ∩ low 4| consecutive
+  // columns.
+  const unsigned nibbles = (n + 3) / 4;
+  std::uint32_t row_nib[kMaxNibbles][kBlock];
+  std::uint32_t col_nib[kMaxNibbles][kBlock];
+  std::uint8_t rlo[kBlock];
+  std::uint8_t clo[kBlock];
+  for (unsigned j = 0; j < nibbles; ++j) {
+    nibble_offsets(free_mask, 4 * j, row_nib[j]);
+    nibble_offsets(bound_mask, 4 * j, col_nib[j]);
+  }
+  for (unsigned i = 0; i < kBlock; ++i) {
+    rlo[i] = static_cast<std::uint8_t>(row_nib[0][i]);
+    clo[i] = static_cast<std::uint8_t>(col_nib[0][i]);
+  }
+
+  if (n < 5) {  // under two blocks: one input at a time
+    for (std::size_t x = 0; x < out.size(); ++x) {
+      out[x] = (truth[rlo[x]] & select[clo[x]]) != 0 ? 1 : 0;
     }
-    row_x = (row_x - free_mask) & free_mask;
+    return;
+  }
+  // Blocks in ascending order, two per step; each group of (up to) 16
+  // blocks shares the row and column offsets of the nibbles above nibble 1.
+  const std::size_t blocks = out.size() / kBlock;
+  const std::size_t group = std::min<std::size_t>(blocks, kBlock);
+  for (std::size_t g = 0; g < blocks; g += group) {
+    std::uint32_t row_base = 0;
+    std::uint32_t col_base = 0;
+    for (unsigned j = 2; j < nibbles; ++j) {
+      const std::size_t v = (g >> (4 * (j - 1))) & 15;
+      row_base += row_nib[j][v];
+      col_base += col_nib[j][v];
+    }
+    const std::uint8_t* const row_at = truth + row_base;
+    const std::uint8_t* const col_at = select + col_base;
+    for (std::size_t b = 0; b < group; b += 2) {
+      const std::uint8_t* const rows_of[2] = {row_at + row_nib[1][b],
+                                              row_at + row_nib[1][b + 1]};
+      const std::uint8_t* const cols_of[2] = {col_at + col_nib[1][b],
+                                              col_at + col_nib[1][b + 1]};
+      util::simd::select_blocks2(out.data() + (g + b) * kBlock, rows_of,
+                                 cols_of, rlo, clo);
+    }
   }
 }
 

@@ -47,9 +47,11 @@ class DecomposedBit {
   bool eval(InputWord x) const noexcept;
 
   /// Whole-domain read: out[x] = eval(x) for every x in [0, 2^n), with
-  /// out.size() == 2^n. Walks the 2D table row by row instead of extracting
-  /// row and column indices per input: each row's free-set bits are
-  /// deposited once, each column's bound-set bits come from a table.
+  /// out.size() == 2^n. Walks x in ascending order, 16 inputs (the low
+  /// nibble) at a time: a block reads a window of consecutive rows' truth
+  /// nibbles and of consecutive columns' selectors, shuffles both by the low
+  /// nibble (util::simd::select_blocks2), and stores 16 bytes in order. The
+  /// two byte tables (2^|A| + 2^|B| bytes, padded) are per-call scratch.
   void eval_all(std::span<std::uint8_t> out) const;
   std::vector<std::uint8_t> eval_all() const;
 

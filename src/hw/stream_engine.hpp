@@ -109,11 +109,12 @@ class StreamTarget {
   /// same geometry and shifts); throws std::invalid_argument otherwise.
   /// Blocks until the consumer has retired the previous epoch
   /// (applied_epoch() >= published_epoch()), so it never scribbles over an
-  /// image a batch is still reading, then rewrites the inactive image (an
-  /// approximate system is re-materialized: m * 2^n plane writes) and
-  /// publishes it. In-flight batches finish on the old image. With no
-  /// consumer attached, call mark_applied(published_epoch()) first.
-  /// Returns the new epoch.
+  /// image a batch is still reading, then rewrites the inactive image and
+  /// publishes it. An approximate system is re-materialized unit by unit:
+  /// 2^n / 16 in-order block steps of DecomposedBit::eval_all into a byte
+  /// plane, then one pass ORing the plane into the 2^n words. In-flight
+  /// batches finish on the old image. With no consumer attached, call
+  /// mark_applied(published_epoch()) first. Returns the new epoch.
   std::uint64_t reconfigure(const ApproxLutSystem& system);
   std::uint64_t reconfigure(const MonolithicLut& lut);
 

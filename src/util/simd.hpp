@@ -7,8 +7,8 @@
 // enabled() reports the choice as a constant: on the scalar backend the
 // kernels take their plain loops.
 //
-// The wrapper exposes exactly the operations the kernels need, in three
-// granularities:
+// The wrapper exposes exactly the operations the kernels need: three lane
+// granularities and one byte shuffle.
 //
 //  * Lane vectors (VecD / VecI, kLanes wide): elementwise double and i32
 //    arithmetic for the bit-cost and error kernels.
@@ -22,6 +22,10 @@
 //    same OptForPart kernels on losses past the int32 bound: add, subtract,
 //    signed compare (vpcmpgtq on AVX2, emulated with 32-bit compares on
 //    SSE2), select, the narrowing byte store and the in-register transpose.
+//  * One byte-shuffle op (select_blocks2) for the whole-domain walk of
+//    DecomposedBit::eval_all: two vpshufb over 16-entry windows on AVX2.
+//    pshufb is SSSE3, so the SSE2 and scalar backends run a one-lane loop
+//    over the same tables.
 //
 // Bit-identity contract: no operation here reassociates floating-point
 // arithmetic. Vector adds are elementwise onto independent accumulators,
@@ -639,6 +643,43 @@ inline void i64store_bytes(std::uint8_t* p, Vec64 v) noexcept {
 inline void i64transpose(Vec64 (&)[kLanes64]) noexcept {}
 
 #endif
+
+// ---- Byte shuffles ------------------------------------------------------
+
+/// Two 16-byte blocks of a table lookup pair: for k = 0, 1 and i < 16,
+///   out[16 k + i] = (rows[k][rlo[i]] & cols[k][clo[i]]) != 0 ? 1 : 0.
+/// Every rlo and clo entry is below 16, and rows[k] and cols[k] each point
+/// at 16 readable bytes (the AVX2 body loads whole windows).
+inline void select_blocks2(std::uint8_t* out,
+                           const std::uint8_t* const (&rows)[2],
+                           const std::uint8_t* const (&cols)[2],
+                           const std::uint8_t* rlo,
+                           const std::uint8_t* clo) noexcept {
+#if defined(DALUT_SIMD_AVX2)
+  const auto window = [](const std::uint8_t* const (&p)[2]) {
+    return _mm256_inserti128_si256(
+        _mm256_castsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p[0]))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p[1])), 1);
+  };
+  const auto index = [](const std::uint8_t* p) {
+    return _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  };
+  // vpshufb shuffles each 128-bit lane within itself: lane k reads block k.
+  const __m256i hit =
+      _mm256_and_si256(_mm256_shuffle_epi8(window(rows), index(rlo)),
+                       _mm256_shuffle_epi8(window(cols), index(clo)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_min_epu8(hit, _mm256_set1_epi8(1)));
+#else
+  for (unsigned k = 0; k < 2; ++k) {
+    for (unsigned i = 0; i < 16; ++i) {
+      out[16 * k + i] = (rows[k][rlo[i]] & cols[k][clo[i]]) != 0 ? 1 : 0;
+    }
+  }
+#endif
+}
 
 }  // namespace dalut::util::simd
 

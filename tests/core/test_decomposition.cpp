@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/algorithm_common.hpp"
 #include "core/bit_cost.hpp"
 #include "core/evaluate.hpp"
@@ -23,12 +25,14 @@ Setting make_normal_setting(const Partition& p,
   return s;
 }
 
-/// A setting with random partition, pattern(s) and row types in `mode`.
-Setting random_setting(unsigned n, unsigned b, DecompMode mode,
-                       util::Rng& rng) {
+/// A setting on partition `p` with random pattern(s) and row types in
+/// `mode`. ND mode shares `shared_bit`, or a random bound input when it is
+/// unset.
+Setting random_setting(const Partition& p, DecompMode mode, util::Rng& rng,
+                       std::optional<unsigned> shared_bit = std::nullopt) {
   Setting s;
   s.error = 0.0;
-  s.partition = Partition::random(n, b, rng);
+  s.partition = p;
   s.mode = mode;
   const std::size_t cols = s.partition.num_cols();
   const std::size_t rows = s.partition.num_rows();
@@ -53,7 +57,8 @@ Setting random_setting(unsigned n, unsigned b, DecompMode mode,
       break;
     case DecompMode::kNonDisjoint: {
       const auto bound = s.partition.bound_inputs();
-      s.shared_bit = bound[rng.next_below(bound.size())];
+      s.shared_bit = shared_bit ? *shared_bit
+                                : bound[rng.next_below(bound.size())];
       s.pattern0 = bits(cols / 2);
       s.pattern1 = bits(cols / 2);
       s.types0 = types();
@@ -62,6 +67,13 @@ Setting random_setting(unsigned n, unsigned b, DecompMode mode,
     }
   }
   return s;
+}
+
+/// A setting with random partition (|B| = b), pattern(s) and row types.
+Setting random_setting(unsigned n, unsigned b, DecompMode mode,
+                       util::Rng& rng) {
+  const Partition p = Partition::random(n, b, rng);
+  return random_setting(p, mode, rng);
 }
 
 bool apply_type(RowType type, bool phi) {
@@ -98,23 +110,59 @@ bool oracle_bit(const Setting& s, InputWord x) {
 constexpr DecompMode kModes[] = {DecompMode::kNormal, DecompMode::kBto,
                                  DecompMode::kNonDisjoint};
 
+/// eval_all's whole-domain read equals eval() at every input.
+void expect_whole_domain_matches(const Setting& s) {
+  const auto bit = DecomposedBit::realize(s);
+  const unsigned n = s.partition.num_inputs();
+  const auto all = bit.eval_all();
+  ASSERT_EQ(all.size(), std::size_t{1} << n);
+  for (InputWord x = 0; x < all.size(); ++x) {
+    ASSERT_EQ(all[x] != 0, bit.eval(x))
+        << "n=" << n << " B=" << s.partition.to_string()
+        << " mode=" << to_string(s.mode) << " shared=" << s.shared_bit
+        << " x=" << x;
+    ASSERT_LE(all[x], 1u);
+  }
+}
+
 TEST(DecomposedBit, WholeDomainMatchesPointEval) {
+  // eval_all walks 16-input blocks (the low nibble), two per step: widths
+  // under 5 take the per-input path, wider ones the block walk.
   util::Rng rng(15);
   for (unsigned n = 2; n <= 16; ++n) {
     const unsigned middle = 1 + static_cast<unsigned>(rng.next_below(n - 1));
     for (const unsigned b : {1u, n - 1, middle}) {
       for (const DecompMode mode : kModes) {
-        const auto bit =
-            DecomposedBit::realize(random_setting(n, b, mode, rng));
-        const auto all = bit.eval_all();
-        ASSERT_EQ(all.size(), std::size_t{1} << n);
-        for (InputWord x = 0; x < all.size(); ++x) {
-          ASSERT_EQ(all[x] != 0, bit.eval(x))
-              << "n=" << n << " b=" << b << " mode=" << to_string(mode)
-              << " x=" << x;
-          ASSERT_LE(all[x], 1u);
-        }
+        expect_whole_domain_matches(random_setting(n, b, mode, rng));
       }
+    }
+  }
+  for (unsigned n = 17; n <= 20; ++n) {
+    for (const DecompMode mode : kModes) {
+      expect_whole_domain_matches(
+          random_setting(n, (9 * n + 8) / 16, mode, rng));
+    }
+  }
+  // A block's inputs all share one column when the low nibble is all free,
+  // and one row when it is all bound.
+  for (const unsigned n : {5u, 8u, 13u}) {
+    const std::uint32_t all = (std::uint32_t{1} << n) - 1;
+    for (const std::uint32_t bound : {all & ~0xFu, 0xFu, all & ~0x7u}) {
+      for (const DecompMode mode : kModes) {
+        expect_whole_domain_matches(
+            random_setting(Partition(n, bound), mode, rng));
+      }
+    }
+  }
+  // ND units whose shared bit lies in the low nibble, so x_s changes
+  // within a block.
+  for (const unsigned n : {4u, 5u, 9u, 12u}) {
+    for (const unsigned shared : {0u, 2u, 3u}) {
+      const std::uint32_t bound =
+          (std::uint32_t{1} << shared) | (std::uint32_t{1} << (n - 1)) |
+          (n > 6 ? 0b100000u : 0u);
+      expect_whole_domain_matches(random_setting(
+          Partition(n, bound), DecompMode::kNonDisjoint, rng, shared));
     }
   }
 }

@@ -436,5 +436,36 @@ TEST(SimdIdentity, Int64LanesMatchScalarLoops) {
   }
 }
 
+// The byte-shuffle step of DecomposedBit::eval_all, against the plain
+// lookup it stands for: random bytes in both tables (any bit pattern, not
+// only the walk's nibbles and one-hot selectors), random 16-entry windows
+// and random low-nibble indices.
+TEST(SimdIdentity, SelectBlocksMatchesTableLookups) {
+  util::Rng rng(10);
+  std::vector<std::uint8_t> rows(64), cols(64);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (auto& v : rows) v = static_cast<std::uint8_t>(rng.next_below(256));
+    for (auto& v : cols) v = static_cast<std::uint8_t>(rng.next_below(256));
+    std::uint8_t rlo[16], clo[16];
+    for (unsigned i = 0; i < 16; ++i) {
+      rlo[i] = static_cast<std::uint8_t>(rng.next_below(16));
+      clo[i] = static_cast<std::uint8_t>(rng.next_below(16));
+    }
+    const std::uint8_t* const row_at[2] = {
+        rows.data() + rng.next_below(48), rows.data() + rng.next_below(48)};
+    const std::uint8_t* const col_at[2] = {
+        cols.data() + rng.next_below(48), cols.data() + rng.next_below(48)};
+    std::uint8_t out[32];
+    simd::select_blocks2(out, row_at, col_at, rlo, clo);
+    for (unsigned k = 0; k < 2; ++k) {
+      for (unsigned i = 0; i < 16; ++i) {
+        const bool hit = (row_at[k][rlo[i]] & col_at[k][clo[i]]) != 0;
+        ASSERT_EQ(out[16 * k + i], hit ? 1 : 0)
+            << "trial " << trial << " block " << k << " i " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dalut::core

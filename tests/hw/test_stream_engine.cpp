@@ -318,6 +318,38 @@ TEST(StreamEngine, NdSwapsRewriteEveryWordOfBothImages) {
   }
 }
 
+TEST(StreamEngine, NdSwapImagesMatchValuesAtEveryWidth) {
+  // The swap's fill walks 16-input blocks two at a time: 4 inputs are under
+  // two blocks, 5 are exactly two, 12 is the served width and 20 the widest
+  // image. At 4 inputs the ND shared bit (the top input) lies in the low
+  // nibble. After each swap, the whole image must equal ApproxLut::values()
+  // and ApproxLutSystem::read of the new contents.
+  for (const unsigned n : {4u, 5u, 12u, 20u}) {
+    const core::ApproxLut luts[2] = {wide_all_modes_lut(n, 70 + n),
+                                     wide_all_modes_lut(n, 80 + n)};
+    const ApproxLutSystem systems[2] = {
+        {ArchKind::kBtoNormalNd, luts[0], kTech},
+        {ArchKind::kBtoNormalNd, luts[1], kTech}};
+    std::vector<core::InputWord> domain(std::size_t{1} << n);
+    for (std::size_t x = 0; x < domain.size(); ++x) {
+      domain[x] = static_cast<core::InputWord>(x);
+    }
+    auto target = StreamTarget::compile(systems[0]);
+    target.mark_applied(target.published_epoch());
+    std::vector<core::OutputWord> y(domain.size());
+    for (const int next : {1, 0}) {
+      target.mark_applied(target.reconfigure(systems[next]));
+      std::uint64_t epoch = 0;
+      target.eval_batch(target.acquire(epoch), domain.data(), y.data(),
+                        domain.size());
+      ASSERT_EQ(y, luts[next].values()) << "n " << n << " swap to " << next;
+      for (const core::InputWord x : domain) {
+        ASSERT_EQ(y[x], systems[next].read(x)) << "n " << n << " x " << x;
+      }
+    }
+  }
+}
+
 TEST(StreamEngine, TogglesUseCorrectedMaskedAccounting) {
   // Reads wider than the declared output bus: the batched engine must
   // reproduce the *masked* toggle numbers of the fixed simulate() loop.

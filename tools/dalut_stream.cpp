@@ -19,14 +19,16 @@
 // smoke run with scripts/check_stream_smoke.py). `--listen` exposes the
 // stream.* counters on a live /metrics endpoint while the tool runs.
 // Exits with the shared codes (docs/robustness.md): 2 on a bad flag naming
-// it, 6 when `--out` cannot be opened or written, 1 on a bit-identity
-// failure.
+// it (a malformed `--listen` too), 6 when `--out` cannot be opened (checked
+// before the first measurement) or written or the exporter cannot start,
+// 1 on a bit-identity failure.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -50,6 +52,13 @@ using namespace dalut;
 using tools::kExitFatal;
 using tools::kExitIo;
 using tools::kExitUsage;
+
+/// Closes a report file that was never handed to close_text_artifact.
+struct CloseFile {
+  void operator()(std::FILE* file) const noexcept {
+    if (file != stdout) std::fclose(file);
+  }
+};
 
 std::vector<core::InputWord> make_sequence(std::size_t count, unsigned width,
                                            std::uint64_t seed) {
@@ -295,13 +304,28 @@ int run(int argc, char** argv) {
       exporter_options.host = host;
       exporter_options.port = port;
       exporter.start(exporter_options);
-    } catch (const std::exception& error) {
+    } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "error: %s\n", error.what());
-      return kExitFatal;
+      return kExitUsage;
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "io error: %s\n", error.what());
+      return kExitIo;
     }
     std::fprintf(stderr, "observability: listening on http://%s (/metrics)\n",
                  exporter.endpoint().c_str());
     std::fflush(stderr);
+  }
+
+  // Opened before the first measurement, so an unwritable path fails at
+  // once rather than after the whole run.
+  const std::string out_path = cli.str("out");
+  std::unique_ptr<std::FILE, CloseFile> out(
+      out_path == "-" ? stdout : std::fopen(out_path.c_str(), "w"));
+  if (!out) {
+    std::fprintf(stderr,
+                 "io error: cannot write stream report to '%s': %s\n",
+                 out_path.c_str(), std::strerror(errno));
+    return kExitIo;
   }
 
   const auto tech = hw::Technology::nangate45();
@@ -391,21 +415,12 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::string out_path = cli.str("out");
-  std::FILE* out =
-      out_path == "-" ? stdout : std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "io error: cannot write stream report to '%s': %s\n",
-                 out_path.c_str(), std::strerror(errno));
-    return kExitIo;
-  }
-  write_json(out, rows, benchmark, width, producers, config, reads,
+  write_json(out.get(), rows, benchmark, width, producers, config, reads,
              reconfigs, seed);
-  if (!util::close_text_artifact(out, out_path, "stream report")) {
+  if (!util::close_text_artifact(out.release(), out_path, "stream report")) {
     return kExitIo;
   }
-  if (out != stdout) std::fprintf(stderr, "wrote %s\n", out_path.c_str());
+  if (out_path != "-") std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
 }
 
