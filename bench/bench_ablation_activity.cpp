@@ -26,13 +26,13 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed = scale.seed;
+  const auto seed = scale.job.seed;
   const auto reads = static_cast<std::size_t>(
       bench::integer_flag(cli, "reads", 1, std::int64_t{1} << 26));
   const auto tech = hw::Technology::nangate45();
 
   const auto spec_opt =
-      func::benchmark_by_name(cli.str("benchmark"), scale.width);
+      func::benchmark_by_name(cli.str("benchmark"), scale.job.width);
   if (!spec_opt) {
     std::fprintf(stderr, "unknown benchmark\n");
     return 1;
@@ -47,14 +47,12 @@ int main(int argc, char** argv) {
   struct Arch {
     const char* name;
     hw::ArchKind kind;
-    core::ModePolicy policy;
+    const char* job_arch;
   };
   const Arch archs[] = {
-      {"DALTA", hw::ArchKind::kDalta, core::ModePolicy::normal_only()},
-      {"BTO-Normal", hw::ArchKind::kBtoNormal,
-       core::ModePolicy::bto_normal(0.01)},
-      {"BTO-Normal-ND", hw::ArchKind::kBtoNormalNd,
-       core::ModePolicy::bto_normal_nd(0.01, 0.1)},
+      {"DALTA", hw::ArchKind::kDalta, "dalta"},
+      {"BTO-Normal", hw::ArchKind::kBtoNormal, "bto-normal"},
+      {"BTO-Normal-ND", hw::ArchKind::kBtoNormalNd, "bto-normal-nd"},
   };
   struct Pattern {
     const char* name;
@@ -70,9 +68,10 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"architecture", "trace", "input act.(bits)",
                             "energy(fJ/read)", "vs uniform"});
   for (const auto& arch : archs) {
-    auto params = bench::bssa_params(scale, seed, &pool);
-    params.modes = arch.policy;
-    const auto lut = core::run_bssa(g, dist, params).realize(g.num_inputs());
+    auto job = scale.run("bssa", seed);
+    job.arch = arch.job_arch;
+    const auto lut =
+        suite::run_search(job, g, dist, {&pool}).realize(g.num_inputs());
     const hw::ApproxLutSystem system(arch.kind, lut, tech);
     const auto target = hw::make_target(system);
     const auto reference = lut.to_function();

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed_base = scale.seed;
+  const auto seed_base = scale.job.seed;
   const std::string selected = cli.str("benchmarks");
 
   std::printf("=== Algorithm ablation ===\n");
@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
     return [&, mutate](const core::MultiOutputFunction& g,
                        const core::InputDistribution& dist,
                        std::uint64_t seed) {
-      auto params = bench::bssa_params(scale, seed, &pool);
+      auto params = suite::bssa_params(scale.run("bssa", seed), g.num_inputs());
+      params.pool = &pool;
       mutate(params);
       return core::run_bssa(g, dist, params);
     };
@@ -75,21 +76,19 @@ int main(int argc, char** argv) {
   variants.push_back({"- 10 SA chains", bssa_variant([](core::BssaParams& p) {
                         p.sa.chains = 10;
                       })});
-  variants.push_back(
-      {"random search @ BS-SA budget",
-       [&](const core::MultiOutputFunction& g,
-           const core::InputDistribution& dist, std::uint64_t seed) {
-         auto params = bench::dalta_params(scale, seed, &pool);
-         params.partition_limit = scale.bssa_partitions;
-         return core::run_dalta(g, dist, params);
-       }});
-  variants.push_back(
-      {"DALTA (full budget)",
-       [&](const core::MultiOutputFunction& g,
-           const core::InputDistribution& dist, std::uint64_t seed) {
-         return core::run_dalta(g, dist, bench::dalta_params(scale, seed,
-                                                             &pool));
-       }});
+  auto dalta_variant = [&](unsigned partitions) {
+    return [&, partitions](const core::MultiOutputFunction& g,
+                           const core::InputDistribution& dist,
+                           std::uint64_t seed) {
+      auto job = scale.run("dalta", seed);
+      job.partitions = partitions;
+      return suite::run_search(job, g, dist, {&pool});
+    };
+  };
+  variants.push_back({"random search @ BS-SA budget",
+                      dalta_variant(scale.bssa_partitions)});
+  variants.push_back({"DALTA (full budget)",
+                      dalta_variant(scale.dalta_partitions)});
 
   util::TablePrinter table(
       {"variant", "geomean min MED", "geomean avg MED", "geomean stdev",
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
     std::vector<double> mins, avgs, stdevs;
     double total_time = 0.0;
     std::size_t total_runs = 0;
-    for (const auto& spec : func::benchmark_suite(scale.width)) {
+    for (const auto& spec : func::benchmark_suite(scale.job.width)) {
       if (selected.find(spec.name) == std::string::npos) continue;
       const auto g = bench::materialize(spec);
       const auto dist = core::InputDistribution::uniform(g.num_inputs());

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed = scale.seed;
+  const auto seed = scale.job.seed;
   const auto tech = hw::Technology::nangate45();
 
-  const unsigned n = scale.width;
+  const unsigned n = scale.job.width;
   const unsigned lo =
       static_cast<unsigned>(bench::integer_flag(cli, "min-bound", 2, n - 2));
   const unsigned hi_opt =
@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
     core::BoundSweepParams sweep;
     sweep.min_bound = lo;
     sweep.max_bound = hi;
-    sweep.probe = bench::bssa_params(scale, seed, &pool);
+    sweep.probe = suite::bssa_params(scale.run("bssa", seed), n);
+    sweep.probe.pool = &pool;
     const auto probes = core::sweep_bound_sizes(g, dist, sweep);
     std::printf("%-11s", spec.name.c_str());
     for (const auto& probe : probes) {

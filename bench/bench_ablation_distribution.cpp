@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed = scale.seed;
+  const auto seed = scale.job.seed;
   const double centre = bench::real_flag(cli, "centre", 0.0, 1.0);
   const double sigma = bench::real_flag(cli, "sigma", 0.001, 10.0);
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                             "improvement"});
   std::vector<double> ratios;
 
-  for (const auto& spec : func::benchmark_suite(scale.width)) {
+  for (const auto& spec : func::benchmark_suite(scale.job.width)) {
     const auto g = bench::materialize(spec);
     const auto uniform = core::InputDistribution::uniform(g.num_inputs());
     const auto gaussian = gaussian_inputs(g.num_inputs(), centre, sigma);
@@ -73,13 +73,13 @@ int main(int argc, char** argv) {
     double uniform_opt = 1e300;
     double aware_opt = 1e300;
     for (unsigned run = 0; run < scale.runs; ++run) {
-      const auto params = bench::bssa_params(scale, seed + run, &pool);
-      const auto blind = core::run_bssa(g, uniform, params);
+      const auto job = scale.run("bssa", seed + run);
+      const auto blind = suite::run_search(job, g, uniform, {&pool});
       uniform_opt = std::min(
           uniform_opt,
           core::mean_error_distance(
               g, blind.realize(g.num_inputs()).values(), gaussian));
-      const auto aware = core::run_bssa(g, gaussian, params);
+      const auto aware = suite::run_search(job, g, gaussian, {&pool});
       aware_opt = std::min(aware_opt, aware.med);
     }
     const double ratio = aware_opt / std::max(uniform_opt, 1e-12);

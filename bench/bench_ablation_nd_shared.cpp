@@ -50,7 +50,10 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed = scale.seed;
+  const auto seed = scale.job.seed;
+  const unsigned n = scale.job.width;
+  const auto params = suite::bssa_params(scale.run("bssa", seed), n);
+  const unsigned b = params.bound_size;
   const auto top_partitions = static_cast<unsigned>(
       bench::integer_flag(cli, "partitions", 1, std::int64_t{1} << 20));
   const auto tech = hw::Technology::nangate45();
@@ -59,9 +62,9 @@ int main(int argc, char** argv) {
   bench::print_scale(scale);
 
   std::vector<double> error_by_size[3];
-  const core::OptForPartParams opt_params{scale.init_patterns, 64};
+  const core::OptForPartParams opt_params{params.sa.init_patterns, 64};
 
-  for (const auto& spec : func::benchmark_suite(scale.width)) {
+  for (const auto& spec : func::benchmark_suite(n)) {
     const auto g = bench::materialize(spec);
     const auto dist = core::InputDistribution::uniform(g.num_inputs());
     // Cost landscape of the MSB with the predictive model - the bit where
@@ -71,13 +74,9 @@ int main(int argc, char** argv) {
         g, g.values(), k, core::LsbModel::kPredictive, dist);
 
     util::Rng rng(seed);
-    core::SaParams sa;
-    sa.partition_limit = scale.bssa_partitions;
-    sa.init_patterns = scale.init_patterns;
-    sa.chains = scale.chains;
     const auto found = core::find_best_settings(
-        g.num_inputs(), scale.bound_size, costs, top_partitions, sa, rng,
-        &pool, false);
+        g.num_inputs(), b, costs, top_partitions, params.sa, rng, &pool,
+        false);
 
     double best[3] = {1e300, 1e300, 1e300};
     for (const auto& candidate : found.top) {
@@ -96,8 +95,6 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"|C|", "geomean error", "vs disjoint",
                             "LUT entries/bit", "energy(fJ)/bit",
                             "energy vs disjoint"});
-  const unsigned n = scale.width;
-  const unsigned b = scale.bound_size;
   const double e0 = util::geomean(error_by_size[0], 1e-9);
   const double energy0 = unit_energy(n, b, 0, tech);
   for (unsigned s = 0; s <= 2; ++s) {

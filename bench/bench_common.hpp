@@ -1,7 +1,9 @@
 // Shared helpers for the experiment harnesses (bench_table*/bench_fig*).
 //
-// The paper's experiments run 16-bit functions with b = 9, P = 1000 (DALTA)
-// / 500 (BS-SA), Z = 30, R = 5, 10 runs on a 48-core machine. The default
+// The harnesses build suite::SuiteJobs and run them, or edit the params the
+// suite's builders make of them, like a manifest job or dalut_opt. The
+// paper's experiments run 16-bit functions with b = 9, P = 1000 (DALTA) /
+// 500 (BS-SA), Z = 30, R = 5, 10 runs on a 48-core machine. The default
 // harness scale is reduced so the whole suite regenerates in minutes on one
 // core; `--full` restores the paper's parameters. Partition budgets scale
 // with the partition-space size C(width, b) to keep the algorithms' relative
@@ -15,9 +17,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/bssa.hpp"
-#include "core/dalta.hpp"
 #include "func/registry.hpp"
+#include "suite/suite_runner.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,12 +27,6 @@ namespace dalut::bench {
 inline core::MultiOutputFunction materialize(const func::FunctionSpec& spec) {
   return core::MultiOutputFunction::from_eval(spec.num_inputs,
                                               spec.num_outputs, spec.eval);
-}
-
-/// Paper bound-set fraction: b = 9 at n = 16.
-inline unsigned default_bound_size(unsigned width) {
-  const unsigned b = (9u * width + 8) / 16;
-  return std::max(2u, std::min(b, width - 1));
 }
 
 inline double binomial(unsigned n, unsigned k) {
@@ -43,17 +38,24 @@ inline double binomial(unsigned n, unsigned k) {
 }
 
 struct ExperimentScale {
-  unsigned width = 12;
-  unsigned bound_size = 7;
-  unsigned rounds = 3;
-  unsigned init_patterns = 12;   ///< Z
+  /// What every run searches: width, R, Z, beams, chains and the base
+  /// seed; bound 0 is suite::default_bound(width).
+  suite::SuiteJob job;
   unsigned dalta_partitions = 70;
   unsigned bssa_partitions = 35;
-  unsigned beam_width = 3;
-  unsigned chains = 3;
   unsigned runs = 3;
   std::size_t threads = 0;  ///< worker threads, 0 = hardware
-  std::uint64_t seed = 1;   ///< base random seed
+
+  /// `job` as one run of `algorithm` ("dalta" or "bssa") with that
+  /// algorithm's partition budget and the run's seed.
+  suite::SuiteJob run(const char* algorithm, std::uint64_t seed) const {
+    suite::SuiteJob run = job;
+    run.algorithm = algorithm;
+    run.partitions =
+        run.algorithm == "dalta" ? dalta_partitions : bssa_partitions;
+    run.seed = seed;
+    return run;
+  }
 };
 
 /// Registers the scale-related options every harness shares.
@@ -98,6 +100,7 @@ inline double real_flag(const util::CliParser& cli, const std::string& name,
 /// --seed (non-negative) is.
 inline ExperimentScale resolve_scale(const util::CliParser& cli) {
   ExperimentScale scale;
+  suite::SuiteJob& job = scale.job;
   checked_flag([&] {
     if (cli.flag("full")) {
       for (const char* name : {"width", "runs", "rounds"}) {
@@ -107,69 +110,44 @@ inline ExperimentScale resolve_scale(const util::CliParser& cli) {
               " cannot be combined with --full (width 16, R = 5, 10 runs)");
         }
       }
-      scale.width = 16;
-      scale.rounds = 5;
+      job.width = 16;
+      job.rounds = 5;
+      job.patterns = 30;
+      job.chains = 10;
       scale.runs = 10;
-      scale.init_patterns = 30;
       scale.dalta_partitions = 1000;
       scale.bssa_partitions = 500;
-      scale.chains = 10;
     } else {
-      scale.width = static_cast<unsigned>(cli.integer_in("width", 3, 20));
+      job.width = static_cast<unsigned>(cli.integer_in("width", 3, 20));
       scale.runs = static_cast<unsigned>(cli.integer_in("runs", 1, 1000));
-      scale.rounds = static_cast<unsigned>(cli.integer_in("rounds", 1, 1000));
-      scale.bound_size = default_bound_size(scale.width);
+      job.rounds = static_cast<unsigned>(cli.integer_in("rounds", 1, 1000));
       // Match the paper's coverage of the partition space:
       // 1000 / C(16,9) = 8.7% for DALTA, half that for BS-SA.
-      const double space = binomial(scale.width, scale.bound_size);
+      const double space =
+          binomial(job.width, suite::default_bound(job.width));
       scale.dalta_partitions = static_cast<unsigned>(
           std::min(1000.0, std::max(20.0, std::round(0.087 * space))));
       scale.bssa_partitions = std::max(10u, scale.dalta_partitions / 2);
     }
     scale.threads = static_cast<std::size_t>(cli.integer_in(
         "threads", 0, static_cast<std::int64_t>(util::kMaxWorkerCount)));
-    scale.seed = static_cast<std::uint64_t>(cli.integer_in(
+    job.seed = static_cast<std::uint64_t>(cli.integer_in(
         "seed", 0, std::numeric_limits<std::int64_t>::max()));
   });
-  scale.bound_size = default_bound_size(scale.width);
   return scale;
 }
 
-inline core::DaltaParams dalta_params(const ExperimentScale& scale,
-                                      std::uint64_t seed,
-                                      util::ThreadPool* pool = nullptr) {
-  core::DaltaParams params;
-  params.bound_size = scale.bound_size;
-  params.rounds = scale.rounds;
-  params.partition_limit = scale.dalta_partitions;
-  params.init_patterns = scale.init_patterns;
-  params.seed = seed;
-  params.pool = pool;
-  return params;
-}
-
-inline core::BssaParams bssa_params(const ExperimentScale& scale,
-                                    std::uint64_t seed,
-                                    util::ThreadPool* pool = nullptr) {
-  core::BssaParams params;
-  params.bound_size = scale.bound_size;
-  params.rounds = scale.rounds;
-  params.beam_width = scale.beam_width;
-  params.sa.partition_limit = scale.bssa_partitions;
-  params.sa.init_patterns = scale.init_patterns;
-  params.sa.chains = scale.chains;
-  params.seed = seed;
-  params.pool = pool;
-  return params;
-}
-
+/// Prints the scale as the suite's builders resolve it.
 inline void print_scale(const ExperimentScale& scale) {
+  const unsigned n = scale.job.width;
+  const auto dalta = suite::dalta_params(scale.run("dalta", scale.job.seed), n);
+  const auto bssa = suite::bssa_params(scale.run("bssa", scale.job.seed), n);
   std::printf(
       "scale: width=%u bound_size=%u rounds=%u Z=%u P(DALTA)=%u P(BS-SA)=%u "
       "beams=%u chains=%u runs=%u\n\n",
-      scale.width, scale.bound_size, scale.rounds, scale.init_patterns,
-      scale.dalta_partitions, scale.bssa_partitions, scale.beam_width,
-      scale.chains, scale.runs);
+      n, bssa.bound_size, bssa.rounds, bssa.sa.init_patterns,
+      dalta.partition_limit, bssa.sa.partition_limit, bssa.beam_width,
+      bssa.sa.chains, scale.runs);
 }
 
 }  // namespace dalut::bench

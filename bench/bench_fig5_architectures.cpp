@@ -51,14 +51,14 @@ int main(int argc, char** argv) {
   cli.add_option("csv", "", "also write normalized geomeans to this file");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto scale = bench::resolve_scale(cli);
+  auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed_base = scale.seed;
+  const auto seed_base = scale.job.seed;
   const auto reads = static_cast<std::size_t>(
       bench::integer_flag(cli, "reads", 1, std::int64_t{1} << 26));
   constexpr double kHuge = std::numeric_limits<double>::max();
-  const double delta = bench::real_flag(cli, "delta", 0.0, kHuge);
-  const double delta_prime = bench::real_flag(cli, "delta-prime", 0.0, kHuge);
+  scale.job.delta = bench::real_flag(cli, "delta", 0.0, kHuge);
+  scale.job.delta_prime = bench::real_flag(cli, "delta-prime", 0.0, kHuge);
   // Paper: fixed w = 6 at n = 16, chosen so RoundIn's MED is comparable to
   // (slightly above) the decomposition architectures'. At full scale we use
   // that value; at reduced scale the same intent is implemented per
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
 
   std::array<std::vector<double>, kArchCount> med, area, delay, energy;
 
-  for (const auto& spec : func::benchmark_suite(scale.width)) {
+  for (const auto& spec : func::benchmark_suite(scale.job.width)) {
     const auto g = bench::materialize(spec);
     const unsigned n = g.num_inputs();
     const unsigned m = g.num_outputs();
@@ -113,44 +113,29 @@ int main(int argc, char** argv) {
       return metrics;
     };
 
-    // --- DALTA: best of `runs` runs of its own algorithm. ---
-    core::DecompositionResult dalta_best;
-    dalta_best.med = 1e300;
-    for (unsigned run = 0; run < scale.runs; ++run) {
-      auto result = core::run_dalta(
-          g, dist, bench::dalta_params(scale, seed_base + run, &pool));
-      if (result.med < dalta_best.med) dalta_best = std::move(result);
-    }
-    const auto dalta_lut = dalta_best.realize(n);
-    const hw::ApproxLutSystem dalta_system(hw::ArchKind::kDalta, dalta_lut,
-                                           tech);
-    const Metrics m_dalta = measure_system(dalta_system, dalta_lut.values());
-
-    // --- BTO-Normal / BTO-Normal-ND: BS-SA (see bssa_runs note above). ---
-    auto run_bssa_best = [&](const core::ModePolicy& policy) {
+    // The best of `runs` searches of one job, realized on `kind`: DALTA
+    // runs its own algorithm; BTO-Normal and BTO-Normal-ND run BS-SA (see
+    // the bssa_runs note above).
+    auto measure_best = [&](const char* algorithm, const char* arch,
+                            hw::ArchKind kind, unsigned runs) {
       core::DecompositionResult best;
       best.med = 1e300;
-      for (unsigned run = 0; run < bssa_runs; ++run) {
-        auto params = bench::bssa_params(scale, seed_base + run, &pool);
-        params.modes = policy;
-        auto result = core::run_bssa(g, dist, params);
+      for (unsigned run = 0; run < runs; ++run) {
+        auto job = scale.run(algorithm, seed_base + run);
+        job.arch = arch;
+        auto result = suite::run_search(job, g, dist, {&pool});
         if (result.med < best.med) best = std::move(result);
       }
-      return best;
+      const auto lut = best.realize(n);
+      return measure_system(hw::ApproxLutSystem(kind, lut, tech),
+                            lut.values());
     };
-
-    const auto bto_lut =
-        run_bssa_best(core::ModePolicy::bto_normal(delta)).realize(n);
-    const hw::ApproxLutSystem bto_system(hw::ArchKind::kBtoNormal, bto_lut,
-                                         tech);
-    const Metrics m_bto = measure_system(bto_system, bto_lut.values());
-
-    const auto nd_lut =
-        run_bssa_best(core::ModePolicy::bto_normal_nd(delta, delta_prime))
-            .realize(n);
-    const hw::ApproxLutSystem nd_system(hw::ArchKind::kBtoNormalNd, nd_lut,
-                                        tech);
-    const Metrics m_nd = measure_system(nd_system, nd_lut.values());
+    const Metrics m_dalta =
+        measure_best("dalta", "dalta", hw::ArchKind::kDalta, scale.runs);
+    const Metrics m_bto = measure_best("bssa", "bto-normal",
+                                       hw::ArchKind::kBtoNormal, bssa_runs);
+    const Metrics m_nd = measure_best("bssa", "bto-normal-nd",
+                                      hw::ArchKind::kBtoNormalNd, bssa_runs);
 
     // --- RoundOut: smallest q with MED above DALTA's. ---
     const unsigned q =

@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed = scale.seed;
+  const auto seed = scale.job.seed;
   const auto tech = hw::Technology::nangate45();
 
   const auto spec_opt =
-      func::benchmark_by_name(cli.str("benchmark"), scale.width);
+      func::benchmark_by_name(cli.str("benchmark"), scale.job.width);
   if (!spec_opt) {
     std::fprintf(stderr, "unknown benchmark '%s'\n",
                  cli.str("benchmark").c_str());
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
   core::DecompositionResult dalta;
   dalta.med = 1e300;
   for (unsigned run = 0; run < scale.runs; ++run) {
-    auto result = core::run_dalta(
-        g, dist, bench::dalta_params(scale, seed + run, &pool));
+    auto result =
+        suite::run_search(scale.run("dalta", seed + run), g, dist, {&pool});
     if (result.med < dalta.med) dalta = std::move(result);
   }
   const hw::ApproxLutSystem dalta_system(hw::ArchKind::kDalta,
@@ -79,20 +79,21 @@ int main(int argc, char** argv) {
               dalta_energy);
 
   // BS-SA solution as the anchor for the per-bit mode candidates.
-  auto params = bench::bssa_params(scale, seed, &pool);
+  auto params = suite::bssa_params(scale.run("bssa", seed), n);
+  params.pool = &pool;
   const auto anchor = core::run_bssa(g, dist, params);
   auto cache = anchor.realize(n).values();
 
   std::vector<core::ModeCandidates> candidates(m);
   std::vector<std::array<double, 3>> energies(m);
   util::Rng rng(seed + 99);
-  const core::OptForPartParams opt_params{scale.init_patterns, 64};
+  const core::OptForPartParams opt_params{params.sa.init_patterns, 64};
   for (unsigned k = 0; k < m; ++k) {
     const auto costs = core::build_bit_costs(
         g, cache, k, core::LsbModel::kCurrentApprox, dist);
     const auto found =
-        core::find_best_settings(n, scale.bound_size, costs, 4, params.sa, rng,
-                                 &pool, /*track_bto=*/true);
+        core::find_best_settings(n, params.bound_size, costs, 4, params.sa,
+                                 rng, &pool, /*track_bto=*/true);
     core::Setting normal = found.top.front();
     core::Setting bto = found.top_bto.front();
     core::Setting nd;

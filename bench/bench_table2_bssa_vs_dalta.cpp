@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const auto scale = bench::resolve_scale(cli);
   util::ThreadPool pool(scale.threads);
-  const auto seed_base = scale.seed;
+  const auto seed_base = scale.job.seed;
   const std::string only = cli.str("benchmarks");
 
   std::printf("=== Table II: DALTA vs BS-SA (MED over %u runs) ===\n",
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
 
-  for (const auto& spec : func::benchmark_suite(scale.width)) {
+  for (const auto& spec : func::benchmark_suite(scale.job.width)) {
     if (!only.empty() && only.find(spec.name) == std::string::npos) continue;
     const auto g = bench::materialize(spec);
     const auto dist = core::InputDistribution::uniform(g.num_inputs());
@@ -51,11 +51,11 @@ int main(int argc, char** argv) {
     for (unsigned run = 0; run < scale.runs; ++run) {
       const std::uint64_t seed = seed_base + 1000 * run;
       const auto d =
-          core::run_dalta(g, dist, bench::dalta_params(scale, seed, &pool));
+          suite::run_search(scale.run("dalta", seed), g, dist, {&pool});
       dalta_med.add(d.med);
       dalta_time += d.runtime_seconds;
       const auto b =
-          core::run_bssa(g, dist, bench::bssa_params(scale, seed, &pool));
+          suite::run_search(scale.run("bssa", seed), g, dist, {&pool});
       bssa_med.add(b.med);
       bssa_time += b.runtime_seconds;
     }

@@ -2,6 +2,10 @@
 
 #include <bit>
 #include <cassert>
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "core/partition_opt.hpp"
@@ -22,6 +26,23 @@ std::uint64_t choose(unsigned n, unsigned k) {
 }
 
 }  // namespace
+
+void check_count(const char* key, unsigned value, unsigned lo, unsigned hi) {
+  if (value < lo || value > hi) {
+    throw std::invalid_argument(std::string(key) + " " +
+                                std::to_string(value) + " is out of range [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+}
+
+void check_factor(const char* key, double value) {
+  if (!std::isfinite(value) || value < 0.0) {
+    std::ostringstream message;
+    message << key << " " << value << " must be finite and >= 0";
+    throw std::invalid_argument(message.str());
+  }
+}
 
 void write_bit_to_cache(std::vector<OutputWord>& cache, unsigned k,
                         const Setting& setting) {

@@ -14,6 +14,20 @@
 
 namespace dalut::core {
 
+// Upper limits of the search parameters: validate() on DaltaParams and
+// BssaParams enforces them, and set_job_field checks each manifest key.
+inline constexpr unsigned kMaxRounds = 1u << 20;
+inline constexpr unsigned kMaxPartitionLimit = 1u << 20;  ///< P
+inline constexpr unsigned kMaxInitPatterns = 1u << 20;    ///< Z
+inline constexpr unsigned kMaxBeamWidth = 4096;
+inline constexpr unsigned kMaxChains = 4096;
+inline constexpr unsigned kMaxNdCandidates = 4096;
+
+/// Throw std::invalid_argument, beginning with `key` (the manifest key),
+/// unless lo <= value <= hi, or unless `value` is finite and >= 0.
+void check_count(const char* key, unsigned value, unsigned lo, unsigned hi);
+void check_factor(const char* key, double value);
+
 /// Outcome of a full approximate-decomposition run.
 struct DecompositionResult {
   std::vector<Setting> settings;  ///< one per output bit, index = bit k

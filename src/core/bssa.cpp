@@ -111,20 +111,27 @@ void validate_resume(const SearchCheckpoint& ck, std::uint64_t digest,
 
 }  // namespace
 
+void BssaParams::validate(unsigned num_inputs) const {
+  check_count("bound", bound_size, 1, std::max(num_inputs, 1u) - 1);
+  // BTO/ND modes are selected in the refinement rounds, from round 2 on.
+  check_count("rounds", rounds, modes.allow_bto || modes.allow_nd ? 2 : 1,
+              kMaxRounds);
+  check_count("beams", beam_width, 1, kMaxBeamWidth);
+  check_count("partitions", sa.partition_limit, 1, kMaxPartitionLimit);
+  check_count("patterns", sa.init_patterns, 1, kMaxInitPatterns);
+  check_count("chains", sa.chains, 1, kMaxChains);
+  check_count("nd-candidates", nd_candidates, modes.allow_nd ? 1 : 0,
+              kMaxNdCandidates);
+  check_factor("delta", modes.delta);
+  check_factor("delta-prime", modes.delta_prime);
+}
+
 DecompositionResult run_bssa(const MultiOutputFunction& g,
                              const InputDistribution& dist,
                              const BssaParams& params) {
-  if (params.bound_size < 1 || params.bound_size >= g.num_inputs()) {
-    throw std::invalid_argument(
-        "BS-SA needs 1 <= bound_size < num_inputs, got bound_size " +
-        std::to_string(params.bound_size));
-  }
+  params.validate(g.num_inputs());
   const unsigned m = g.num_outputs();
   const bool reconfigurable = params.modes.allow_bto || params.modes.allow_nd;
-  if (params.rounds < 1 || (reconfigurable && params.rounds < 2)) {
-    throw std::invalid_argument(
-        "BS-SA needs rounds >= 1 (>= 2 with BTO/ND mode selection)");
-  }
 
   util::WallTimer timer;
   util::Rng rng(params.seed);

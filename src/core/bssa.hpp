@@ -19,7 +19,7 @@ namespace dalut::core {
 
 struct BssaParams {
   unsigned bound_size = 9;  ///< b
-  unsigned rounds = 5;      ///< R (>= 2 when modes other than normal are on)
+  unsigned rounds = 5;      ///< R
   unsigned beam_width = 3;  ///< N_beam
   SaParams sa{};            ///< Algorithm 2 parameters (P = 500 in paper)
   ModePolicy modes{};       ///< normal_only() reproduces Sec. V-A
@@ -51,6 +51,11 @@ struct BssaParams {
   /// with the same parameters. Mismatched parameters are rejected with
   /// std::invalid_argument.
   const SearchCheckpoint* resume = nullptr;
+
+  /// Throws std::invalid_argument, beginning with its manifest key, for the
+  /// first parameter out of range, `sa` and `modes` included (rounds >= 2
+  /// with BTO or ND on). run_bssa calls it first.
+  void validate(unsigned num_inputs) const;
 };
 
 DecompositionResult run_bssa(const MultiOutputFunction& g,

@@ -1,5 +1,6 @@
 #include "core/dalta.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -80,17 +81,17 @@ void validate_resume(const SearchCheckpoint& ck, std::uint64_t digest,
 
 }  // namespace
 
+void DaltaParams::validate(unsigned num_inputs) const {
+  check_count("bound", bound_size, 1, std::max(num_inputs, 1u) - 1);
+  check_count("rounds", rounds, 1, kMaxRounds);
+  check_count("partitions", partition_limit, 1, kMaxPartitionLimit);
+  check_count("patterns", init_patterns, 1, kMaxInitPatterns);
+}
+
 DecompositionResult run_dalta(const MultiOutputFunction& g,
                               const InputDistribution& dist,
                               const DaltaParams& params) {
-  if (params.bound_size < 1 || params.bound_size >= g.num_inputs()) {
-    throw std::invalid_argument(
-        "DALTA needs 1 <= bound_size < num_inputs, got bound_size " +
-        std::to_string(params.bound_size));
-  }
-  if (params.rounds < 1) {
-    throw std::invalid_argument("DALTA needs rounds >= 1");
-  }
+  params.validate(g.num_inputs());
   const unsigned m = g.num_outputs();
   const OptForPartParams opt_params{params.init_patterns, 64};
   util::RunControl* const control = params.control;

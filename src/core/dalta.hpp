@@ -33,6 +33,10 @@ struct DaltaParams {
   unsigned checkpoint_every = 0;
   std::function<void(const SearchCheckpoint&)> checkpoint_sink;
   const SearchCheckpoint* resume = nullptr;
+
+  /// Throws std::invalid_argument, beginning with its manifest key, for the
+  /// first parameter out of range. run_dalta calls it first.
+  void validate(unsigned num_inputs) const;
 };
 
 DecompositionResult run_dalta(const MultiOutputFunction& g,

@@ -10,7 +10,9 @@ namespace dalut::core {
 struct ModePolicy {
   bool allow_bto = false;
   bool allow_nd = false;
-  double delta = 0.01;        ///< delta  (0 < delta < delta_prime < 1)
+  /// BssaParams::validate checks only that both are finite and >= 0; the
+  /// paper's 0 < delta < delta' < 1 is not enforced.
+  double delta = 0.01;        ///< delta
   double delta_prime = 0.1;   ///< delta'
 
   static ModePolicy normal_only() { return {}; }

@@ -1,8 +1,10 @@
 #include "suite/manifest.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -31,31 +33,12 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
-// Accepted ranges of the search knobs. A width below 2 has no proper
-// nonempty bound set; one above 26 asks for a 2^27-entry table. A search
-// needs at least one round.
-constexpr unsigned kMinWidth = 2;
-constexpr unsigned kMaxWidth = 26;
-constexpr unsigned kMaxBound = 25;
-constexpr unsigned kMaxRounds = 1u << 20;
-constexpr unsigned kMaxPartitions = 1u << 20;
-constexpr unsigned kMaxPatterns = 1u << 20;
-constexpr unsigned kMaxBeams = 4096;
-constexpr unsigned kMaxChains = 4096;
-constexpr unsigned kMaxNdCandidates = 4096;
-
-[[noreturn]] void fail_field(const std::string& key, const std::string& value,
-                             const std::string& why) {
-  throw std::invalid_argument(key + " '" + token_excerpt(value) + "' " + why);
-}
-
 unsigned parse_knob(const std::string& key, const std::string& value,
                     unsigned max, unsigned min = 0) {
-  const auto parsed = core::detail::parse_unsigned(value, key.c_str(), max);
-  if (parsed < min) {
-    fail_field(key, value, "is out of range (min " + std::to_string(min) + ")");
-  }
-  return static_cast<unsigned>(parsed);
+  const auto parsed = static_cast<unsigned>(core::detail::parse_unsigned(
+      value, key.c_str(), std::numeric_limits<unsigned>::max()));
+  core::check_count(key.c_str(), parsed, min, max);
+  return parsed;
 }
 
 const std::string& one_of(const std::string& key, const std::string& value,
@@ -65,11 +48,12 @@ const std::string& one_of(const std::string& key, const std::string& value,
     if (value == choice) return value;
     list += (list.empty() ? "" : ", ") + std::string(choice);
   }
-  fail_field(key, value, "is not one of " + list);
+  throw std::invalid_argument(key + " '" + token_excerpt(value) +
+                              "' is not one of " + list);
 }
 
 /// Applies the `key=value` tokens from `first` on. Validation that spans
-/// fields (algorithm/arch compatibility) happens after the whole line is read.
+/// fields (validate_search) happens after the whole job line is read.
 void apply_fields(SuiteJob& job, const std::vector<std::string>& tokens,
                   std::size_t first, std::size_t line) {
   for (std::size_t i = first; i < tokens.size(); ++i) {
@@ -86,15 +70,10 @@ void apply_fields(SuiteJob& job, const std::vector<std::string>& tokens,
   }
 }
 
-/// Cross-field checks a finished job line must pass.
-void validate_job(const SuiteJob& job, std::size_t line) {
-  if (job.algorithm == "dalta" && job.arch != "dalta") {
-    fail_at(line, "job '" + job.name +
-                      "': the DALTA algorithm only supports arch=dalta");
-  }
-  if (!job.table.empty() && job.table.find('\n') != std::string::npos) {
-    fail_at(line, "table path contains a newline");
-  }
+core::CostMetric metric_of(const SuiteJob& job) {
+  if (job.metric == "mse") return core::CostMetric::kMse;
+  if (job.metric == "er") return core::CostMetric::kErrorRate;
+  return core::CostMetric::kMed;
 }
 
 }  // namespace
@@ -134,7 +113,11 @@ Manifest read_manifest(std::istream& in) {
       fail_at(line_no, "duplicate job name '" + job.name + "'");
     }
     apply_fields(job, tokens, 2, line_no);
-    validate_job(job, line_no);
+    try {
+      validate_search(job);
+    } catch (const std::invalid_argument& error) {
+      fail_at(line_no, error.what());
+    }
     if (manifest.jobs.size() >= kMaxJobs) {
       fail_at(line_no, "manifest exceeds " + std::to_string(kMaxJobs) +
                            " jobs");
@@ -167,42 +150,92 @@ void set_job_field(SuiteJob& job, const std::string& key,
   } else if (key == "table") {
     job.table = value;
   } else if (key == "width") {
-    job.width = parse_knob(key, value, kMaxWidth, kMinWidth);
+    job.width = parse_knob(key, value, kMaxJobWidth, kMinJobWidth);
   } else if (key == "algorithm") {
     job.algorithm = one_of(key, value, {"bssa", "dalta", "round-in",
                                         "round-out"});
   } else if (key == "arch") {
     job.arch = one_of(key, value, {"dalta", "bto-normal", "bto-normal-nd"});
   } else if (key == "bound") {
-    job.bound = parse_knob(key, value, kMaxBound);
+    job.bound = parse_knob(key, value, kMaxJobWidth - 1);
   } else if (key == "rounds") {
-    job.rounds = parse_knob(key, value, kMaxRounds, 1);
+    job.rounds = parse_knob(key, value, core::kMaxRounds, 1);
   } else if (key == "partitions") {
-    job.partitions = parse_knob(key, value, kMaxPartitions);
+    job.partitions = parse_knob(key, value, core::kMaxPartitionLimit, 1);
   } else if (key == "patterns") {
-    job.patterns = parse_knob(key, value, kMaxPatterns);
+    job.patterns = parse_knob(key, value, core::kMaxInitPatterns, 1);
   } else if (key == "beams") {
-    job.beams = parse_knob(key, value, kMaxBeams);
+    job.beams = parse_knob(key, value, core::kMaxBeamWidth, 1);
   } else if (key == "chains") {
-    job.chains = parse_knob(key, value, kMaxChains);
+    job.chains = parse_knob(key, value, core::kMaxChains, 1);
   } else if (key == "nd-candidates") {
-    job.nd_candidates = parse_knob(key, value, kMaxNdCandidates);
+    job.nd_candidates = parse_knob(key, value, core::kMaxNdCandidates);
   } else if (key == "metric") {
     job.metric = one_of(key, value, {"med", "mse", "er"});
   } else if (key == "delta") {
     job.delta = core::detail::parse_double(value, key.c_str());
+    core::check_factor(key.c_str(), job.delta);
   } else if (key == "delta-prime") {
     job.delta_prime = core::detail::parse_double(value, key.c_str());
+    core::check_factor(key.c_str(), job.delta_prime);
   } else if (key == "seed") {
     job.seed = core::detail::parse_unsigned(value, key.c_str());
   } else if (key == "drop") {
-    job.drop = parse_knob(key, value, 25);
+    job.drop = parse_knob(key, value, kMaxJobWidth - 1);
   } else if (key == "budget") {
     job.budget = core::detail::parse_double(value, key.c_str());
-    if (job.budget < 0.0) fail_field(key, value, "must be >= 0");
+    core::check_factor(key.c_str(), job.budget);
   } else {
     throw std::invalid_argument("unknown job field '" + token_excerpt(key) +
                                 "'");
+  }
+}
+
+unsigned default_bound(unsigned n) {
+  return std::min(n - 1, std::max(1u, (9u * n + 8) / 16));
+}
+
+core::DaltaParams dalta_params(const SuiteJob& job, unsigned n) {
+  if (job.arch != "dalta") {
+    throw std::invalid_argument("arch '" + job.arch +
+                                "' needs algorithm=bssa (DALTA supports "
+                                "only arch=dalta)");
+  }
+  core::DaltaParams params;
+  params.bound_size = job.bound != 0 ? job.bound : default_bound(n);
+  params.rounds = job.rounds;
+  params.partition_limit = job.partitions;
+  params.init_patterns = job.patterns;
+  params.metric = metric_of(job);
+  params.seed = job.seed;
+  return params;
+}
+
+core::BssaParams bssa_params(const SuiteJob& job, unsigned n) {
+  core::BssaParams params;
+  params.bound_size = job.bound != 0 ? job.bound : default_bound(n);
+  params.rounds = job.rounds;
+  params.beam_width = job.beams;
+  params.sa.partition_limit = job.partitions;
+  params.sa.init_patterns = job.patterns;
+  params.sa.chains = job.chains;
+  params.nd_candidates = job.nd_candidates;
+  if (job.arch == "bto-normal") {
+    params.modes = core::ModePolicy::bto_normal(job.delta);
+  } else if (job.arch == "bto-normal-nd") {
+    params.modes = core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
+  }
+  params.metric = metric_of(job);
+  params.seed = job.seed;
+  return params;
+}
+
+void validate_search(const SuiteJob& job) {
+  const unsigned n = job.table.empty() ? job.width : kMaxJobWidth;
+  if (job.algorithm == "dalta") {
+    dalta_params(job, n).validate(n);
+  } else if (job.algorithm == "bssa") {
+    bssa_params(job, n).validate(n);
   }
 }
 

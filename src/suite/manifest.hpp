@@ -15,12 +15,23 @@
 // and stay within [A-Za-z0-9._-] so they are safe as file-name stems.
 // Parse errors are line-anchored std::invalid_argument, same policy as the
 // dalut-config / dalut-checkpoint formats.
+//
+// Search keys (each also a dalut_opt flag) accept: width 2..26; bound 0
+// (= default_bound) or 1..width-1; rounds >= 1, and >= 2 with a
+// bto-normal* arch; partitions, patterns, beams, chains >= 1; nd-candidates
+// >= 1 with arch=bto-normal-nd; delta, delta-prime finite and >= 0; arch
+// dalta only with algorithm=dalta. Upper limits are core/algorithm_common's
+// kMax*. DaltaParams/BssaParams::validate own these rules, and
+// validate_search runs them on every job line.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "core/bssa.hpp"
+#include "core/dalta.hpp"
 
 namespace dalut::suite {
 
@@ -35,7 +46,7 @@ struct SuiteJob {
 
   std::string algorithm = "bssa";  ///< bssa | dalta | round-in | round-out
   std::string arch = "dalta";  ///< dalta | bto-normal | bto-normal-nd (bssa)
-  unsigned bound = 0;          ///< bound-set size b (0 = 9/16 of width)
+  unsigned bound = 0;          ///< bound-set size b (0 = default_bound)
   unsigned rounds = 3;         ///< optimization rounds R
   unsigned partitions = 60;    ///< partition budget P
   unsigned patterns = 12;      ///< initial pattern vectors Z
@@ -53,6 +64,11 @@ struct SuiteJob {
   /// the result-cache key.
   double budget = 0.0;
 };
+
+/// Widths a job accepts: below 2 there is no proper nonempty bound set, and
+/// above 26 a built-in benchmark asks for a 2^27-entry table.
+inline constexpr unsigned kMinJobWidth = 2;
+inline constexpr unsigned kMaxJobWidth = 26;
 
 struct Manifest {
   std::vector<SuiteJob> jobs;  ///< manifest order == report order
@@ -73,5 +89,22 @@ Manifest load_manifest(const std::string& path);
 /// the key (the manifest parser prefixes the line number).
 void set_job_field(SuiteJob& job, const std::string& key,
                    const std::string& value);
+
+// ---- The search a job describes -------------------------------------------
+
+/// b for bound=0 on an n-input function: the paper's 9 at n = 16, scaled
+/// as 9n/16 and kept in [1, n - 1].
+unsigned default_bound(unsigned n);
+
+/// The DALTA / BS-SA parameters a job describes for an n-input function;
+/// pool, control and checkpointing are left to the caller. dalta_params
+/// throws std::invalid_argument ("arch ...") unless arch=dalta.
+core::DaltaParams dalta_params(const SuiteJob& job, unsigned n);
+core::BssaParams bssa_params(const SuiteJob& job, unsigned n);
+
+/// Runs validate() on the job's params before any work starts, for
+/// n = width (kMaxJobWidth for a table job, whose bound the run checks);
+/// rounding jobs pass. The error begins with the offending key.
+void validate_search(const SuiteJob& job);
 
 }  // namespace dalut::suite

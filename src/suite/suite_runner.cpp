@@ -302,53 +302,19 @@ core::DecompositionResult run_search(const SuiteJob& job,
                                      const core::MultiOutputFunction& g,
                                      const core::InputDistribution& dist,
                                      const SearchRun& run) {
-  const unsigned n = g.num_inputs();
-  const unsigned bound =
-      job.bound != 0 ? job.bound
-                     : std::max(2u, std::min(n - 1, (9u * n + 8) / 16));
-  const core::CostMetric metric =
-      job.metric == "mse"  ? core::CostMetric::kMse
-      : job.metric == "er" ? core::CostMetric::kErrorRate
-                           : core::CostMetric::kMed;
-  const unsigned checkpoint_every = run.sink ? run.checkpoint_every : 0;
-  if (job.algorithm == "dalta") {
-    core::DaltaParams params;
-    params.bound_size = bound;
-    params.rounds = job.rounds;
-    params.partition_limit = job.partitions;
-    params.init_patterns = job.patterns;
-    params.metric = metric;
-    params.seed = job.seed;
+  const auto attach = [&run](auto params) {
     params.pool = run.pool;
     params.control = run.control;
-    params.checkpoint_every = checkpoint_every;
+    params.checkpoint_every = run.sink ? run.checkpoint_every : 0;
     params.checkpoint_sink = run.sink;
     params.resume = run.resume;
-    return core::run_dalta(g, dist, params);
+    return params;
+  };
+  const unsigned n = g.num_inputs();
+  if (job.algorithm == "dalta") {
+    return core::run_dalta(g, dist, attach(dalta_params(job, n)));
   }
-  core::BssaParams params;
-  params.bound_size = bound;
-  params.rounds = job.rounds;
-  params.beam_width = job.beams;
-  params.sa.partition_limit = job.partitions;
-  params.sa.init_patterns = job.patterns;
-  params.sa.chains = job.chains;
-  params.nd_candidates = job.nd_candidates;
-  if (job.arch == "bto-normal") {
-    params.modes = core::ModePolicy::bto_normal(job.delta);
-  } else if (job.arch == "bto-normal-nd") {
-    params.modes = core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
-  } else {
-    params.modes = core::ModePolicy::normal_only();
-  }
-  params.metric = metric;
-  params.seed = job.seed;
-  params.pool = run.pool;
-  params.control = run.control;
-  params.checkpoint_every = checkpoint_every;
-  params.checkpoint_sink = run.sink;
-  params.resume = run.resume;
-  return core::run_bssa(g, dist, params);
+  return core::run_bssa(g, dist, attach(bssa_params(job, n)));
 }
 
 SuiteReport run_suite(const Manifest& manifest, const SuiteOptions& options) {

@@ -128,13 +128,13 @@ struct SearchRun {
   util::ThreadPool* pool = nullptr;
   util::RunControl* control = nullptr;
   unsigned checkpoint_every = 0;  ///< bit-steps between `sink` calls
-  std::function<void(const core::SearchCheckpoint&)> sink;  ///< empty = off
+  std::function<void(const core::SearchCheckpoint&)> sink{};  ///< empty = off
   const core::SearchCheckpoint* resume = nullptr;
 };
 
-/// Runs the BS-SA or DALTA search a job describes (bound 0 resolves to 9/16
-/// of the width). Throws std::invalid_argument when `run.resume` belongs to
-/// other parameters (params digest mismatch).
+/// Runs the BS-SA or DALTA search a job describes (dalta_params /
+/// bssa_params for g's width). Throws std::invalid_argument for params out
+/// of range or a `run.resume` of other parameters (digest mismatch).
 core::DecompositionResult run_search(const SuiteJob& job,
                                      const core::MultiOutputFunction& g,
                                      const core::InputDistribution& dist,

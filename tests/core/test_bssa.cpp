@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "func/registry.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
@@ -101,6 +105,48 @@ TEST(Bssa, RejectsBoundSizeOutOfRange) {
     EXPECT_THROW(run_bssa(g, dist, params), std::invalid_argument)
         << "bound_size " << bound;
   }
+}
+
+// A zero count used to "complete" after evaluating no partition, and a NaN
+// or negative delta was accepted. Each error names the manifest key.
+TEST(Bssa, RejectsInvalidParams) {
+  const auto g = benchmark("cos", 8);
+  const auto dist = InputDistribution::uniform(8);
+  const std::pair<const char*, void (*)(BssaParams&)> cases[] = {
+      {"beams", [](BssaParams& p) { p.beam_width = 0; }},
+      {"partitions", [](BssaParams& p) { p.sa.partition_limit = 0; }},
+      {"patterns", [](BssaParams& p) { p.sa.init_patterns = 0; }},
+      {"chains", [](BssaParams& p) { p.sa.chains = 0; }},
+      {"chains", [](BssaParams& p) { p.sa.chains = kMaxChains + 1; }},
+      {"nd-candidates",
+       [](BssaParams& p) {
+         p.modes = ModePolicy::bto_normal_nd();
+         p.nd_candidates = 0;
+       }},
+      {"delta",
+       [](BssaParams& p) {
+         p.modes = ModePolicy::bto_normal(std::nan(""));
+       }},
+      {"delta", [](BssaParams& p) { p.modes = ModePolicy::bto_normal(-1.0); }},
+      {"delta-prime",
+       [](BssaParams& p) {
+         p.modes = ModePolicy::bto_normal_nd(0.01, -1.0);
+       }},
+  };
+  for (const auto& [key, mutate] : cases) {
+    auto params = small_params(1);
+    mutate(params);
+    try {
+      run_bssa(g, dist, params);
+      FAIL() << key << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(key, 0), 0u) << error.what();
+    }
+  }
+  // Without ND the ND candidate count is unused, and 0 is accepted.
+  auto params = small_params(1);
+  params.nd_candidates = 0;
+  EXPECT_NO_THROW(params.validate(8));
 }
 
 TEST(Bssa, BtoNormalPolicyYieldsOnlyBtoOrNormal) {

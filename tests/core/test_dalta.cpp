@@ -51,6 +51,16 @@ TEST(Dalta, RejectsInvalidParams) {
     EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument)
         << "bound_size " << bound;
   }
+  // A zero partition budget used to crash the run.
+  params = small_params(1);
+  params.partition_limit = 0;
+  EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument);
+  params = small_params(1);
+  params.init_patterns = 0;
+  EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument);
+  params = small_params(1);
+  params.partition_limit = kMaxPartitionLimit + 1;
+  EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument);
 }
 
 TEST(Dalta, ReportedMedMatchesRealizedLut) {

@@ -7,7 +7,8 @@
 # cast unchecked: --runs 0 ran nothing, --width -1 wrapped). --full fixes
 # all three, so combining it with any of them is an error too (it used to
 # drop them silently). --threads and --seed go through the same check (they
-# were read with a bare stoll).
+# were read with a bare stoll). Last, --full alone must print the paper's
+# parameters without running a search.
 set -uo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -60,6 +61,20 @@ if [[ $status -ne 0 ]]; then
   failures=$((failures + 1))
 else
   echo "ok: in-range scale accepted"
+fi
+
+# --full alone resolves to the paper's parameters through the suite's params
+# builders. `--benchmarks none` matches no benchmark, so this runs no search.
+want="width=16 bound_size=9 rounds=5 Z=30 P(DALTA)=1000 P(BS-SA)=500"
+want+=" beams=3 chains=10 runs=10"
+output=$(timeout -s KILL 20 "$harness" --full --benchmarks none 2>&1)
+status=$?
+if [[ $status -ne 0 || $output != *"$want"* ]]; then
+  echo "FAIL: --full --benchmarks none exited $status," \
+    "want '$want': $output" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: --full prints the paper's scale"
 fi
 
 exit $((failures > 0))

@@ -100,6 +100,32 @@ expect_rejected arch bogus
 expect_rejected table-load bogus
 expect_rejected table-load bogus "$dalut_opt" --width 8 \
   --table "$(dirname "$0")/../fixtures/table_v1.dalut"
+# Every search range and the rules that span flags are checked before any
+# work starts. `--algorithm dalta --partitions 0` used to segfault, BS-SA ran
+# `--partitions 0` or `--beams 0` over no partitions and exited 0, and a NaN
+# or negative delta went through.
+expect_rejected partitions 0 "$dalut_opt" --width 8 --algorithm dalta
+expect_rejected partitions 0
+expect_rejected patterns 0
+expect_rejected beams 0
+expect_rejected chains 0
+expect_rejected delta nan
+expect_rejected delta -1 "$dalut_opt" --width 8 --arch bto-normal
+expect_rejected delta-prime inf "$dalut_opt" --width 8 --arch bto-normal-nd
+expect_rejected bound 8
+expect_rejected rounds 1 "$dalut_opt" --width 8 --arch bto-normal-nd
+expect_rejected arch bto-normal "$dalut_opt" --width 8 --algorithm dalta
+expect_rejected partitions 0 "$dalut_opt" --width 8 --sweep-bound
+
+# `--resume` without `--checkpoint` is a usage error too (it exited 1).
+output=$(timeout -s KILL 20 "$dalut_opt" --width 8 --resume 2>&1)
+status=$?
+if [[ $status -ne 2 || $output != *"--resume"* ]]; then
+  echo "FAIL: --resume without --checkpoint exited $status, want 2: $output" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: --resume without --checkpoint rejected: $output"
+fi
 
 # The suite's make-style -jN spelling goes through the same check.
 output=$(timeout -s KILL 20 "$dalut_suite" -j-2 2>&1)

@@ -128,6 +128,88 @@ TEST(Manifest, RejectsDaltaWithNonDaltaArch) {
                std::invalid_argument);
 }
 
+// Each search range is checked when the job line is read, before any run.
+// `algorithm=dalta partitions=0` used to crash the run, BS-SA `beams=0` ran
+// over no partitions and "completed", `delta=nan` was accepted, and
+// `rounds=1` with an ND arch failed only as a job failure at run time.
+TEST(Manifest, RejectsOutOfRangeSearchesAtParseTime) {
+  const char* bad[] = {
+      "algorithm=dalta partitions=0", "beams=0",
+      "delta=nan",                    "arch=bto-normal-nd rounds=1",
+      "arch=bto-normal-nd nd-candidates=0",
+      "width=8 bound=8",              "algorithm=dalta arch=bto-normal",
+  };
+  for (const char* fields : bad) {
+    try {
+      manifest_from_string(std::string("dalut-manifest v1\n"
+                                       "job a benchmark=cos width=8 ") +
+                           fields + "\nend\n");
+      FAIL() << fields << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("line 2: ", 0), 0u)
+          << error.what();
+    }
+  }
+  // A truth-table job's width is unknown at parse time: its bound is
+  // checked by the run, every other range here.
+  EXPECT_NO_THROW(manifest_from_string("dalut-manifest v1\n"
+                                       "job a table=f.dalut bound=20\n"
+                                       "end\n"));
+  EXPECT_THROW(manifest_from_string("dalut-manifest v1\n"
+                                    "job a table=f.dalut beams=0\n"
+                                    "end\n"),
+               std::invalid_argument);
+}
+
+TEST(Manifest, ParamsBuildersResolveTheJob) {
+  EXPECT_EQ(default_bound(16), 9u);
+  EXPECT_EQ(default_bound(12), 7u);
+  EXPECT_EQ(default_bound(3), 2u);
+  EXPECT_EQ(default_bound(2), 1u);
+
+  SuiteJob job;
+  job.arch = "bto-normal-nd";
+  job.bound = 5;
+  job.rounds = 4;
+  job.partitions = 40;
+  job.patterns = 7;
+  job.beams = 2;
+  job.chains = 6;
+  job.nd_candidates = 3;
+  job.metric = "mse";
+  job.delta = 0.02;
+  job.delta_prime = 0.2;
+  job.seed = 11;
+  const auto bssa = bssa_params(job, 10);
+  EXPECT_EQ(bssa.bound_size, 5u);
+  EXPECT_EQ(bssa.rounds, 4u);
+  EXPECT_EQ(bssa.sa.partition_limit, 40u);
+  EXPECT_EQ(bssa.sa.init_patterns, 7u);
+  EXPECT_EQ(bssa.beam_width, 2u);
+  EXPECT_EQ(bssa.sa.chains, 6u);
+  EXPECT_EQ(bssa.nd_candidates, 3u);
+  EXPECT_TRUE(bssa.modes.allow_bto && bssa.modes.allow_nd);
+  EXPECT_EQ(bssa.modes.delta, 0.02);
+  EXPECT_EQ(bssa.modes.delta_prime, 0.2);
+  EXPECT_EQ(bssa.metric, core::CostMetric::kMse);
+  EXPECT_EQ(bssa.seed, 11u);
+
+  // DALTA targets only arch=dalta; the error names the key.
+  try {
+    dalta_params(job, 10);
+    FAIL() << "DALTA accepted arch=bto-normal-nd";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("arch", 0), 0u) << error.what();
+  }
+  job.arch = "dalta";
+  job.bound = 0;
+  const auto dalta = dalta_params(job, 10);
+  EXPECT_EQ(dalta.bound_size, default_bound(10));
+  EXPECT_EQ(dalta.partition_limit, 40u);
+  EXPECT_EQ(dalta.init_patterns, 7u);
+  EXPECT_FALSE(bssa_params(job, 10).modes.allow_bto);
+}
+
 TEST(Manifest, ErrorsAreLineAnchored) {
   try {
     manifest_from_string("dalut-manifest v1\n"

@@ -144,7 +144,7 @@ int run(int argc, char** argv) {
   // would run 2^32 - 1 restarts inside one OptForPart call, which never
   // polls for a stop, and `--tb-vectors -1` would ask for 2^64 - 1
   // testbench lines. `--threads` is checked against the pool's ceiling
-  // rather than silently clamped.
+  // rather than silently clamped; validate_search adds the cross-flag rules.
   suite::SuiteJob job;
   try {
     // The rounding baselines have no settings to emit.
@@ -156,6 +156,7 @@ int run(int argc, char** argv) {
     for (const char* flag : kJobFlags) {
       suite::set_job_field(job, flag, cli.str(flag));
     }
+    suite::validate_search(job);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: --%s\n", error.what());
     return kExitUsage;
@@ -179,14 +180,9 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;
   }
-  if (job.algorithm == "dalta" && job.arch != "dalta") {
-    std::fprintf(stderr,
-                 "error: the DALTA algorithm only supports --arch dalta\n");
-    return kExitFatal;
-  }
   if (cli.flag("resume") && cli.str("checkpoint").empty()) {
     std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
-    return kExitFatal;
+    return kExitUsage;
   }
 
   if (const auto code = runtime.start()) return *code;
@@ -256,12 +252,10 @@ int run(int argc, char** argv) {
 
   if (cli.flag("sweep-bound")) {
     core::BoundSweepParams sweep;
+    sweep.probe = suite::bssa_params(job, g.num_inputs());
     sweep.probe.rounds = 2;
     sweep.probe.beam_width = 2;
     sweep.probe.sa.partition_limit = std::max(8u, job.partitions / 3);
-    sweep.probe.sa.init_patterns = job.patterns;
-    sweep.probe.sa.chains = job.chains;
-    sweep.probe.seed = job.seed;
     sweep.probe.pool = &pool;
     sweep.probe.control = &control;
     // Budget 0 is unreachable: the sweep picks the most accurate size.
